@@ -7,7 +7,7 @@ AdaGrad. Evaluation covers cross-lingual document classification and
 nearest-neighbor queries.
 """
 
-from .composition import CompositionKind, backprop, compose, compose_document
+from .composition import CompositionKind, backprop, compose
 from .corpus import (
     DocumentCorpus,
     LabeledDocument,
@@ -17,7 +17,6 @@ from .corpus import (
     load_document_pairs,
     load_documents,
     load_parallel,
-    sample_noise,
     tokenize,
 )
 from .embeddings import (

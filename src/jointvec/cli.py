@@ -2,17 +2,18 @@
 
 Every run resolves its flags against built-in defaults and an optional
 key=value config file (flags win), then echoes the resolved settings to a
-manifest before doing any work; re-running that manifest single-threaded
-reproduces all outputs byte for byte. Exit codes: 0 success, 1 user or
-configuration error, 2 internal error.
+manifest before doing any work; re-running that manifest reproduces all
+outputs byte for byte. Exit codes: 0 success, 1 user or configuration
+error, 2 internal error.
 """
 
 import argparse
+import dataclasses
+import functools
 import os
 import sys
 import traceback
 
-from .composition import CompositionKind
 from .corpus import (
     DocumentCorpus,
     ParallelCorpus,
@@ -27,6 +28,7 @@ from .errors import (
     AlignmentError,
     CheckpointError,
     ConfigError,
+    DivergenceError,
     FileFormatError,
     JointvecError,
     RepresentationError,
@@ -34,13 +36,22 @@ from .errors import (
     TokenLookupError,
 )
 from .evaluation import cldc_run, transfer_matrix
-from .training import AdaGradState, TrainConfig, checkpoint, resume, train_joint, train_single
+from .training import (
+    AdaGradState,
+    TrainConfig,
+    checkpoint,
+    format_setting,
+    parse_setting,
+    resume,
+    train_joint,
+)
 
 MANIFEST_NAME = "manifest.txt"
 _USER_ERRORS = (
     AlignmentError,
     CheckpointError,
     ConfigError,
+    DivergenceError,
     FileFormatError,
     RepresentationError,
     SamplingError,
@@ -106,15 +117,8 @@ def write_manifest(path, subcommand: str, values: dict) -> None:
         for key, value in values.items():
             if value is None:
                 continue
-            if isinstance(value, list):
-                for item in value:
-                    fh.write(f"{key}={item}\n")
-            elif isinstance(value, bool):
-                fh.write(f"{key}={'true' if value else 'false'}\n")
-            elif isinstance(value, float):
-                fh.write(f"{key}={value!r}\n")
-            else:
-                fh.write(f"{key}={value}\n")
+            for item in value if isinstance(value, list) else [value]:
+                fh.write(f"{key}={format_setting(item)}\n")
 
 
 def _resolve(args, spec: dict):
@@ -125,29 +129,28 @@ def _resolve(args, spec: dict):
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} for this subcommand")
     for key, (convert, default) in spec.items():
-        dest = "lam" if key == "lambda" else key
-        current = getattr(args, dest)
+        current = getattr(args, key)
         if key in _BOOL_KEYS:
-            setattr(args, dest, bool(current) or (key in cfg and _to_bool(cfg[key])))
+            setattr(args, key, bool(current) or (key in cfg and _to_bool(cfg[key])))
             continue
         if current is not None:
             continue
         if key in cfg:
             raw = cfg[key]
             if key in _REPEATABLE:
-                setattr(args, dest, list(raw))
+                setattr(args, key, list(raw))
             else:
                 try:
-                    setattr(args, dest, convert(raw))
+                    setattr(args, key, convert(raw))
                 except ValueError as exc:
                     raise ConfigError(f"config key {key}: {exc}") from None
         else:
-            setattr(args, dest, default)
+            setattr(args, key, default)
 
 
 def _require(args, *keys):
     for key in keys:
-        if getattr(args, "lam" if key == "lambda" else key) in (None, []):
+        if getattr(args, key) in (None, []):
             raise ConfigError(f"--{key.replace('_', '-')} is required")
 
 
@@ -176,20 +179,27 @@ def _prepare_out(path, force: bool) -> None:
 # ---------------------------------------------------------------------------
 # train
 
+# train flag -> TrainConfig field, in manifest order; epsilon has no flag
+_TRAIN_FLAGS = {
+    "dim": "d",
+    "margin": "margin",
+    "noise": "k",
+    "lambda": "lam",
+    "step": "step",
+    "batch": "batch",
+    "epochs": "epochs",
+    "cvm": "kind",
+    "doc_signal": "doc_signal",
+    "mode": "mode",
+    "seed": "seed",
+}
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 _TRAIN_SPEC = {
     "pair": (str, None),
-    "dim": (int, 128),
-    "margin": (float, None),
-    "noise": (int, 50),
-    "lambda": (float, 1.0),
-    "step": (float, 0.05),
-    "batch": (int, 50),
-    "epochs": (int, 5),
-    "cvm": (str, "add"),
-    "doc_signal": (_to_bool, False),
-    "mode": (str, "single"),
-    "seed": (int, 1),
-    "threads": (int, 1),
+    **{
+        flag: (functools.partial(parse_setting, name), _TRAIN_DEFAULTS[name])
+        for flag, name in _TRAIN_FLAGS.items()
+    },
     "out": (str, None),
     "force": (_to_bool, False),
 }
@@ -199,22 +209,7 @@ def cmd_train(args) -> int:
     _resolve(args, _TRAIN_SPEC)
     _require(args, "pair", "out")
     pairs = [_split_pair_flag(p) for p in args.pair]
-    if args.cvm not in ("add", "bi"):
-        raise ConfigError(f"--cvm must be add or bi, got {args.cvm!r}")
-    config = TrainConfig(
-        d=args.dim,
-        margin=args.margin,
-        k=args.noise,
-        lam=args.lam,
-        step=args.step,
-        batch=args.batch,
-        epochs=args.epochs,
-        kind=CompositionKind(args.cvm),
-        doc_signal=args.doc_signal,
-        mode=args.mode,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    config = TrainConfig(**{name: getattr(args, flag) for flag, name in _TRAIN_FLAGS.items()})
     if config.mode == "single" and len(pairs) != 1:
         raise ConfigError("--mode single takes exactly one --pair; use --mode joint")
 
@@ -224,18 +219,7 @@ def cmd_train(args) -> int:
         "train",
         {
             "pair": list(args.pair),
-            "dim": config.d,
-            "margin": config.margin,
-            "noise": config.k,
-            "lambda": config.lam,
-            "step": config.step,
-            "batch": config.batch,
-            "epochs": config.epochs,
-            "cvm": config.kind.value,
-            "doc_signal": config.doc_signal,
-            "mode": config.mode,
-            "seed": config.seed,
-            "threads": config.threads,
+            **{flag: getattr(config, name) for flag, name in _TRAIN_FLAGS.items()},
             "out": args.out,
             "force": args.force,
         },
@@ -276,10 +260,7 @@ def cmd_train(args) -> int:
     bundle = ModelBundle(vocabs, tables, config.kind)
     state = AdaGradState(bundle)
 
-    if config.mode == "single":
-        report = train_single(corpora[0], bundle, config, state)
-    else:
-        report = train_joint(corpora, bundle, config, state)
+    report = train_joint(corpora, bundle, config, state)
 
     checkpoint(bundle, state, args.out, config, config.epochs)
     with open(os.path.join(args.out, "loss_log.tsv"), "w", encoding="utf-8") as fh:
@@ -527,7 +508,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--dim", type=int, help=f"embedding dimensionality d (default 128) {REGIME}")
     p_train.add_argument("--margin", type=float, help=f"hinge margin m (default: equal to --dim) {REGIME}")
     p_train.add_argument("--noise", type=int, help=f"noise samples k per pair (default 50) {REGIME}")
-    p_train.add_argument("--lambda", dest="lam", type=float, help=f"L2 coefficient (default 1.0) {REGIME}")
+    p_train.add_argument("--lambda", type=float, help=f"L2 coefficient (default 1.0) {REGIME}")
     p_train.add_argument("--step", type=float, help=f"base step size (default 0.05) {REGIME}")
     p_train.add_argument("--batch", type=int, help=f"minibatch size (default 50) {REGIME}")
     p_train.add_argument("--epochs", type=int, help=f"passes over each corpus (default 5) {TOOLING}")
@@ -541,7 +522,6 @@ def build_parser() -> _Parser:
     )
     p_train.add_argument("--mode", choices=("single", "joint"), help=f"one pair, or several sharing a pivot (default single) {TOOLING}")
     p_train.add_argument("--seed", type=int, help=f"master seed for all randomness (default 1) {TOOLING}")
-    p_train.add_argument("--threads", type=int, help=f"gradient worker threads; 1 is bitwise deterministic (default 1) {TOOLING}")
     p_train.add_argument("--out", metavar="DIR", help="output directory (checkpoint, manifest, loss log)")
     p_train.add_argument("--force", action="store_true", default=None, help="write into a non-empty output directory")
     _add_config_flag(p_train)

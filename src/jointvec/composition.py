@@ -61,11 +61,6 @@ def compose(inputs, kind: CompositionKind) -> CompositionResult:
     return compose_add(inputs) if kind is CompositionKind.ADD else compose_bi(inputs)
 
 
-def compose_document(sentence_vectors, kind: CompositionKind) -> CompositionResult:
-    """Second-stage composition over per-sentence vectors, same model family."""
-    return compose(sentence_vectors, kind)
-
-
 def backprop_add(grad_output: np.ndarray, n_inputs: int) -> np.ndarray:
     """A sum routes its output gradient to every input unchanged."""
     if n_inputs < 1:

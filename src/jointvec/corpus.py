@@ -57,12 +57,6 @@ class DocumentPair:
     index: int
 
 
-@dataclass(frozen=True)
-class NoiseSample:
-    sentence: Sentence
-    source_index: int
-
-
 @dataclass
 class ParallelCorpus:
     """Sentence pairs plus the language codes of their two sides."""
@@ -242,16 +236,3 @@ def sample_indices_excluding(n: int, exclude: int, k: int, rng: np.random.Genera
         if i != exclude:
             out.append(i)
     return out
-
-
-def sample_noise(
-    corpus: list[ParallelPair],
-    positive_index: int,
-    k: int,
-    rng: np.random.Generator,
-) -> list[NoiseSample]:
-    """Draw k target-side noise sentences, never the aligned pair itself."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    idxs = sample_indices_excluding(len(corpus), positive_index, k, rng)
-    return [NoiseSample(corpus[i].target, i) for i in idxs]

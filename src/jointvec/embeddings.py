@@ -191,6 +191,11 @@ def import_table(path, language: str = "") -> tuple[Vocabulary, EmbeddingTable]:
             matrix[row_no] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise FileFormatError(f"{path}: row {row_no + 1}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise FileFormatError(
+            f"{path}: row {bad[0] + 1} ({vocab.token(bad[0])!r}) has non-finite values"
+        )
     return vocab, EmbeddingTable(language, matrix)
 
 

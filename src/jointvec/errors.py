@@ -39,3 +39,7 @@ class RepresentationError(JointvecError):
 
 class CheckpointError(JointvecError):
     """A checkpoint directory is missing files or cannot be parsed."""
+
+
+class DivergenceError(JointvecError):
+    """Training drove parameters to non-finite values (step or lambda too large)."""

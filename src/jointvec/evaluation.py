@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import CompositionKind, compose, compose_document
+from .composition import CompositionKind, compose
 from .corpus import LabeledDocument, select_top_labels
 from .embeddings import EmbeddingTable, ModelBundle, derive_seed
 from .errors import ConfigError, ContractError, RepresentationError
@@ -51,7 +51,7 @@ def doc_representation(
     if level == "sentence-average":
         vec = sent_vectors.mean(axis=0)
     else:
-        vec = compose_document(sent_vectors, kind).output
+        vec = compose(sent_vectors, kind).output
     if not np.isfinite(vec).all():
         raise RepresentationError(f"document {doc.doc_id!r} produced non-finite entries")
     return DocVector(vec, doc.doc_id, set(doc.labels))

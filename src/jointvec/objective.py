@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import CompositionKind, CompositionResult, backprop, compose, compose_document
-from .corpus import DocumentPair, LabeledDocument, NoiseSample, ParallelPair, Sentence
+from .composition import CompositionKind, CompositionResult, backprop, compose
+from .corpus import DocumentPair, LabeledDocument, ParallelPair, Sentence
 from .embeddings import EmbeddingTable, ModelBundle
 from .errors import AlignmentError, ContractError
 
@@ -80,49 +80,49 @@ def _compose_sentence(table: EmbeddingTable, sentence: Sentence, kind: Compositi
     return compose(table.matrix[list(sentence.ids)], kind)
 
 
-def _noise_sentences(noise) -> list:
-    return [ns.sentence if isinstance(ns, NoiseSample) else ns for ns in noise]
-
-
-def sentence_pair_terms(
-    table_src: EmbeddingTable,
-    table_tgt: EmbeddingTable,
-    lang_src: str,
-    lang_tgt: str,
-    source: Sentence,
-    target: Sentence,
-    noise_sentences: list,
+def _hinge_terms(
+    forward,
+    accumulate,
+    tables: ModelBundle,
+    languages: tuple,
+    source,
+    target,
+    noise_items: list,
     margin: float,
     kind: CompositionKind,
     breakdown: LossBreakdown,
     grads: GradMap,
 ) -> None:
-    """Hinge terms for one aligned sentence pair, accumulated in place.
+    """Hinge terms for one aligned pair, accumulated in place.
 
-    The aligned representations each receive one gradient contribution per
-    active hinge; every active noise sentence receives its own.
+    `forward(table, item, kind)` composes a sentence or a document and
+    `accumulate(grads, lang, item, fwd, grad_out)` backpropagates into word
+    rows. The aligned representations each receive one gradient
+    contribution per active hinge; every active noise item receives its own.
     """
-    res_src = _compose_sentence(table_src, source, kind)
-    res_tgt = _compose_sentence(table_tgt, target, kind)
-    diff_pos = res_src.output - res_tgt.output
+    lang_src, lang_tgt = languages
+    table_tgt = tables.table(lang_tgt)
+    fwd_src = forward(tables.table(lang_src), source, kind)
+    fwd_tgt = forward(table_tgt, target, kind)
+    diff_pos = fwd_src.output - fwd_tgt.output
     e_pos = float(diff_pos @ diff_pos)
 
-    grad_src = np.zeros_like(res_src.output)
-    grad_tgt = np.zeros_like(res_tgt.output)
+    grad_src = np.zeros_like(diff_pos)
+    grad_tgt = np.zeros_like(diff_pos)
     n_active = 0
-    for noise in noise_sentences:
-        res_noise = _compose_sentence(table_tgt, noise, kind)
-        diff_neg = res_src.output - res_noise.output
+    for noise in noise_items:
+        fwd_noise = forward(table_tgt, noise, kind)
+        diff_neg = fwd_src.output - fwd_noise.output
         h = margin + e_pos - float(diff_neg @ diff_neg)
         if h > 0.0:
             breakdown.add(h)
             n_active += 1
             grad_src += 2.0 * (diff_pos - diff_neg)
             grad_tgt -= 2.0 * diff_pos
-            _accumulate(grads, lang_tgt, noise, res_noise, 2.0 * diff_neg)
+            accumulate(grads, lang_tgt, noise, fwd_noise, 2.0 * diff_neg)
     if n_active:
-        _accumulate(grads, lang_src, source, res_src, grad_src)
-        _accumulate(grads, lang_tgt, target, res_tgt, grad_tgt)
+        accumulate(grads, lang_src, source, fwd_src, grad_src)
+        accumulate(grads, lang_tgt, target, fwd_tgt, grad_tgt)
 
 
 def pair_loss_and_grads(
@@ -135,17 +135,14 @@ def pair_loss_and_grads(
 ) -> tuple:
     """Hinge terms of one sentence pair against its noise set.
 
-    `languages` is (source language, target language); noise entries may be
-    NoiseSample or bare Sentence, always target-side. Returns
-    (LossBreakdown, gradient map).
+    `languages` is (source language, target language); `noise` holds
+    target-side Sentences. Returns (LossBreakdown, gradient map).
     """
-    lang_src, lang_tgt = languages
     breakdown = LossBreakdown()
     grads: GradMap = {}
-    sentence_pair_terms(
-        tables.table(lang_src), tables.table(lang_tgt), lang_src, lang_tgt,
-        pair.source, pair.target, _noise_sentences(noise), margin, kind,
-        breakdown, grads,
+    _hinge_terms(
+        _compose_sentence, _accumulate, tables, languages,
+        pair.source, pair.target, noise, margin, kind, breakdown, grads,
     )
     return breakdown, grads
 
@@ -164,7 +161,7 @@ class DocForward:
 
 def compose_doc_forward(table: EmbeddingTable, doc: LabeledDocument, kind: CompositionKind) -> DocForward:
     sent_results = [_compose_sentence(table, s, kind) for s in doc.sentences]
-    doc_result = compose_document(np.stack([r.output for r in sent_results]), kind)
+    doc_result = compose(np.stack([r.output for r in sent_results]), kind)
     return DocForward(sent_results, doc_result)
 
 
@@ -191,33 +188,12 @@ def doc_loss_and_grads(
     counts and `sentence_noise` must hold one target-side noise list per
     aligned sentence position; those pair losses add into the same maps.
     """
-    lang_src, lang_tgt = languages
-    table_src = tables.table(lang_src)
-    table_tgt = tables.table(lang_tgt)
     breakdown = LossBreakdown()
     grads: GradMap = {}
-
-    fwd_src = compose_doc_forward(table_src, doc_pair.source, kind)
-    fwd_tgt = compose_doc_forward(table_tgt, doc_pair.target, kind)
-    diff_pos = fwd_src.output - fwd_tgt.output
-    e_pos = float(diff_pos @ diff_pos)
-
-    grad_src = np.zeros_like(diff_pos)
-    grad_tgt = np.zeros_like(diff_pos)
-    n_active = 0
-    for ndoc in noise_docs:
-        fwd_noise = compose_doc_forward(table_tgt, ndoc, kind)
-        diff_neg = fwd_src.output - fwd_noise.output
-        h = margin + e_pos - float(diff_neg @ diff_neg)
-        if h > 0.0:
-            breakdown.add(h)
-            n_active += 1
-            grad_src += 2.0 * (diff_pos - diff_neg)
-            grad_tgt -= 2.0 * diff_pos
-            _accumulate_doc(grads, lang_tgt, ndoc, fwd_noise, 2.0 * diff_neg)
-    if n_active:
-        _accumulate_doc(grads, lang_src, doc_pair.source, fwd_src, grad_src)
-        _accumulate_doc(grads, lang_tgt, doc_pair.target, fwd_tgt, grad_tgt)
+    _hinge_terms(
+        compose_doc_forward, _accumulate_doc, tables, languages,
+        doc_pair.source, doc_pair.target, noise_docs, margin, kind, breakdown, grads,
+    )
 
     if combine_sentence_signal:
         src_sents = doc_pair.source.sentences
@@ -232,9 +208,8 @@ def doc_loss_and_grads(
                 "combined signal needs one noise list per aligned sentence"
             )
         for s_src, s_tgt, noise_i in zip(src_sents, tgt_sents, sentence_noise):
-            sentence_pair_terms(
-                table_src, table_tgt, lang_src, lang_tgt,
-                s_src, s_tgt, _noise_sentences(noise_i), margin, kind,
-                breakdown, grads,
+            _hinge_terms(
+                _compose_sentence, _accumulate, tables, languages,
+                s_src, s_tgt, noise_i, margin, kind, breakdown, grads,
             )
     return breakdown, grads

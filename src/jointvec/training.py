@@ -3,16 +3,15 @@
 Single mode trains on one parallel corpus; joint mode interleaves
 minibatches from several sub-corpora that share a pivot language, so the
 pivot table receives updates from every sub-corpus and all languages land
-in one vector space. Single-threaded runs are bitwise deterministic given
-(config, corpus, seed): shuffling uses one generator per (epoch,
-sub-corpus), and noise comes from that same generator in schedule order
-before any gradient is evaluated, so the optional thread pool only changes
-wall-clock.
+in one vector space. Runs are bitwise deterministic given (config,
+corpus, seed): shuffling uses one generator per (epoch, sub-corpus), and
+noise comes from that same generator in schedule order.
 """
 
+import dataclasses
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .composition import CompositionKind
 from .corpus import DocumentCorpus, sample_indices_excluding
 from .embeddings import EmbeddingTable, ModelBundle, export_table, import_table
-from .errors import AlignmentError, CheckpointError, ConfigError, ContractError
+from .errors import AlignmentError, CheckpointError, ConfigError, ContractError, DivergenceError
 from .objective import GradMap, doc_loss_and_grads, merge_grads, pair_loss_and_grads
 
 CHECKPOINT_META = "meta.txt"
@@ -40,11 +39,14 @@ class TrainConfig:
     mode: str = "single"
     seed: int = 1
     epsilon: float = 1e-6
-    threads: int = 1
 
     def __post_init__(self):
         if self.margin is None:
             self.margin = float(self.d)
+        try:
+            self.kind = CompositionKind(self.kind)
+        except ValueError:
+            raise ConfigError(f"kind must be add or bi, got {self.kind!r}") from None
         checks = [
             (self.d >= 1, f"d must be >= 1, got {self.d}"),
             (self.margin > 0, f"margin must be > 0, got {self.margin}"),
@@ -54,7 +56,6 @@ class TrainConfig:
             (self.batch >= 1, f"batch must be >= 1, got {self.batch}"),
             (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
             (self.epsilon > 0, f"epsilon must be > 0, got {self.epsilon}"),
-            (self.threads >= 1, f"threads must be >= 1, got {self.threads}"),
             (self.mode in ("single", "joint"), f"mode must be single or joint, got {self.mode!r}"),
         ]
         for ok, msg in checks:
@@ -108,59 +109,52 @@ def adagrad_apply(tables: ModelBundle, grads: GradMap, state: AdaGradState, conf
         w -= config.step * g_eff / np.sqrt(acc + config.epsilon)
 
 
-@dataclass
-class _Stream:
-    """One sub-corpus bound to the model bundle its gradient tasks read."""
+def _pair_terms(corpus, idx: int, tables: ModelBundle, config: TrainConfig, rng):
+    """Draw one pair's noise from `rng`, then evaluate its hinge terms.
 
-    corpus: object
-    bundle: ModelBundle
-
-    @property
-    def languages(self) -> tuple:
-        return (self.corpus.src_lang, self.corpus.tgt_lang)
-
-    def eval_pair(self, idx: int, noise, config: TrainConfig):
-        """Returns (LossBreakdown, grads, total hinge-term count)."""
-        corpus = self.corpus
-        pair = corpus.pairs[idx]
-        if isinstance(corpus, DocumentCorpus):
-            noise_docs, sentence_noise = noise
-            breakdown, grads = doc_loss_and_grads(
-                pair, noise_docs, self.bundle, config.kind, config.margin,
-                True, self.languages, sentence_noise,
-            )
-            terms = len(noise_docs) + sum(len(sn) for sn in sentence_noise)
-        else:
-            breakdown, grads = pair_loss_and_grads(
-                pair, noise, self.bundle, config.kind, config.margin, self.languages
-            )
-            terms = len(noise)
-        return breakdown, grads, terms
-
-    def draw_noise(self, idx: int, config: TrainConfig, rng):
-        corpus = self.corpus
-        if isinstance(corpus, DocumentCorpus):
-            pair = corpus.pairs[idx]
-            if len(pair.source.sentences) != len(pair.target.sentences):
-                raise AlignmentError(
-                    f"document pair {idx} has {len(pair.source.sentences)} vs "
-                    f"{len(pair.target.sentences)} sentences; the combined signal "
-                    "needs sentence-aligned documents"
-                )
-            picks = sample_indices_excluding(len(corpus.pairs), idx, config.k, rng)
-            noise_docs = [corpus.pairs[i].target for i in picks]
-            pool = corpus.flat_target_pool()
-            sentence_noise = []
-            for j in range(len(pair.target.sentences)):
-                flat = corpus.flat_index(idx, j)
-                s_picks = sample_indices_excluding(len(pool), flat, config.k, rng)
-                sentence_noise.append([pool[i] for i in s_picks])
-            return noise_docs, sentence_noise
-        picks = sample_indices_excluding(len(corpus.pairs), idx, config.k, rng)
-        return [corpus.pairs[i].target for i in picks]
+    Returns (LossBreakdown, gradient map, total hinge-term count). A document
+    pair draws k noise documents, then k noise sentences per aligned
+    sentence position from the flat target-sentence pool.
+    """
+    pair = corpus.pairs[idx]
+    languages = (corpus.src_lang, corpus.tgt_lang)
+    picks = sample_indices_excluding(len(corpus.pairs), idx, config.k, rng)
+    noise = [corpus.pairs[i].target for i in picks]
+    if not isinstance(corpus, DocumentCorpus):
+        breakdown, grads = pair_loss_and_grads(
+            pair, noise, tables, config.kind, config.margin, languages
+        )
+        return breakdown, grads, len(noise)
+    n_sents = len(pair.target.sentences)
+    if len(pair.source.sentences) != n_sents:
+        raise AlignmentError(
+            f"document pair {idx} has {len(pair.source.sentences)} vs {n_sents} "
+            "sentences; the combined signal needs sentence-aligned documents"
+        )
+    pool = corpus.flat_target_pool()
+    sentence_noise = []
+    for j in range(n_sents):
+        s_picks = sample_indices_excluding(len(pool), corpus.flat_index(idx, j), config.k, rng)
+        sentence_noise.append([pool[i] for i in s_picks])
+    breakdown, grads = doc_loss_and_grads(
+        pair, noise, tables, config.kind, config.margin, True, languages, sentence_noise
+    )
+    return breakdown, grads, len(noise) * (1 + n_sents)
 
 
-def _epoch_schedule(streams: list, config: TrainConfig, epoch: int):
+def _rows_finite(tables: ModelBundle, state: AdaGradState, grads: GradMap) -> bool:
+    """Whether every row named in `grads` is finite, in its table and its accumulator."""
+    rows = {}
+    for lang, wid in grads:
+        rows.setdefault(lang, []).append(wid)
+    return all(
+        np.isfinite(tables.table(lang).matrix[ids]).all()
+        and np.isfinite(state.acc[lang][ids]).all()
+        for lang, ids in rows.items()
+    )
+
+
+def _epoch_schedule(corpora: list, config: TrainConfig, epoch: int):
     """Shuffle each sub-corpus, cut into minibatches, interleave round-robin.
 
     Returns per-corpus generators (reused afterwards for that corpus's noise
@@ -169,9 +163,9 @@ def _epoch_schedule(streams: list, config: TrainConfig, epoch: int):
     """
     rngs = []
     chunked = []
-    for ci, stream in enumerate(streams):
+    for ci, corpus in enumerate(corpora):
         rng = np.random.default_rng([config.seed + epoch, ci])
-        order = rng.permutation(len(stream.corpus.pairs))
+        order = rng.permutation(len(corpus.pairs))
         rngs.append(rng)
         chunked.append([order[i : i + config.batch] for i in range(0, len(order), config.batch)])
     batches = []
@@ -195,7 +189,8 @@ def train_joint(
     All sub-corpora must name the same source-side (pivot) language; its
     table is one shared object, so an update triggered by any sub-corpus is
     visible to every later batch. `on_epoch(epoch, report)` fires after each
-    completed epoch, e.g. for checkpointing.
+    completed epoch, e.g. for checkpointing. An update that leaves a row
+    non-finite raises DivergenceError; the tables are then unusable.
     """
     if not corpora:
         raise ConfigError("need at least one sub-corpus")
@@ -204,51 +199,44 @@ def train_joint(
         raise ConfigError(f"sub-corpora must share one pivot language, got {sorted(pivots)}")
     if not 0 <= start_epoch <= config.epochs:
         raise ConfigError(f"start_epoch {start_epoch} outside [0, {config.epochs}]")
-    streams = []
     for c in corpora:
         if config.doc_signal != isinstance(c, DocumentCorpus):
             raise ConfigError(
                 "doc_signal takes document corpora; plain parallel corpora need it off"
             )
         tables.table(c.src_lang), tables.table(c.tgt_lang)  # fail fast on missing languages
-        streams.append(_Stream(c, tables))
     if state is None:
         state = AdaGradState(tables)
 
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
     report = TrainReport()
-    try:
-        for epoch in range(start_epoch, config.epochs):
-            t0 = time.perf_counter()
-            epoch_loss = 0.0
-            total_terms = 0
-            active_terms = 0
-            rngs, batches = _epoch_schedule(streams, config, epoch)
-            for ci, chunk in batches:
-                stream = streams[ci]
-                rng = rngs[ci]
-                tasks = [(int(idx), stream.draw_noise(int(idx), config, rng)) for idx in chunk]
-                if pool is None:
-                    results = [stream.eval_pair(idx, noise, config) for idx, noise in tasks]
-                else:
-                    results = list(
-                        pool.map(lambda t: stream.eval_pair(t[0], t[1], config), tasks)
-                    )
-                batch_grads: GradMap = {}
-                for breakdown, grads, terms in results:
-                    epoch_loss += breakdown.hinge_total
-                    active_terms += breakdown.active_noise_count
-                    total_terms += terms
-                    merge_grads(batch_grads, grads)
-                adagrad_apply(tables, batch_grads, state, config)
-            report.log_epoch(
-                epoch_loss, active_terms / max(total_terms, 1), time.perf_counter() - t0
-            )
-            if on_epoch is not None:
-                on_epoch(epoch, report)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(start_epoch, config.epochs):
+        t0 = time.perf_counter()
+        epoch_loss = 0.0
+        total_terms = 0
+        active_terms = 0
+        rngs, batches = _epoch_schedule(corpora, config, epoch)
+        for batch_no, (ci, chunk) in enumerate(batches):
+            batch_grads: GradMap = {}
+            for idx in chunk:
+                breakdown, grads, terms = _pair_terms(
+                    corpora[ci], int(idx), tables, config, rngs[ci]
+                )
+                epoch_loss += breakdown.hinge_total
+                active_terms += breakdown.active_noise_count
+                total_terms += terms
+                merge_grads(batch_grads, grads)
+            adagrad_apply(tables, batch_grads, state, config)
+            if not _rows_finite(tables, state, batch_grads):
+                raise DivergenceError(
+                    f"training diverged in epoch {epoch}, batch {batch_no}: embeddings "
+                    f"or AdaGrad accumulators became non-finite with step={config.step!r} "
+                    f"and lambda={config.lam!r}; lower the step size or lambda"
+                )
+        report.log_epoch(
+            epoch_loss, active_terms / max(total_terms, 1), time.perf_counter() - t0
+        )
+        if on_epoch is not None:
+            on_epoch(epoch, report)
     return report
 
 
@@ -264,7 +252,8 @@ def train_single(
     return train_joint([corpus], tables, config, state, start_epoch, on_epoch)
 
 
-def _format_value(v) -> str:
+def format_setting(v) -> str:
+    """Text form of a setting value, as meta.txt and manifests write it."""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -272,6 +261,26 @@ def _format_value(v) -> str:
     if isinstance(v, CompositionKind):
         return v.value
     return str(v)
+
+
+# TrainConfig field -> its type, with `X | None` read as X
+_FIELD_TYPES = {
+    f.name: (typing.get_args(f.type) or (f.type,))[0] for f in dataclasses.fields(TrainConfig)
+}
+
+
+def parse_setting(name: str, text: str):
+    """Inverse of format_setting for the TrainConfig field `name`."""
+    typ = _FIELD_TYPES[name]
+    if typ is bool:
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text == "true"
+    return typ(text)
+
+
+def _meta_key(name: str) -> str:
+    return "lambda" if name == "lam" else name
 
 
 def checkpoint(
@@ -294,26 +303,12 @@ def checkpoint(
         export_table(
             EmbeddingTable(lang, state.acc[lang]), vocab, os.path.join(path, f"{lang}.adagrad")
         )
-    meta = {
-        "languages": ",".join(tables.languages),
-        "epoch": epoch,
-        "d": config.d,
-        "margin": config.margin,
-        "k": config.k,
-        "lambda": config.lam,
-        "step": config.step,
-        "batch": config.batch,
-        "epochs": config.epochs,
-        "kind": config.kind,
-        "doc_signal": config.doc_signal,
-        "mode": config.mode,
-        "seed": config.seed,
-        "epsilon": config.epsilon,
-        "threads": config.threads,
-    }
+    meta = {"languages": ",".join(tables.languages), "epoch": epoch}
+    for f in dataclasses.fields(TrainConfig):
+        meta[_meta_key(f.name)] = getattr(config, f.name)
     with open(os.path.join(path, CHECKPOINT_META), "w", encoding="utf-8") as fh:
         for key in sorted(meta):
-            fh.write(f"{key}={_format_value(meta[key])}\n")
+            fh.write(f"{key}={format_setting(meta[key])}\n")
 
 
 def _parse_meta(path) -> dict:
@@ -338,10 +333,13 @@ def resume(path):
 
     Returns (ModelBundle, AdaGradState, TrainConfig, epoch). Missing files,
     vocabulary disagreements between the embedding and accumulator files,
-    or negative accumulator entries all fail loudly.
+    or negative accumulator entries all fail loudly. Keys that no
+    TrainConfig field reads are ignored, so a checkpoint that still names a
+    since-removed setting loads.
     """
     meta = _parse_meta(os.path.join(path, CHECKPOINT_META))
-    for key in ("languages", "epoch", "d", "kind", "seed"):
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    for key in ["languages", "epoch"] + [_meta_key(n) for n in names]:
         if key not in meta:
             raise CheckpointError(f"checkpoint metadata missing {key!r}")
     languages = meta["languages"].split(",")
@@ -364,22 +362,9 @@ def resume(path):
         tables[lang] = table
         acc[lang] = ada_table.matrix
     try:
-        config = TrainConfig(
-            d=int(meta["d"]),
-            margin=float(meta["margin"]),
-            k=int(meta["k"]),
-            lam=float(meta["lambda"]),
-            step=float(meta["step"]),
-            batch=int(meta["batch"]),
-            epochs=int(meta["epochs"]),
-            kind=CompositionKind(meta["kind"]),
-            doc_signal=meta.get("doc_signal") == "true",
-            mode=meta.get("mode", "single"),
-            seed=int(meta["seed"]),
-            epsilon=float(meta.get("epsilon", "1e-06")),
-            threads=int(meta.get("threads", "1")),
-        )
-    except (KeyError, ValueError, ConfigError) as exc:
+        config = TrainConfig(**{n: parse_setting(n, meta[_meta_key(n)]) for n in names})
+        epoch = int(meta["epoch"])
+    except (ValueError, ConfigError) as exc:
         raise CheckpointError(f"invalid checkpoint metadata: {exc}") from exc
     bundle = ModelBundle(vocabs, tables, config.kind)
-    return bundle, AdaGradState(acc=acc), config, int(meta["epoch"])
+    return bundle, AdaGradState(acc=acc), config, epoch

@@ -1,3 +1,4 @@
+import shutil
 import subprocess
 import sys
 
@@ -222,6 +223,18 @@ def test_query_target_language_filter(trained, la_token, tmp_path, capsys):
     assert (out / "manifest.txt").read_text(encoding="utf-8").startswith("subcommand=query\n")
 
 
+def test_query_non_finite_checkpoint_is_user_error(trained, la_token, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(trained, model)
+    lines = (model / "la.emb").read_text(encoding="utf-8").splitlines()
+    word, *values = lines[2].split(" ")
+    lines[2] = " ".join([word, "nan", *values[1:]])
+    (model / "la.emb").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc, _, err = run_cli(["query", "--model", model, "--word", f"la:{la_token}"], capsys)
+    assert rc == 1
+    assert f"{model / 'la.emb'}: row 2" in err
+
+
 def test_query_unknown_word_fails(trained, la_token, capsys):
     rc, _, err = run_cli(
         ["query", "--model", trained, "--word", "la:nonexistent"], capsys
@@ -285,11 +298,23 @@ def test_explicit_flags_beat_config(fast_corpus, tmp_path, capsys):
 
 def test_unknown_config_key_rejected(fast_corpus, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("dimension=8\n", encoding="utf-8")
-    rc, _, err = run_cli(
-        ["train", "--config", cfg, "--out", tmp_path / "x"], capsys
-    )
-    assert rc == 1 and "dimension" in err
+    # threads was a setting of earlier versions and is gone
+    for key in ("dimension", "threads"):
+        cfg.write_text(f"{key}=8\n", encoding="utf-8")
+        rc, _, err = run_cli(
+            ["train", "--config", cfg, "--out", tmp_path / "x"], capsys
+        )
+        assert rc == 1 and repr(key) in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_train_divergence_is_user_error_and_writes_no_checkpoint(fast_corpus, tmp_path, capsys):
+    out = tmp_path / "run"
+    extra = ["--step", "1e300", "--lambda", "1e300"]
+    rc, _, err = run_cli(train_args(fast_corpus, out, extra=extra), capsys)
+    assert rc == 1
+    assert "diverged in epoch 0, batch 0" in err and "step=1e+300" in err
+    assert not list(out.glob("*.emb"))
 
 
 def test_doc_signal_training_and_eval(fast_corpus, tmp_path, capsys):

@@ -10,7 +10,6 @@ from jointvec.composition import (
     compose,
     compose_add,
     compose_bi,
-    compose_document,
 )
 from jointvec.errors import CompositionError, ContractError
 
@@ -80,17 +79,10 @@ def test_compose_rejects_bad_input():
             compose_bi(bad)
 
 
-def test_compose_dispatch_and_document_alias():
+def test_compose_dispatch():
     x = np.array([[1.0, 1.0], [3.0, 3.0]])
     assert np.array_equal(compose(x, CompositionKind.ADD).output, [4.0, 4.0])
-    assert np.array_equal(
-        compose_document(x, CompositionKind.ADD).output,
-        compose(x, CompositionKind.ADD).output,
-    )
-    assert np.array_equal(
-        compose_document(x, CompositionKind.BI).output,
-        compose(x, CompositionKind.BI).output,
-    )
+    assert np.array_equal(compose(x, CompositionKind.BI).output, compose_bi(x).output)
 
 
 def test_backprop_add_tiles_gradient():
@@ -161,10 +153,10 @@ def test_document_chain_matches_finite_differences():
 
     def doc_value(mat):
         sent_vecs = np.stack([compose(mat[list(ids)], CompositionKind.BI).output for ids in sent_ids])
-        return float(grad_out @ compose_document(sent_vecs, CompositionKind.BI).output)
+        return float(grad_out @ compose(sent_vecs, CompositionKind.BI).output)
 
     sent_results = [compose(words[list(ids)], CompositionKind.BI) for ids in sent_ids]
-    doc_result = compose_document(np.stack([r.output for r in sent_results]), CompositionKind.BI)
+    doc_result = compose(np.stack([r.output for r in sent_results]), CompositionKind.BI)
     sent_grads = backprop(grad_out, doc_result)
     analytic = np.zeros_like(words)
     for ids, res, g in zip(sent_ids, sent_results, sent_grads):

@@ -7,7 +7,6 @@ from jointvec.corpus import (
     DocumentCorpus,
     DocumentPair,
     LabeledDocument,
-    ParallelPair,
     Sentence,
     iter_document_token_sentences,
     iter_token_sentences,
@@ -15,7 +14,6 @@ from jointvec.corpus import (
     load_documents,
     load_parallel,
     sample_indices_excluding,
-    sample_noise,
     select_top_labels,
     tokenize,
 )
@@ -169,25 +167,6 @@ def test_sample_indices_with_replacement_covers_candidates():
     rng = np.random.default_rng(7)
     picks = sample_indices_excluding(3, 0, 400, rng)
     assert set(picks) == {1, 2}  # duplicates inevitable, both candidates hit
-
-
-def _tiny_corpus(n):
-    return [
-        ParallelPair(Sentence((i % 3,)), Sentence((i % 3,)), i) for i in range(n)
-    ]
-
-
-def test_sample_noise_determinism_and_exclusion():
-    corpus = _tiny_corpus(5)
-    one = sample_noise(corpus, 2, 4, np.random.default_rng(42))
-    two = sample_noise(corpus, 2, 4, np.random.default_rng(42))
-    assert [s.source_index for s in one] == [s.source_index for s in two]
-    assert all(s.source_index != 2 for s in one)
-    assert all(s.sentence.ids == corpus[s.source_index].target.ids for s in one)
-    with pytest.raises(ValueError):
-        sample_noise(corpus, 2, 0, np.random.default_rng(0))
-    with pytest.raises(SamplingError):
-        sample_noise(_tiny_corpus(1), 0, 1, np.random.default_rng(0))
 
 
 def test_document_corpus_flat_pool_indexing():

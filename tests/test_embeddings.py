@@ -106,6 +106,7 @@ def test_export_size_mismatch(tmp_path):
         "1 3\nw1 0.0 0.0\n",
         "2 1\nw1 0.0\nw1 1.0\n",
         "1 1\nw1 abc\n",
+        "2 1\nw1 0.0\nw2 nan\n",
     ],
 )
 def test_import_rejects_malformed_files(tmp_path, content):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import reference_model as ref
 from jointvec.composition import CompositionKind
-from jointvec.corpus import DocumentPair, LabeledDocument, NoiseSample, ParallelPair, Sentence
+from jointvec.corpus import DocumentPair, LabeledDocument, ParallelPair, Sentence
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
 from jointvec.errors import AlignmentError, ContractError
 from jointvec.objective import (
@@ -79,7 +79,7 @@ def test_pair_loss_hand_example():
     # one-word sentences, d=1: x=0, y=1, noise z=0, margin 1
     bundle = _hand_bundle()
     pair = ParallelPair(Sentence((0,)), Sentence((0,)), 0)
-    noise = [NoiseSample(Sentence((1,)), 5)]
+    noise = [Sentence((1,))]
     breakdown, grads = pair_loss_and_grads(
         pair, noise, bundle, CompositionKind.ADD, 1.0, ("a", "b")
     )
@@ -315,14 +315,3 @@ def test_combine_adds_sentence_terms():
     assert combined.hinge_total == pytest.approx(
         doc_only.hinge_total + sentence_total, rel=1e-12
     )
-
-
-def test_noise_accepts_bare_sentences_and_samples():
-    bundle = _hand_bundle()
-    pair = ParallelPair(Sentence((0,)), Sentence((0,)), 0)
-    bare = [Sentence((1,))]
-    wrapped = [NoiseSample(Sentence((1,)), 3)]
-    b1, g1 = pair_loss_and_grads(pair, bare, bundle, CompositionKind.ADD, 1.0, ("a", "b"))
-    b2, g2 = pair_loss_and_grads(pair, wrapped, bundle, CompositionKind.ADD, 1.0, ("a", "b"))
-    assert b1.hinge_total == b2.hinge_total
-    assert set(g1) == set(g2)

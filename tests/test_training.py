@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 
 import mpmath as mp
@@ -13,7 +14,7 @@ from jointvec.corpus import (
     ParallelCorpus,
     ParallelPair,
     Sentence,
-    sample_noise,
+    sample_indices_excluding,
 )
 from jointvec.embeddings import ModelBundle, Vocabulary, build_vocab, derive_seed, init_table
 from jointvec.errors import AlignmentError, CheckpointError, ConfigError, ContractError
@@ -53,8 +54,8 @@ def test_train_config_margin_defaults_to_d():
         {"batch": 0},
         {"epochs": 0},
         {"epsilon": 0.0},
-        {"threads": 0},
         {"mode": "parallel"},
+        {"kind": "tri"},
     ],
 )
 def test_train_config_rejects_invalid_values(kwargs):
@@ -208,10 +209,10 @@ def test_toy_training_drives_loss_down():
         fa = compose(emb_a[list(pair.source.ids)], kind).output
         gb = compose(emb_b[list(pair.target.ids)], kind).output
         e_pos = energy(fa, gb)
-        draws = sample_noise(corpus.pairs, pair.index, 10, rng)
+        draws = sample_indices_excluding(len(corpus.pairs), pair.index, 10, rng)
         e_neg = min(
-            energy(fa, compose(emb_b[list(ns.sentence.ids)], kind).output)
-            for ns in draws
+            energy(fa, compose(emb_b[list(corpus.pairs[i].target.ids)], kind).output)
+            for i in draws
         )
         if e_pos < e_neg:
             ranked += 1
@@ -254,17 +255,6 @@ def test_training_bitwise_deterministic():
             runs[0][0].table(lang).matrix, runs[1][0].table(lang).matrix
         )
         assert np.array_equal(runs[0][1].acc[lang], runs[1][1].acc[lang])
-
-
-def test_thread_pool_matches_single_thread_bitwise():
-    corpus, bundle1, config1 = _toy_setup()
-    train_single(corpus, bundle1, config1)
-    corpus2, bundle2, _ = _toy_setup()
-    config2 = TrainConfig(d=4, margin=4.0, k=2, lam=1.0, step=0.05, batch=5, epochs=2,
-                          seed=7, threads=3)
-    train_single(corpus2, bundle2, config2)
-    for lang in ("la", "lb"):
-        assert np.array_equal(bundle1.table(lang).matrix, bundle2.table(lang).matrix)
 
 
 def test_train_joint_single_corpus_equals_train_single():
@@ -354,6 +344,25 @@ def test_checkpoint_resume_round_trip(tmp_path):
         assert bundle2.vocab(lang).tokens == bundle.vocab(lang).tokens
         assert np.array_equal(bundle2.table(lang).matrix, bundle.table(lang).matrix)
         assert np.array_equal(state2.acc[lang], state.acc[lang])
+
+
+def test_every_config_field_round_trips_through_checkpoint(tmp_path):
+    non_default = dict(
+        d=3, margin=2.5, k=4, lam=0.25, step=0.5, batch=9, epochs=6,
+        kind=CompositionKind.BI, doc_signal=True, mode="joint", seed=11, epsilon=1e-8,
+    )
+    fields = dataclasses.fields(TrainConfig)
+    assert set(non_default) == {f.name for f in fields}
+    assert all(non_default[f.name] != f.default for f in fields)
+    config = TrainConfig(**non_default)
+    bundle = make_bundle({"la": 2, "lb": 3}, 3, seed=0)
+    checkpoint(bundle, AdaGradState(bundle), tmp_path, config, epoch=1)
+    assert resume(tmp_path)[2] == config
+
+    # a checkpoint written while TrainConfig still had a threads field
+    with open(tmp_path / "meta.txt", "a", encoding="utf-8") as fh:
+        fh.write("threads=1\n")
+    assert resume(tmp_path)[2] == config
 
 
 def test_checkpoint_twice_identical_bytes(tmp_path):
