@@ -6,8 +6,11 @@ to tanh(x[1]) and every input contributes exactly n bigram terms. Both
 models expose exact analytic backprop; BI keeps its per-bigram tanh
 outputs so gradients never re-run the forward pass.
 
-The same functions serve at the document level, with sentence vectors as
-inputs.
+Inputs may be cut into segments of given lengths, each composed on its
+own: a minibatch composes all its sentences, or all its documents'
+sentence vectors, in one call. A single sequence is the one-segment
+case. The same functions serve at the document level, with sentence
+vectors as inputs.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,8 @@ import numpy as np
 
 from .errors import CompositionError, ContractError
 
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
+
 
 class CompositionKind(Enum):
     ADD = "add"
@@ -25,10 +30,12 @@ class CompositionKind(Enum):
 
 @dataclass
 class CompositionResult:
-    output: np.ndarray
+    output: np.ndarray  # (d,) for one sequence, (S, d) for S segments
     activations: np.ndarray | None  # BI: (n, d) tanh outputs, None for ADD
     n_inputs: int
     kind: CompositionKind
+    lengths: np.ndarray | None = None  # rows per segment; None for one sequence
+    starts: np.ndarray | None = None  # first row of each segment
 
 
 def _as_matrix(inputs) -> np.ndarray:
@@ -43,52 +50,73 @@ def _as_matrix(inputs) -> np.ndarray:
     return arr
 
 
+def compose(inputs, kind: CompositionKind, lengths=None) -> CompositionResult:
+    """Compose the input rows, or each segment of them.
+
+    `lengths` holds the row count of every segment, in order; each is at
+    least 1 and they sum to the number of rows. BI puts its zero pad at
+    each segment start.
+    """
+    x = _as_matrix(inputs)
+    starts = _FIRST_ROW if lengths is None else lengths.cumsum() - lengths
+    t = None
+    if kind is CompositionKind.BI:
+        t = np.empty_like(x)  # x[i-1] within each segment, then tanh(x[i-1] + x[i])
+        t[1:] = x[:-1]
+        t[starts] = 0.0
+        t += x
+        x = np.tanh(t, out=t)
+    out = x.sum(axis=0) if lengths is None else np.add.reduceat(x, starts, axis=0)
+    return CompositionResult(out, t, x.shape[0], kind, lengths, starts)
+
+
 def compose_add(inputs) -> CompositionResult:
     """Component-wise sum of the input vectors."""
-    x = _as_matrix(inputs)
-    return CompositionResult(x.sum(axis=0), None, x.shape[0], CompositionKind.ADD)
+    return compose(inputs, CompositionKind.ADD)
 
 
 def compose_bi(inputs) -> CompositionResult:
     """Sum of tanh over adjacent-pair sums, zero-padded on the left."""
-    x = _as_matrix(inputs)
-    shifted = np.vstack([np.zeros((1, x.shape[1])), x[:-1]])
-    t = np.tanh(x + shifted)
-    return CompositionResult(t.sum(axis=0), t, x.shape[0], CompositionKind.BI)
+    return compose(inputs, CompositionKind.BI)
 
 
-def compose(inputs, kind: CompositionKind) -> CompositionResult:
-    return compose_add(inputs) if kind is CompositionKind.ADD else compose_bi(inputs)
+def backprop(grad_output: np.ndarray, result: CompositionResult) -> np.ndarray:
+    """Input gradients (n, d) from the output gradient of each segment.
+
+    ADD routes a segment's gradient to each of its inputs unchanged. Under
+    BI, input j feeds bigram j (as the right operand) and bigram j+1 (as
+    the left one) of its segment, so it collects grad * (1 - t^2) from
+    both; the zero pad receives nothing.
+    """
+    lengths = [result.n_inputs] if result.lengths is None else result.lengths
+    g = np.asarray(grad_output, dtype=np.float64).reshape(len(lengths), -1)
+    g = g.repeat(lengths, axis=0)
+    if result.kind is CompositionKind.ADD:
+        return g
+    t = result.activations
+    buf = t * t
+    g *= np.subtract(1.0, buf, out=buf)
+    from_next = buf[:-1]
+    from_next[...] = g[1:]
+    if result.starts is not None:
+        from_next[result.starts[1:] - 1] = 0.0  # a segment's last input feeds no further bigram
+    g[:-1] += from_next
+    return g
 
 
 def backprop_add(grad_output: np.ndarray, n_inputs: int) -> np.ndarray:
     """A sum routes its output gradient to every input unchanged."""
     if n_inputs < 1:
         raise ContractError("n_inputs must be >= 1")
-    return np.tile(np.asarray(grad_output, dtype=np.float64), (n_inputs, 1))
+    return backprop(grad_output, CompositionResult(None, None, n_inputs, CompositionKind.ADD))
 
 
 def backprop_bi(grad_output: np.ndarray, result: CompositionResult, n_inputs: int) -> np.ndarray:
-    """Route gradients through the tanh bigram terms.
-
-    Input j feeds bigram j (as the right operand) and bigram j+1 (as the
-    left one), so it collects grad * (1 - t^2) from both; the zero pad
-    receives nothing.
-    """
+    """Route gradients through the tanh bigram terms of one composed sequence."""
     if result.kind is not CompositionKind.BI or result.activations is None:
         raise ContractError("backprop_bi needs a result produced by compose_bi")
     if result.n_inputs != n_inputs or result.activations.shape[0] != n_inputs:
         raise ContractError(
             f"result covers {result.n_inputs} inputs, caller claims {n_inputs}"
         )
-    t = result.activations
-    g = np.asarray(grad_output, dtype=np.float64) * (1.0 - t * t)
-    grads = g.copy()
-    grads[:-1] += g[1:]
-    return grads
-
-
-def backprop(grad_output: np.ndarray, result: CompositionResult) -> np.ndarray:
-    if result.kind is CompositionKind.ADD:
-        return backprop_add(grad_output, result.n_inputs)
-    return backprop_bi(grad_output, result, result.n_inputs)
+    return backprop(grad_output, result)

@@ -10,7 +10,9 @@ File formats:
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,24 +78,9 @@ class DocumentCorpus:
     src_lang: str
     tgt_lang: str
     pairs: list[DocumentPair]
-    # flattened target-side sentences, for sentence-level noise draws
-    _flat_targets: list[Sentence] = field(default_factory=list, repr=False)
-    _flat_offsets: list[int] = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        if not self._flat_targets:
-            for dp in self.pairs:
-                self._flat_offsets.append(len(self._flat_targets))
-                self._flat_targets.extend(dp.target.sentences)
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def flat_target_pool(self) -> list[Sentence]:
-        return self._flat_targets
-
-    def flat_index(self, pair_index: int, sentence_index: int) -> int:
-        return self._flat_offsets[pair_index] + sentence_index
 
 
 def tokenize(text: str) -> list[str]:
@@ -226,13 +213,106 @@ def select_top_labels(docs: list[LabeledDocument], n: int) -> set[str]:
     return {label for label, _ in ranked[:n]}
 
 
-def sample_indices_excluding(n: int, exclude: int, k: int, rng: np.random.Generator) -> list[int]:
-    """k uniform draws (with replacement) from range(n) minus one index."""
+def sample_indices_excluding(n: int, exclude, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k uniform draws (with replacement) from range(n) minus an excluded index.
+
+    `exclude` is one index, giving k draws, or an array of indices, giving
+    one row of k draws per entry that avoids that entry. One generator call
+    draws from range(n - 1); draws at or above their excluded index shift
+    up by one, which is exactly uniform over the other n - 1 indices.
+    """
     if n < 2:
         raise SamplingError(f"need at least 2 candidates to sample noise, have {n}")
-    out = []
-    while len(out) < k:
-        i = int(rng.integers(0, n))
-        if i != exclude:
-            out.append(i)
-    return out
+    exclude = np.asarray(exclude)
+    draws = rng.integers(0, n - 1, size=exclude.shape + (k,))
+    draws += draws >= exclude[..., None]
+    return draws
+
+
+class PackedSide(NamedTuple):
+    """One side of a corpus in compressed-sparse-row form.
+
+    Sentence s holds the token ids ids[sent_starts[s]:sent_starts[s + 1]].
+    For documents, document i holds the sentences
+    doc_starts[i]:doc_starts[i + 1]; sentence corpora have no doc_starts and
+    item i is sentence i.
+    """
+
+    ids: np.ndarray
+    sent_starts: np.ndarray
+    doc_starts: np.ndarray | None = None
+
+    @property
+    def n_sentences(self) -> int:
+        return len(self.sent_starts) - 1
+
+
+def _starts(lengths) -> np.ndarray:
+    """CSR offsets of consecutive ranges with the given lengths."""
+    starts = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=starts[1:])
+    return starts
+
+
+def gather_ranges(starts: np.ndarray, idx: np.ndarray) -> tuple:
+    """The CSR ranges starts[i]:starts[i + 1] for a non-empty idx, concatenated.
+
+    Returns (flat positions, range lengths): token positions of sentences,
+    or sentence indices of documents.
+    """
+    first = starts[idx]
+    lengths = starts[idx + 1] - first
+    ends = lengths.cumsum()
+    return (first + lengths - ends).repeat(lengths) + np.arange(ends[-1]), lengths
+
+
+def sentence_tokens(sentences) -> tuple:
+    """(concatenated token ids, per-sentence lengths) of a list of Sentences."""
+    lengths = np.fromiter((len(s.ids) for s in sentences), np.intp, len(sentences))
+    ids = np.fromiter(chain.from_iterable(s.ids for s in sentences), np.intp, lengths.sum())
+    return ids, lengths
+
+
+def pack_sentences(sentences) -> PackedSide:
+    """CSR form of a list of Sentences."""
+    ids, lengths = sentence_tokens(sentences)
+    return PackedSide(ids, _starts(lengths))
+
+
+def pack_documents(documents) -> PackedSide:
+    """CSR form of a list of documents, each a list of Sentences."""
+    flat = pack_sentences([s for doc in documents for s in doc])
+    return flat._replace(doc_starts=_starts([len(doc) for doc in documents]))
+
+
+def pack_corpus(corpus) -> tuple[PackedSide, PackedSide]:
+    """Both sides of a ParallelCorpus or DocumentCorpus in CSR form.
+
+    Checks what noise sampling and the combined document signal need, so a
+    training run fails before its first update: at least 2 pairs, and
+    every document pair sentence-aligned and non-empty (hence at least 2
+    target sentences to draw sentence noise from).
+    """
+    name = f"{corpus.src_lang}-{corpus.tgt_lang}"
+    if len(corpus.pairs) < 2:
+        raise SamplingError(
+            f"{name}: need at least 2 pairs to sample noise, have {len(corpus.pairs)}"
+        )
+    if not isinstance(corpus, DocumentCorpus):
+        return (
+            pack_sentences([p.source for p in corpus.pairs]),
+            pack_sentences([p.target for p in corpus.pairs]),
+        )
+    for idx, p in enumerate(corpus.pairs):
+        n_src, n_tgt = len(p.source.sentences), len(p.target.sentences)
+        if n_src != n_tgt:
+            raise AlignmentError(
+                f"{name} document pair {idx} has {n_src} vs {n_tgt} sentences; "
+                "the combined signal needs sentence-aligned documents"
+            )
+        if not n_tgt:
+            raise ContractError(f"{name} document pair {idx} has no sentences")
+    return (
+        pack_documents([p.source.sentences for p in corpus.pairs]),
+        pack_documents([p.target.sentences for p in corpus.pairs]),
+    )

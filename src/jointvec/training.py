@@ -5,7 +5,10 @@ minibatches from several sub-corpora that share a pivot language, so the
 pivot table receives updates from every sub-corpus and all languages land
 in one vector space. Runs are bitwise deterministic given (config,
 corpus, seed): shuffling uses one generator per (epoch, sub-corpus), and
-noise comes from that same generator in schedule order.
+noise comes from that same generator in schedule order, one draw per
+batch for its pairs plus, for documents, one for its sentence positions.
+Each minibatch is evaluated as a whole and the tables change only
+between batches.
 """
 
 import dataclasses
@@ -17,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composition import CompositionKind
-from .corpus import DocumentCorpus, sample_indices_excluding
+from .corpus import DocumentCorpus, gather_ranges, pack_corpus, sample_indices_excluding
 from .embeddings import EmbeddingTable, ModelBundle, export_table, import_table
-from .errors import AlignmentError, CheckpointError, ConfigError, ContractError, DivergenceError
-from .objective import GradMap, doc_loss_and_grads, merge_grads, pair_loss_and_grads
+from .errors import CheckpointError, ConfigError, ContractError, DivergenceError
+from .objective import batch_loss_and_grads
 
 CHECKPOINT_META = "meta.txt"
 
@@ -90,68 +93,38 @@ class TrainReport:
         self.epoch_seconds.append(seconds)
 
 
-def adagrad_apply(tables: ModelBundle, grads: GradMap, state: AdaGradState, config: TrainConfig) -> None:
+def adagrad_apply(tables: ModelBundle, grads: dict, state: AdaGradState, config: TrainConfig) -> bool:
     """One update: accumulate squared (regularized) gradients, scale the step.
 
-    For each touched row w with raw gradient g: g += lambda * w, then
-    G += g^2 and w -= step * g / sqrt(G + epsilon). Untouched rows see
-    neither update nor regularizer. A non-finite gradient rejects the whole
-    update before anything mutates.
+    `grads` maps a language to (unique row ids, gradient rows). For each
+    touched row w with raw gradient g: g += lambda * w, then G += g^2 and
+    w -= step * g / sqrt(G + epsilon). Untouched rows see neither update
+    nor regularizer. A non-finite gradient rejects the whole update before
+    anything mutates. Returns whether every updated row, in the tables and
+    the accumulators, is still finite.
     """
-    for key, g in grads.items():
-        if not np.isfinite(g).all():
-            raise ContractError(f"non-finite gradient for {key}")
-    for (lang, wid), g in grads.items():
-        w = tables.table(lang).matrix[wid]
-        g_eff = g + config.lam * w
-        acc = state.acc[lang][wid]
-        acc += g_eff * g_eff
-        w -= config.step * g_eff / np.sqrt(acc + config.epsilon)
-
-
-def _pair_terms(corpus, idx: int, tables: ModelBundle, config: TrainConfig, rng):
-    """Draw one pair's noise from `rng`, then evaluate its hinge terms.
-
-    Returns (LossBreakdown, gradient map, total hinge-term count). A document
-    pair draws k noise documents, then k noise sentences per aligned
-    sentence position from the flat target-sentence pool.
-    """
-    pair = corpus.pairs[idx]
-    languages = (corpus.src_lang, corpus.tgt_lang)
-    picks = sample_indices_excluding(len(corpus.pairs), idx, config.k, rng)
-    noise = [corpus.pairs[i].target for i in picks]
-    if not isinstance(corpus, DocumentCorpus):
-        breakdown, grads = pair_loss_and_grads(
-            pair, noise, tables, config.kind, config.margin, languages
-        )
-        return breakdown, grads, len(noise)
-    n_sents = len(pair.target.sentences)
-    if len(pair.source.sentences) != n_sents:
-        raise AlignmentError(
-            f"document pair {idx} has {len(pair.source.sentences)} vs {n_sents} "
-            "sentences; the combined signal needs sentence-aligned documents"
-        )
-    pool = corpus.flat_target_pool()
-    sentence_noise = []
-    for j in range(n_sents):
-        s_picks = sample_indices_excluding(len(pool), corpus.flat_index(idx, j), config.k, rng)
-        sentence_noise.append([pool[i] for i in s_picks])
-    breakdown, grads = doc_loss_and_grads(
-        pair, noise, tables, config.kind, config.margin, True, languages, sentence_noise
-    )
-    return breakdown, grads, len(noise) * (1 + n_sents)
-
-
-def _rows_finite(tables: ModelBundle, state: AdaGradState, grads: GradMap) -> bool:
-    """Whether every row named in `grads` is finite, in its table and its accumulator."""
-    rows = {}
-    for lang, wid in grads:
-        rows.setdefault(lang, []).append(wid)
-    return all(
-        np.isfinite(tables.table(lang).matrix[ids]).all()
-        and np.isfinite(state.acc[lang][ids]).all()
-        for lang, ids in rows.items()
-    )
+    for lang, (ids, g) in grads.items():
+        bad = ~np.isfinite(g).all(axis=1)
+        if bad.any():
+            raise ContractError(f"non-finite gradient for ({lang!r}, {int(ids[bad][0])})")
+    finite = True
+    for lang, (ids, g) in grads.items():
+        w = tables.table(lang).matrix
+        acc = state.acc[lang]
+        w_rows, acc_rows = w[ids], acc[ids]
+        # overflow shows up as non-finite rows, which the caller reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_eff = config.lam * w_rows
+            g_eff += g
+            scratch = np.multiply(g_eff, g_eff)
+            acc_rows += scratch
+            g_eff *= config.step
+            g_eff /= np.sqrt(np.add(acc_rows, config.epsilon, out=scratch), out=scratch)
+            w_rows -= g_eff
+        acc[ids] = acc_rows
+        w[ids] = w_rows
+        finite = finite and bool(np.isfinite(acc_rows).all() and np.isfinite(w_rows).all())
+    return finite
 
 
 def _epoch_schedule(corpora: list, config: TrainConfig, epoch: int):
@@ -189,8 +162,10 @@ def train_joint(
     All sub-corpora must name the same source-side (pivot) language; its
     table is one shared object, so an update triggered by any sub-corpus is
     visible to every later batch. `on_epoch(epoch, report)` fires after each
-    completed epoch, e.g. for checkpointing. An update that leaves a row
-    non-finite raises DivergenceError; the tables are then unusable.
+    completed epoch, e.g. for checkpointing. Every sub-corpus is packed and
+    checked before the first update (see corpus.pack_corpus). An update
+    that leaves a row non-finite raises DivergenceError; the tables are
+    then unusable.
     """
     if not corpora:
         raise ConfigError("need at least one sub-corpus")
@@ -207,6 +182,7 @@ def train_joint(
         tables.table(c.src_lang), tables.table(c.tgt_lang)  # fail fast on missing languages
     if state is None:
         state = AdaGradState(tables)
+    packed = [pack_corpus(c) for c in corpora]
 
     report = TrainReport()
     for epoch in range(start_epoch, config.epochs):
@@ -216,17 +192,23 @@ def train_joint(
         active_terms = 0
         rngs, batches = _epoch_schedule(corpora, config, epoch)
         for batch_no, (ci, chunk) in enumerate(batches):
-            batch_grads: GradMap = {}
-            for idx in chunk:
-                breakdown, grads, terms = _pair_terms(
-                    corpora[ci], int(idx), tables, config, rngs[ci]
+            corpus, (src, tgt) = corpora[ci], packed[ci]
+            noise = sample_indices_excluding(len(corpus.pairs), chunk, config.k, rngs[ci])
+            sentence_noise = None
+            if tgt.doc_starts is not None:
+                positions, _ = gather_ranges(tgt.doc_starts, chunk)
+                sentence_noise = sample_indices_excluding(
+                    tgt.n_sentences, positions, config.k, rngs[ci]
                 )
-                epoch_loss += breakdown.hinge_total
-                active_terms += breakdown.active_noise_count
-                total_terms += terms
-                merge_grads(batch_grads, grads)
-            adagrad_apply(tables, batch_grads, state, config)
-            if not _rows_finite(tables, state, batch_grads):
+                total_terms += sentence_noise.size
+            breakdown, grads = batch_loss_and_grads(
+                src, tgt, chunk, noise, tables, config.kind, config.margin,
+                (corpus.src_lang, corpus.tgt_lang), sentence_noise,
+            )
+            epoch_loss += breakdown.hinge_total
+            active_terms += breakdown.active_noise_count
+            total_terms += noise.size
+            if not adagrad_apply(tables, grads, state, config):
                 raise DivergenceError(
                     f"training diverged in epoch {epoch}, batch {batch_no}: embeddings "
                     f"or AdaGrad accumulators became non-finite with step={config.step!r} "

@@ -151,7 +151,7 @@ def test_objective_and_optimizer_invariants(criterion):
     state = AdaGradState(bundle)
     config = TrainConfig(d=4, margin=1.0, k=1, lam=0.5, step=0.1, batch=1, epochs=1, seed=0)
     for _ in range(cases):
-        grads = {("a", int(rng.integers(6))): rng.normal(size=4)}
+        grads = {"a": (np.array([rng.integers(6)]), rng.normal(size=(1, 4)))}
         before = state.acc["a"].copy()
         adagrad_apply(bundle, grads, state, config)
         assert np.all(state.acc["a"] >= before)
@@ -308,15 +308,15 @@ def test_joint_mode_shares_pivot_parameters(criterion, monkeypatch):
 
     import jointvec.training as training_mod
 
-    real = training_mod.pair_loss_and_grads
+    real = training_mod.batch_loss_and_grads
     en_at_first_fr_eval = []
 
-    def spy(pair, noise, tables, kind, margin, languages):
+    def spy(src, tgt, pairs, noise, tables, kind, margin, languages, sentence_noise=None):
         if languages == ("en", "fr") and not en_at_first_fr_eval:
             en_at_first_fr_eval.append(tables.table("en").matrix.copy())
-        return real(pair, noise, tables, kind, margin, languages)
+        return real(src, tgt, pairs, noise, tables, kind, margin, languages, sentence_noise)
 
-    monkeypatch.setattr(training_mod, "pair_loss_and_grads", spy)
+    monkeypatch.setattr(training_mod, "batch_loss_and_grads", spy)
     train_joint(corpora, bundle, config, state)
     monkeypatch.undo()
 

@@ -307,7 +307,7 @@ def test_unknown_config_key_rejected(fast_corpus, tmp_path, capsys):
         assert rc == 1 and repr(key) in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_is_user_error_and_writes_no_checkpoint(fast_corpus, tmp_path, capsys):
     out = tmp_path / "run"
     extra = ["--step", "1e300", "--lambda", "1e300"]

@@ -8,11 +8,13 @@ from jointvec.corpus import (
     DocumentPair,
     LabeledDocument,
     Sentence,
+    gather_ranges,
     iter_document_token_sentences,
     iter_token_sentences,
     load_document_pairs,
     load_documents,
     load_parallel,
+    pack_corpus,
     sample_indices_excluding,
     select_top_labels,
     tokenize,
@@ -159,6 +161,17 @@ def test_sample_indices_excluding_bounds_and_exclusion():
         picks = sample_indices_excluding(5, 2, 3, rng)
         assert len(picks) == 3
         assert all(0 <= i < 5 and i != 2 for i in picks)
+    exclude = np.array([4, 0, 2, 2, 1])
+    rows = sample_indices_excluding(5, exclude, 40, rng)
+    assert rows.shape == (5, 40)
+    assert ((rows >= 0) & (rows < 5)).all()
+    assert not (rows == exclude[:, None]).any()
+    # same generator state, same draws
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    for excl in (exclude, 3):
+        assert np.array_equal(
+            sample_indices_excluding(7, excl, 6, a), sample_indices_excluding(7, excl, 6, b)
+        )
     with pytest.raises(SamplingError):
         sample_indices_excluding(1, 0, 3, rng)
 
@@ -167,21 +180,26 @@ def test_sample_indices_with_replacement_covers_candidates():
     rng = np.random.default_rng(7)
     picks = sample_indices_excluding(3, 0, 400, rng)
     assert set(picks) == {1, 2}  # duplicates inevitable, both candidates hit
+    rows = sample_indices_excluding(3, np.array([0, 1, 2]), 400, rng)
+    assert [set(r) for r in rows] == [{1, 2}, {0, 2}, {0, 1}]
 
 
-def test_document_corpus_flat_pool_indexing():
+def test_pack_corpus_flat_sentence_indexing():
     def doc(lang, n_sents, base):
         return LabeledDocument(
-            f"{lang}{base}", lang, set(), [Sentence((base + i,)) for i in range(n_sents)]
+            f"{lang}{base}", lang, set(), [Sentence((base + i, base)) for i in range(n_sents)]
         )
 
     pairs = [
-        DocumentPair(doc("a", 1, 0), doc("b", 2, 10), 0),
-        DocumentPair(doc("a", 1, 1), doc("b", 3, 20), 1),
+        DocumentPair(doc("a", 2, 0), doc("b", 2, 10), 0),
+        DocumentPair(doc("a", 3, 1), doc("b", 3, 20), 1),
     ]
-    corpus = DocumentCorpus("a", "b", pairs)
-    pool = corpus.flat_target_pool()
-    assert [s.ids[0] for s in pool] == [10, 11, 20, 21, 22]
-    assert corpus.flat_index(0, 1) == 1
-    assert corpus.flat_index(1, 0) == 2
-    assert pool[corpus.flat_index(1, 2)].ids == (22,)
+    _, tgt = pack_corpus(DocumentCorpus("a", "b", pairs))
+    assert tgt.n_sentences == 5
+    assert tgt.doc_starts.tolist() == [0, 2, 5]
+    starts = tgt.sent_starts
+    pool = [tgt.ids[starts[s] : starts[s + 1]].tolist() for s in range(tgt.n_sentences)]
+    assert pool == [[10, 10], [11, 10], [20, 20], [21, 20], [22, 20]]
+    # target sentence j of document i is flat sentence doc_starts[i] + j
+    flat, lengths = gather_ranges(tgt.doc_starts, np.array([1, 0]))
+    assert flat.tolist() == [2, 3, 4, 0, 1] and lengths.tolist() == [3, 2]

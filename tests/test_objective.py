@@ -5,20 +5,28 @@ from hypothesis import strategies as st
 
 import reference_model as ref
 from jointvec.composition import CompositionKind
-from jointvec.corpus import DocumentPair, LabeledDocument, ParallelPair, Sentence
+from jointvec.corpus import (
+    DocumentPair,
+    LabeledDocument,
+    ParallelPair,
+    Sentence,
+    pack_documents,
+    pack_sentences,
+)
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
 from jointvec.errors import AlignmentError, ContractError
 from jointvec.objective import (
     LossBreakdown,
+    batch_loss_and_grads,
     doc_loss_and_grads,
     energy,
     hinge,
-    merge_grads,
     pair_loss_and_grads,
 )
 
 from conftest import (
     densify_grads,
+    doc_hinges,
     make_bundle,
     max_rel_err,
     numerical_grads,
@@ -178,17 +186,6 @@ def test_scaling_within_slack_keeps_inactive_pair_at_zero():
             assert grads == {}
 
 
-def test_merge_grads_sums_and_copies():
-    a = {("a", 0): np.array([1.0, 2.0])}
-    source = np.array([3.0, 4.0])
-    b = {("a", 0): np.array([10.0, 10.0]), ("b", 1): source}
-    merge_grads(a, b)
-    assert np.array_equal(a[("a", 0)], [11.0, 12.0])
-    assert np.array_equal(a[("b", 1)], [3.0, 4.0])
-    source += 1.0  # merged map must not alias the input
-    assert np.array_equal(a[("b", 1)], [3.0, 4.0])
-
-
 def test_loss_breakdown_accumulates():
     b = LossBreakdown()
     b.add(1.5)
@@ -315,3 +312,105 @@ def test_combine_adds_sentence_terms():
     assert combined.hinge_total == pytest.approx(
         doc_only.hinge_total + sentence_total, rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# one whole minibatch against the reference model
+
+# pairs 0-2 of a 5-pair corpus; noise repeats picks and names other pairs'
+# aligned targets, never a pair's own
+BATCH = np.array([0, 1, 2])
+BATCH_NOISE = np.array([[1, 1, 3, 2], [0, 4, 4, 2], [3, 0, 1, 1]])
+# target sentence j of document i is flat sentence 2i + j; one row per
+# aligned sentence position of the batch, never naming that position
+SENTENCE_NOISE = np.array([[1, 1, 2], [0, 3, 3], [3, 9, 0], [2, 2, 4], [5, 1, 5], [4, 0, 8]])
+
+
+def _ids(sentences):
+    return [list(s.ids) for s in sentences]
+
+
+def _batch_instance(rng, kind, docs, max_tries=200):
+    """(bundle, source items, target items, margin, hinge values), kink-guarded.
+
+    Every hinge sits at least 1e-3 from its kink, and some are active and
+    some not. Vocabularies of 4 and 5 words make the pairs share words; an
+    item is a sentence, or a two-sentence document.
+    """
+
+    def item(lang, v, i):
+        if not docs:
+            return rand_sentence(rng, v, 3)
+        sents = [rand_sentence(rng, v, 3) for _ in range(2)]
+        return LabeledDocument(f"{lang}{i}", lang, set(), sents)
+
+    for _ in range(max_tries):
+        bundle = make_bundle({"a": 4, "b": 5}, 3, int(rng.integers(1 << 30)), kind)
+        src = [item("a", 4, i) for i in range(5)]
+        tgt = [item("b", 5, i) for i in range(5)]
+        margin = float(rng.uniform(0.5, 3.0))
+        hs = np.concatenate([_batch_hinges(bundle, src, tgt, margin, kind, docs, b) for b in BATCH])
+        if np.abs(hs).min() > 1e-3 and (hs > 0).any() and (hs < 0).any():
+            return bundle, src, tgt, margin, hs
+    raise AssertionError("could not draw a kink-free batch instance")
+
+
+def _batch_hinges(bundle, src, tgt, margin, kind, docs, b):
+    noise = [tgt[n] for n in BATCH_NOISE[b]]
+    if not docs:
+        return pair_hinges(bundle, ParallelPair(src[b], tgt[b], b), noise, margin, kind)
+    pool = [s for d in tgt for s in d.sentences]
+    sentence_noise = [[pool[n] for n in row] for row in SENTENCE_NOISE[2 * b : 2 * b + 2]]
+    return doc_hinges(bundle, DocumentPair(src[b], tgt[b], b), noise, sentence_noise, margin, kind)
+
+
+def _reference_total(bundle, src, tgt, margin, kind, docs) -> float:
+    emb_a, emb_b = bundle.table("a").matrix, bundle.table("b").matrix
+    total = 0.0
+    for b in BATCH:
+        noise = [tgt[n] for n in BATCH_NOISE[b]]
+        if not docs:
+            total += ref.pair_loss(
+                emb_a, emb_b, list(src[b].ids), list(tgt[b].ids), _ids(noise), margin, kind.value
+            )[0]
+            continue
+        total += ref.doc_loss(
+            emb_a, emb_b, _ids(src[b].sentences), _ids(tgt[b].sentences),
+            [_ids(d.sentences) for d in noise], margin, kind.value,
+        )
+        pool = [s for d in tgt for s in d.sentences]
+        for j, (s_src, s_tgt) in enumerate(zip(src[b].sentences, tgt[b].sentences)):
+            total += ref.pair_loss(
+                emb_a, emb_b, list(s_src.ids), list(s_tgt.ids),
+                _ids(pool[n] for n in SENTENCE_NOISE[2 * b + j]), margin, kind.value,
+            )[0]
+    return total
+
+
+@pytest.mark.parametrize("docs", [False, True], ids=["sentences", "documents"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_matches_reference_model(kind, docs):
+    rng = np.random.default_rng(404)
+    for _ in range(3):
+        bundle, src, tgt, margin, hs = _batch_instance(rng, kind, docs)
+        if docs:
+            packed = (
+                pack_documents([d.sentences for d in src]),
+                pack_documents([d.sentences for d in tgt]),
+            )
+        else:
+            packed = pack_sentences(src), pack_sentences(tgt)
+        breakdown, grads = batch_loss_and_grads(
+            *packed, BATCH, BATCH_NOISE, bundle, kind, margin, ("a", "b"),
+            SENTENCE_NOISE if docs else None,
+        )
+        want = _reference_total(bundle, src, tgt, margin, kind, docs)
+        assert breakdown.hinge_total == pytest.approx(want, rel=1e-12)
+        assert breakdown.active_noise_count == int((hs > 0).sum())
+        analytic = {lang: np.zeros_like(bundle.table(lang).matrix) for lang in bundle.languages}
+        for lang, (ids, rows) in grads.items():
+            analytic[lang][ids] = rows
+        numeric = numerical_grads(
+            lambda: _reference_total(bundle, src, tgt, margin, kind, docs), bundle
+        )
+        assert max_rel_err(analytic, numeric) < 1e-6

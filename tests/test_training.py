@@ -17,7 +17,13 @@ from jointvec.corpus import (
     sample_indices_excluding,
 )
 from jointvec.embeddings import ModelBundle, Vocabulary, build_vocab, derive_seed, init_table
-from jointvec.errors import AlignmentError, CheckpointError, ConfigError, ContractError
+from jointvec.errors import (
+    AlignmentError,
+    CheckpointError,
+    ConfigError,
+    ContractError,
+    SamplingError,
+)
 from jointvec.objective import energy
 from jointvec.training import (
     AdaGradState,
@@ -76,7 +82,7 @@ def _scalar_setup(w0=1.0, lam=0.0, step=0.1):
 
 def test_adagrad_hand_value_against_mpmath():
     bundle, state, config = _scalar_setup()
-    adagrad_apply(bundle, {("a", 0): np.array([2.0])}, state, config)
+    adagrad_apply(bundle, {"a": (np.array([0]), np.array([[2.0]]))}, state, config)
     assert state.acc["a"][0, 0] == 4.0
     delta = bundle.table("a").matrix[0, 0] - 1.0
     want = -float(mp.mpf("0.1") * 2 / mp.sqrt(4 + mp.mpf("1e-6")))
@@ -86,7 +92,7 @@ def test_adagrad_hand_value_against_mpmath():
 
 def test_adagrad_zero_gradient_touched_row_is_noop():
     bundle, state, config = _scalar_setup()
-    adagrad_apply(bundle, {("a", 0): np.array([0.0])}, state, config)
+    adagrad_apply(bundle, {"a": (np.array([0]), np.array([[0.0]]))}, state, config)
     assert bundle.table("a").matrix[0, 0] == 1.0
     assert state.acc["a"][0, 0] == 0.0
 
@@ -94,10 +100,10 @@ def test_adagrad_zero_gradient_touched_row_is_noop():
 def test_adagrad_second_identical_step_is_smaller():
     bundle, state, config = _scalar_setup()
     w = bundle.table("a").matrix
-    adagrad_apply(bundle, {("a", 0): np.array([2.0])}, state, config)
+    adagrad_apply(bundle, {"a": (np.array([0]), np.array([[2.0]]))}, state, config)
     first = abs(w[0, 0] - 1.0)
     before = w[0, 0]
-    adagrad_apply(bundle, {("a", 0): np.array([2.0])}, state, config)
+    adagrad_apply(bundle, {"a": (np.array([0]), np.array([[2.0]]))}, state, config)
     assert abs(w[0, 0] - before) < first
 
 
@@ -106,7 +112,7 @@ def test_adagrad_regularizes_only_touched_rows():
     before = bundle.table("a").matrix.copy()
     state = AdaGradState(bundle)
     config = TrainConfig(d=2, margin=1.0, lam=1.0)
-    adagrad_apply(bundle, {("a", 0): np.zeros(2)}, state, config)
+    adagrad_apply(bundle, {"a": (np.array([0]), np.zeros((1, 2)))}, state, config)
     mat = bundle.table("a").matrix
     assert not np.array_equal(mat[0], before[0])  # lambda*w moves a touched row
     assert np.array_equal(mat[1:], before[1:])
@@ -118,7 +124,7 @@ def test_adagrad_rejects_non_finite_without_mutating():
     bundle2 = make_bundle({"a": 2}, 1, seed=3)
     state2 = AdaGradState(bundle2)
     before = bundle2.table("a").matrix.copy()
-    grads = {("a", 0): np.array([1.0]), ("a", 1): np.array([np.nan])}
+    grads = {"a": (np.array([0, 1]), np.array([[1.0], [np.nan]]))}
     with pytest.raises(ContractError):
         adagrad_apply(bundle2, grads, state2, config)
     assert np.array_equal(bundle2.table("a").matrix, before)
@@ -129,7 +135,7 @@ def test_adagrad_fixed_point_with_zero_lambda_and_grads():
     bundle, state, config = _scalar_setup(lam=0.0)
     before = bundle.table("a").matrix.copy()
     adagrad_apply(bundle, {}, state, config)
-    adagrad_apply(bundle, {("a", 0): np.zeros(1)}, state, config)
+    adagrad_apply(bundle, {"a": (np.array([0]), np.zeros((1, 1)))}, state, config)
     assert np.array_equal(bundle.table("a").matrix, before)
 
 
@@ -140,7 +146,7 @@ def test_adagrad_accumulator_monotone():
     config = TrainConfig(d=3, margin=1.0, lam=0.5, step=0.05)
     prev = {l: a.copy() for l, a in state.acc.items()}
     for _ in range(50):
-        grads = {("a", int(rng.integers(0, 4))): rng.normal(size=3)}
+        grads = {"a": (np.array([rng.integers(0, 4)]), rng.normal(size=(1, 3)))}
         adagrad_apply(bundle, grads, state, config)
         for lang, acc in state.acc.items():
             assert np.all(acc >= prev[lang])
@@ -326,6 +332,37 @@ def test_doc_signal_rejects_unaligned_pair():
     bundle = make_bundle({"a": 10, "b": 10}, 4, seed=1)
     with pytest.raises(AlignmentError, match="pair 0"):
         train_joint([bad], bundle, config)
+
+
+@pytest.mark.parametrize("case", ["unaligned", "one_pair", "empty"])
+def test_joint_run_checks_every_sub_corpus_before_first_update(case):
+    # the faulty sub-corpus comes second, so its first batch would run only
+    # after the first sub-corpus has updated the pivot table
+    pairs = _doc_corpus(seed=1).pairs
+    if case == "unaligned":
+        p = pairs[1]
+        short = LabeledDocument("c1", "c", set(), p.target.sentences[:1])
+        pairs[1] = DocumentPair(p.source, short, 1)
+        error, match = AlignmentError, "document pair 1 has 2 vs 1"
+    elif case == "one_pair":
+        del pairs[1:]
+        error, match = SamplingError, "need at least 2"
+    else:
+        empty = LabeledDocument("e", "a", set(), [])
+        pairs[1] = DocumentPair(empty, empty, 1)
+        error, match = ContractError, "document pair 1 has no sentences"
+    corpora = [_doc_corpus(), DocumentCorpus("a", "c", pairs)]
+    config = TrainConfig(
+        d=4, margin=4.0, k=2, batch=3, epochs=1, doc_signal=True, mode="joint", seed=3
+    )
+    bundle = make_bundle({"a": 10, "b": 10, "c": 10}, 4, seed=1)
+    state = AdaGradState(bundle)
+    before = {l: (bundle.table(l).matrix.tobytes(), state.acc[l].tobytes()) for l in "abc"}
+    with pytest.raises(error, match=match):
+        train_joint(corpora, bundle, config, state)
+    for lang, (table, acc) in before.items():
+        assert bundle.table(lang).matrix.tobytes() == table
+        assert state.acc[lang].tobytes() == acc
 
 
 # ---------------------------------------------------------------------------
