@@ -40,7 +40,7 @@ from .evaluation import (
     train_multilabel,
     transfer_matrix,
 )
-from .objective import LossBreakdown, doc_loss_and_grads, energy, hinge, pair_loss_and_grads
+from .objective import LossBreakdown, doc_loss_and_grads, energy, pair_loss_and_grads
 from .training import (
     AdaGradState,
     TrainConfig,
@@ -49,7 +49,6 @@ from .training import (
     checkpoint,
     resume,
     train_joint,
-    train_single,
 )
 
 __version__ = "0.1.0"

@@ -9,11 +9,13 @@ error, 2 internal error.
 
 import argparse
 import dataclasses
-import functools
 import os
 import sys
 import traceback
+import typing
+from itertools import chain
 
+from .composition import CompositionKind
 from .corpus import (
     DocumentCorpus,
     ParallelCorpus,
@@ -23,7 +25,14 @@ from .corpus import (
     load_documents,
     load_parallel,
 )
-from .embeddings import ModelBundle, Vocabulary, derive_seed, export_table, init_table, nearest_neighbors
+from .embeddings import (
+    ModelBundle,
+    build_vocab,
+    derive_seed,
+    export_table,
+    init_table,
+    nearest_neighbors,
+)
 from .errors import (
     AlignmentError,
     CheckpointError,
@@ -35,13 +44,12 @@ from .errors import (
     SamplingError,
     TokenLookupError,
 )
-from .evaluation import cldc_run, transfer_matrix
+from .evaluation import LEVELS, cldc_run, resolve_task, transfer_matrix
 from .training import (
     AdaGradState,
     TrainConfig,
     checkpoint,
     format_setting,
-    parse_setting,
     resume,
     train_joint,
 )
@@ -57,9 +65,6 @@ _USER_ERRORS = (
     SamplingError,
     TokenLookupError,
 )
-
-_REPEATABLE = ("pair", "docs", "lang")
-_BOOL_KEYS = ("doc_signal", "force")
 
 REGIME = "[reference regime]"
 TOOLING = "[tooling choice]"
@@ -78,17 +83,129 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class Flag(typing.NamedTuple):
+    """One setting of a subcommand: its --flag, config-file key and manifest key.
+
+    A bool type makes a switch. A repeatable setting collects a list; a
+    required one must be set by a flag or the config file. For train,
+    `field` names the TrainConfig field the setting fills.
+    """
+
+    name: str
+    help: str
+    type: typing.Callable = str
+    default: object = None
+    tag: str = ""
+    metavar: str | None = None
+    choices: tuple | None = None
+    repeat: bool = False
+    required: bool = False
+    field: str | None = None
+
+
+def _help(flag: Flag) -> str:
+    """The help text, then "(default X)" unless a switch or unset, then the tag."""
+    text = flag.help
+    if flag.default is not None and flag.type is not bool:
+        text += f" (default {format_setting(flag.default)})"
+    return f"{text} {flag.tag}" if flag.tag else text
+
+
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+
+
+def _train_flag(name, field, help, type, tag, **kw) -> Flag:
+    """A setting that fills TrainConfig.`field` and shares its default."""
+    return Flag(name, help, type, _TRAIN_DEFAULTS[field], tag, field=field, **kw)
+
+
+_MODEL = Flag("model", "checkpoint directory", metavar="DIR", required=True)
+_FORCE = Flag("force", "write into a non-empty output directory", bool, False)
+_CONFIG = Flag("config", "key=value file supplying defaults; explicit flags win", tag=TOOLING,
+               metavar="FILE")
+
+# epsilon has no flag
+_TRAIN = (
+    Flag("pair", "aligned corpus files for a language pair; repeatable, first code is the pivot",
+         metavar="L1:L2:FILE1:FILE2", repeat=True, required=True),
+    _train_flag("dim", "d", "embedding dimensionality d", int, REGIME),
+    _train_flag("margin", "margin", "hinge margin m (default: equal to --dim)", float, REGIME),
+    _train_flag("noise", "k", "noise samples k per pair", int, REGIME),
+    _train_flag("lambda", "lam", "L2 coefficient", float, REGIME),
+    _train_flag("step", "step", "base step size", float, REGIME),
+    _train_flag("batch", "batch", "minibatch size", int, REGIME),
+    _train_flag("epochs", "epochs", "passes over each corpus", int, TOOLING),
+    _train_flag("cvm", "kind", "composition model", str, REGIME,
+                choices=tuple(k.value for k in CompositionKind)),
+    _train_flag("doc_signal", "doc_signal",
+                "inputs are document files; train at document level plus sentence signal",
+                bool, REGIME),
+    _train_flag("mode", "mode", "one pair, or several sharing a pivot", str, TOOLING,
+                choices=("single", "joint")),
+    _train_flag("seed", "seed", "master seed for all randomness", int, TOOLING),
+    Flag("out", "output directory (checkpoint, manifest, loss log)", metavar="DIR", required=True),
+    _FORCE,
+)
+
+_EVAL = (
+    Flag("level", "document representation", default="auto", tag=TOOLING,
+         choices=("auto", *LEVELS)),
+    Flag("task", "single-label accuracy or multi-label micro-F1", default="auto", tag=TOOLING,
+         choices=("auto", "single", "multi")),
+    Flag("epochs", "perceptron epochs", int, 10, TOOLING),
+    Flag("seed", "classifier shuffle seed", int, 1, TOOLING),
+    Flag("top_labels", "keep only the N most document-frequent training labels", int,
+         tag=TOOLING),
+    Flag("out", "also write report.tsv, report_all.tsv, manifest", metavar="DIR"),
+)
+_CLDC = (
+    _MODEL,
+    Flag("train", "training documents", metavar="LANG:FILE", required=True),
+    Flag("test", "test documents", metavar="LANG:FILE", required=True),
+    *_EVAL,
+)
+_TRANSFER = (
+    _MODEL,
+    Flag("langs", "comma-separated language codes", metavar="L1,L2,...", required=True),
+    Flag("docs", "documents per language; repeatable", metavar="LANG:FILE", repeat=True,
+         required=True),
+    *_EVAL,
+)
+
+_QUERY = (
+    _MODEL,
+    Flag("word", "query word", metavar="LANG:TOKEN", required=True),
+    Flag("n", "neighbor count", int, 5, TOOLING),
+    Flag("target", "restrict neighbors to one language", default="all", tag=TOOLING,
+         metavar="LANG|all"),
+    Flag("metric", "similarity: cosine, or negated Euclidean distance", default="cosine",
+         tag=TOOLING, choices=("cosine", "euclidean")),
+    Flag("out", "also write neighbors.tsv and manifest", metavar="DIR"),
+)
+_EXPORT = (
+    _MODEL,
+    Flag("lang", "export only these languages; repeatable", metavar="LANG", repeat=True),
+    Flag("out", "output directory", metavar="DIR", required=True),
+    _FORCE,
+)
+
+
 def _to_bool(value: str) -> bool:
-    low = value.strip().lower()
+    low = value.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def load_config_file(path) -> dict:
-    """key=value lines; keys that repeat on the command line may repeat here."""
+def load_config_file(path, flags) -> dict:
+    """key=value lines, converted and checked as the flags are.
+
+    Repeatable settings may repeat. The keys `subcommand` and `config` are
+    skipped, so a manifest loads as a config file.
+    """
+    by_name = {f.name: f for f in flags}
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -101,57 +218,49 @@ def load_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in _REPEATABLE:
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if key in ("subcommand", "config"):
+            continue
+        flag = by_name.get(key)
+        if flag is None:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r} for this subcommand")
+        try:
+            value = _to_bool(text) if flag.type is bool else flag.type(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: config key {key}: {exc}") from None
+        if flag.choices and value not in flag.choices:
+            raise ConfigError(
+                f"{path}:{lineno}: config key {key} must be one of "
+                f"{', '.join(flag.choices)}, got {value!r}"
+            )
+        if flag.repeat:
             values.setdefault(key, []).append(value)
         else:
             values[key] = value
     return values
 
 
-def write_manifest(path, subcommand: str, values: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"subcommand={subcommand}\n")
-        for key, value in values.items():
+def _resolve(args) -> None:
+    """Fill unset settings from the config file, then from built-in defaults."""
+    cfg = load_config_file(args.config, args.settings) if args.config else {}
+    for flag in args.settings:
+        if getattr(args, flag.name) is None:
+            setattr(args, flag.name, cfg.get(flag.name, flag.default))
+        if flag.required and getattr(args, flag.name) is None:
+            raise ConfigError(f"--{flag.name.replace('_', '-')} is required")
+
+
+def _write_manifest(args) -> None:
+    """Echo every set setting of the run into its --out, in table order."""
+    with open(os.path.join(args.out, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+        fh.write(f"subcommand={args.command}\n")
+        for flag in args.settings:
+            value = getattr(args, flag.name)
             if value is None:
                 continue
-            for item in value if isinstance(value, list) else [value]:
-                fh.write(f"{key}={format_setting(item)}\n")
-
-
-def _resolve(args, spec: dict):
-    """Fill unset flags from the config file, then from built-in defaults."""
-    cfg = load_config_file(args.config) if args.config else {}
-    known = set(spec) | {"subcommand", "config"}
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r} for this subcommand")
-    for key, (convert, default) in spec.items():
-        current = getattr(args, key)
-        if key in _BOOL_KEYS:
-            setattr(args, key, bool(current) or (key in cfg and _to_bool(cfg[key])))
-            continue
-        if current is not None:
-            continue
-        if key in cfg:
-            raw = cfg[key]
-            if key in _REPEATABLE:
-                setattr(args, key, list(raw))
-            else:
-                try:
-                    setattr(args, key, convert(raw))
-                except ValueError as exc:
-                    raise ConfigError(f"config key {key}: {exc}") from None
-        else:
-            setattr(args, key, default)
-
-
-def _require(args, *keys):
-    for key in keys:
-        if getattr(args, key) in (None, []):
-            raise ConfigError(f"--{key.replace('_', '-')} is required")
+            for item in value if flag.repeat else [value]:
+                fh.write(f"{flag.name}={format_setting(item)}\n")
 
 
 def _split_pair_flag(value: str) -> tuple:
@@ -179,64 +288,24 @@ def _prepare_out(path, force: bool) -> None:
 # ---------------------------------------------------------------------------
 # train
 
-# train flag -> TrainConfig field, in manifest order; epsilon has no flag
-_TRAIN_FLAGS = {
-    "dim": "d",
-    "margin": "margin",
-    "noise": "k",
-    "lambda": "lam",
-    "step": "step",
-    "batch": "batch",
-    "epochs": "epochs",
-    "cvm": "kind",
-    "doc_signal": "doc_signal",
-    "mode": "mode",
-    "seed": "seed",
-}
-_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
-_TRAIN_SPEC = {
-    "pair": (str, None),
-    **{
-        flag: (functools.partial(parse_setting, name), _TRAIN_DEFAULTS[name])
-        for flag, name in _TRAIN_FLAGS.items()
-    },
-    "out": (str, None),
-    "force": (_to_bool, False),
-}
-
-
 def cmd_train(args) -> int:
-    _resolve(args, _TRAIN_SPEC)
-    _require(args, "pair", "out")
     pairs = [_split_pair_flag(p) for p in args.pair]
-    config = TrainConfig(**{name: getattr(args, flag) for flag, name in _TRAIN_FLAGS.items()})
+    fields = [f for f in _TRAIN if f.field]
+    config = TrainConfig(**{f.field: getattr(args, f.name) for f in fields})
     if config.mode == "single" and len(pairs) != 1:
         raise ConfigError("--mode single takes exactly one --pair; use --mode joint")
+    for f in fields:  # the manifest echoes the config as resolved, margin included
+        setattr(args, f.name, getattr(config, f.field))
 
     _prepare_out(args.out, args.force)
-    write_manifest(
-        os.path.join(args.out, MANIFEST_NAME),
-        "train",
-        {
-            "pair": list(args.pair),
-            **{flag: getattr(config, name) for flag, name in _TRAIN_FLAGS.items()},
-            "out": args.out,
-            "force": args.force,
-        },
-    )
+    _write_manifest(args)
 
-    vocabs = {}
+    read = iter_document_token_sentences if config.doc_signal else iter_token_sentences
+    paths = {}
     for l1, l2, f1, f2 in pairs:
-        for lang, path in ((l1, f1), (l2, f2)):
-            vocab = vocabs.setdefault(lang, Vocabulary())
-            sents = (
-                iter_document_token_sentences(path)
-                if config.doc_signal
-                else iter_token_sentences(path)
-            )
-            for sent in sents:
-                for tok in sent:
-                    vocab.add(tok)
+        paths.setdefault(l1, []).append(f1)
+        paths.setdefault(l2, []).append(f2)
+    vocabs = {lang: build_vocab(chain.from_iterable(map(read, p))) for lang, p in paths.items()}
     for lang, vocab in vocabs.items():
         if not len(vocab):
             raise ConfigError(f"no tokens found for language {lang!r}")
@@ -278,101 +347,48 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-_CLDC_SPEC = {
-    "model": (str, None),
-    "train": (str, None),
-    "test": (str, None),
-    "level": (str, "auto"),
-    "task": (str, "auto"),
-    "epochs": (int, 10),
-    "seed": (int, 1),
-    "top_labels": (int, None),
-    "out": (str, None),
-}
-
-_TRANSFER_SPEC = {
-    "model": (str, None),
-    "langs": (str, None),
-    "docs": (str, None),
-    "level": (str, "auto"),
-    "task": (str, "auto"),
-    "epochs": (int, 10),
-    "seed": (int, 1),
-    "top_labels": (int, None),
-    "out": (str, None),
-}
-
-
-def _resolve_level_task(level: str, task: str, ckpt_config, doc_groups) -> tuple:
-    """Auto task: single-label iff every document carries exactly one label.
+def _classifier_settings(args, ckpt_config, *doc_groups) -> dict:
+    """The classifier keywords of cldc_run, with task and level resolved onto args.
 
     Auto level: models trained with the document signal represent documents
     with the document-level composition on multi-label tasks, and with the
     sentence average otherwise.
     """
-    if task == "auto":
-        task = (
-            "single"
-            if all(len(d.labels) == 1 for docs in doc_groups for d in docs)
-            else "multi"
-        )
-    if level == "auto":
-        level = (
-            "doc-cvm" if (ckpt_config.doc_signal and task == "multi") else "sentence-average"
-        )
-    return level, task
+    args.task = resolve_task(args.task, *doc_groups)
+    if args.level == "auto":
+        multi_doc = ckpt_config.doc_signal and args.task == "multi"
+        args.level = "doc-cvm" if multi_doc else "sentence-average"
+    return dict(
+        level=args.level,
+        task=args.task,
+        clf_epochs=args.epochs,
+        seed=args.seed,
+        top_labels=args.top_labels,
+    )
 
 
-def _write_eval_outputs(args, subcommand: str, manifest: dict, report) -> None:
+def _write_eval_outputs(args, report) -> None:
     sys.stdout.write(report.headline().to_tsv())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_manifest(os.path.join(args.out, MANIFEST_NAME), subcommand, manifest)
+        _write_manifest(args)
         report.headline().write(os.path.join(args.out, "report.tsv"))
         report.write(os.path.join(args.out, "report_all.tsv"))
 
 
 def cmd_eval_cldc(args) -> int:
-    _resolve(args, _CLDC_SPEC)
-    _require(args, "model", "train", "test")
     train_lang, train_path = _split_lang_file("train", args.train)
     test_lang, test_path = _split_lang_file("test", args.test)
     bundle, _, ckpt_config, _ = resume(args.model)
     train_docs = load_documents(train_path, bundle.vocab(train_lang))
     test_docs = load_documents(test_path, bundle.vocab(test_lang))
-    level, task = _resolve_level_task(
-        args.level, args.task, ckpt_config, [train_docs, test_docs]
-    )
-    report = cldc_run(
-        train_lang,
-        train_docs,
-        test_lang,
-        test_docs,
-        bundle,
-        level=level,
-        task=task,
-        clf_epochs=args.epochs,
-        seed=args.seed,
-        top_labels=args.top_labels,
-    )
-    manifest = {
-        "model": args.model,
-        "train": args.train,
-        "test": args.test,
-        "level": level,
-        "task": task,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "top_labels": args.top_labels,
-        "out": args.out,
-    }
-    _write_eval_outputs(args, "eval cldc", manifest, report)
+    settings = _classifier_settings(args, ckpt_config, train_docs, test_docs)
+    report = cldc_run(train_lang, train_docs, test_lang, test_docs, bundle, **settings)
+    _write_eval_outputs(args, report)
     return 0
 
 
 def cmd_eval_transfer(args) -> int:
-    _resolve(args, _TRANSFER_SPEC)
-    _require(args, "model", "langs", "docs")
     langs = [l for l in args.langs.split(",") if l]
     if len(langs) < 2:
         raise ConfigError(f"--langs needs at least 2 comma-separated codes, got {args.langs!r}")
@@ -382,50 +398,16 @@ def cmd_eval_transfer(args) -> int:
         raise ConfigError(f"--docs missing for languages: {','.join(missing)}")
     bundle, _, ckpt_config, _ = resume(args.model)
     docs_by_lang = {l: load_documents(doc_paths[l], bundle.vocab(l)) for l in langs}
-    level, task = _resolve_level_task(
-        args.level, args.task, ckpt_config, list(docs_by_lang.values())
-    )
-    report = transfer_matrix(
-        langs,
-        docs_by_lang,
-        bundle,
-        level=level,
-        task=task,
-        clf_epochs=args.epochs,
-        seed=args.seed,
-        top_labels=args.top_labels,
-    )
-    manifest = {
-        "model": args.model,
-        "langs": args.langs,
-        "docs": list(args.docs),
-        "level": level,
-        "task": task,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "top_labels": args.top_labels,
-        "out": args.out,
-    }
-    _write_eval_outputs(args, "eval transfer", manifest, report)
+    settings = _classifier_settings(args, ckpt_config, *docs_by_lang.values())
+    report = transfer_matrix(langs, docs_by_lang, bundle, **settings)
+    _write_eval_outputs(args, report)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # query / export
 
-_QUERY_SPEC = {
-    "model": (str, None),
-    "word": (str, None),
-    "n": (int, 5),
-    "target": (str, "all"),
-    "metric": (str, "cosine"),
-    "out": (str, None),
-}
-
-
 def cmd_query(args) -> int:
-    _resolve(args, _QUERY_SPEC)
-    _require(args, "model", "word")
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     lang, token = _split_lang_file("word", args.word)
@@ -435,161 +417,58 @@ def cmd_query(args) -> int:
     sys.stdout.write(lines)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_manifest(
-            os.path.join(args.out, MANIFEST_NAME),
-            "query",
-            {
-                "model": args.model,
-                "word": args.word,
-                "n": args.n,
-                "target": args.target,
-                "metric": args.metric,
-                "out": args.out,
-            },
-        )
+        _write_manifest(args)
         with open(os.path.join(args.out, "neighbors.tsv"), "w", encoding="utf-8") as fh:
             fh.write(lines)
     return 0
 
 
-_EXPORT_SPEC = {
-    "model": (str, None),
-    "lang": (str, None),
-    "out": (str, None),
-    "force": (_to_bool, False),
-}
-
-
 def cmd_export(args) -> int:
-    _resolve(args, _EXPORT_SPEC)
-    _require(args, "model", "out")
     bundle, _, _, _ = resume(args.model)
-    langs = args.lang if args.lang else bundle.languages
-    for lang in langs:
+    args.lang = args.lang or list(bundle.languages)
+    for lang in args.lang:
         bundle.table(lang)  # unknown language fails before any file is written
     _prepare_out(args.out, args.force)
-    write_manifest(
-        os.path.join(args.out, MANIFEST_NAME),
-        "export",
-        {"model": args.model, "lang": list(langs), "out": args.out, "force": args.force},
-    )
-    for lang in langs:
+    _write_manifest(args)
+    for lang in args.lang:
         export_table(bundle.table(lang), bundle.vocab(lang), os.path.join(args.out, f"{lang}.emb"))
-    print(f"exported {len(langs)} language(s) to {args.out}", file=sys.stderr)
+    print(f"exported {len(args.lang)} language(s) to {args.out}", file=sys.stderr)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
-def _add_config_flag(parser):
-    parser.add_argument(
-        "--config",
-        metavar="FILE",
-        help=f"key=value file supplying defaults; explicit flags win {TOOLING}",
-    )
+def _add_command(subparsers, command: str, settings: tuple, func, **parser_kw) -> None:
+    """The parser of `command`: one --flag per setting, plus --config."""
+    parser = subparsers.add_parser(command.split()[-1], **parser_kw)
+    for flag in (*settings, _CONFIG):
+        if flag.type is bool:
+            kw = {"action": "store_true", "default": None}
+        else:
+            kw = {"type": flag.type, "metavar": flag.metavar, "choices": flag.choices}
+            if flag.repeat:
+                kw["action"] = "append"
+        parser.add_argument(
+            "--" + flag.name.replace("_", "-"), dest=flag.name, help=_help(flag), **kw
+        )
+    parser.set_defaults(func=func, command=command, settings=settings)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="jointvec", description=__doc__, epilog=_EPILOG)
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="COMMAND")
-
-    p_train = sub.add_parser(
-        "train",
-        help="learn joint-space embeddings from aligned corpora",
-        epilog=_EPILOG,
-    )
-    p_train.add_argument(
-        "--pair",
-        action="append",
-        metavar="L1:L2:FILE1:FILE2",
-        help="aligned corpus files for a language pair; repeatable, first code is the pivot",
-    )
-    p_train.add_argument("--dim", type=int, help=f"embedding dimensionality d (default 128) {REGIME}")
-    p_train.add_argument("--margin", type=float, help=f"hinge margin m (default: equal to --dim) {REGIME}")
-    p_train.add_argument("--noise", type=int, help=f"noise samples k per pair (default 50) {REGIME}")
-    p_train.add_argument("--lambda", type=float, help=f"L2 coefficient (default 1.0) {REGIME}")
-    p_train.add_argument("--step", type=float, help=f"base step size (default 0.05) {REGIME}")
-    p_train.add_argument("--batch", type=int, help=f"minibatch size (default 50) {REGIME}")
-    p_train.add_argument("--epochs", type=int, help=f"passes over each corpus (default 5) {TOOLING}")
-    p_train.add_argument("--cvm", choices=("add", "bi"), help=f"composition model (default add) {REGIME}")
-    p_train.add_argument(
-        "--doc-signal",
-        dest="doc_signal",
-        action="store_true",
-        default=None,
-        help=f"inputs are document files; train at document level plus sentence signal {REGIME}",
-    )
-    p_train.add_argument("--mode", choices=("single", "joint"), help=f"one pair, or several sharing a pivot (default single) {TOOLING}")
-    p_train.add_argument("--seed", type=int, help=f"master seed for all randomness (default 1) {TOOLING}")
-    p_train.add_argument("--out", metavar="DIR", help="output directory (checkpoint, manifest, loss log)")
-    p_train.add_argument("--force", action="store_true", default=None, help="write into a non-empty output directory")
-    _add_config_flag(p_train)
-    p_train.set_defaults(func=cmd_train)
-
+    _add_command(sub, "train", _TRAIN, cmd_train, epilog=_EPILOG,
+                 help="learn joint-space embeddings from aligned corpora")
     p_eval = sub.add_parser("eval", help="cross-lingual document classification")
     eval_sub = p_eval.add_subparsers(dest="protocol", required=True, metavar="PROTOCOL")
-
-    p_cldc = eval_sub.add_parser("cldc", help="train a classifier in one language, test in another")
-    p_cldc.add_argument("--model", metavar="DIR", help="checkpoint directory")
-    p_cldc.add_argument("--train", metavar="LANG:FILE", help="training documents")
-    p_cldc.add_argument("--test", metavar="LANG:FILE", help="test documents")
-
-    p_transfer = eval_sub.add_parser("transfer", help="all ordered language pairs, diagonal omitted")
-    p_transfer.add_argument("--model", metavar="DIR", help="checkpoint directory")
-    p_transfer.add_argument("--langs", metavar="L1,L2,...", help="comma-separated language codes")
-    p_transfer.add_argument(
-        "--docs", action="append", metavar="LANG:FILE", help="documents per language; repeatable"
-    )
-
-    for p in (p_cldc, p_transfer):
-        p.add_argument(
-            "--level",
-            choices=("auto", "sentence-average", "doc-cvm"),
-            help=f"document representation (default auto) {TOOLING}",
-        )
-        p.add_argument(
-            "--task",
-            choices=("auto", "single", "multi"),
-            help=f"single-label accuracy or multi-label micro-F1 (default auto) {TOOLING}",
-        )
-        p.add_argument("--epochs", type=int, help=f"perceptron epochs (default 10) {TOOLING}")
-        p.add_argument("--seed", type=int, help=f"classifier shuffle seed (default 1) {TOOLING}")
-        p.add_argument(
-            "--top-labels",
-            dest="top_labels",
-            type=int,
-            help=f"keep only the N most document-frequent training labels {TOOLING}",
-        )
-        p.add_argument("--out", metavar="DIR", help="also write report.tsv, report_all.tsv, manifest")
-        _add_config_flag(p)
-    p_cldc.set_defaults(func=cmd_eval_cldc)
-    p_transfer.set_defaults(func=cmd_eval_transfer)
-
-    p_query = sub.add_parser("query", help="nearest neighbors of a word across languages")
-    p_query.add_argument("--model", metavar="DIR", help="checkpoint directory")
-    p_query.add_argument("--word", metavar="LANG:TOKEN", help="query word")
-    p_query.add_argument("--n", type=int, help=f"neighbor count (default 5) {TOOLING}")
-    p_query.add_argument("--target", metavar="LANG|all", help=f"restrict neighbors to one language (default all) {TOOLING}")
-    p_query.add_argument(
-        "--metric",
-        choices=("cosine", "euclidean"),
-        help=f"similarity: cosine, or negated Euclidean distance (default cosine) {TOOLING}",
-    )
-    p_query.add_argument("--out", metavar="DIR", help="also write neighbors.tsv and manifest")
-    _add_config_flag(p_query)
-    p_query.set_defaults(func=cmd_query)
-
-    p_export = sub.add_parser("export", help="write embeddings in the text format")
-    p_export.add_argument("--model", metavar="DIR", help="checkpoint directory")
-    p_export.add_argument(
-        "--lang", action="append", metavar="LANG", help="export only these languages; repeatable"
-    )
-    p_export.add_argument("--out", metavar="DIR", help="output directory")
-    p_export.add_argument("--force", action="store_true", default=None, help="write into a non-empty output directory")
-    _add_config_flag(p_export)
-    p_export.set_defaults(func=cmd_export)
-
+    _add_command(eval_sub, "eval cldc", _CLDC, cmd_eval_cldc,
+                 help="train a classifier in one language, test in another")
+    _add_command(eval_sub, "eval transfer", _TRANSFER, cmd_eval_transfer,
+                 help="all ordered language pairs, diagonal omitted")
+    _add_command(sub, "query", _QUERY, cmd_query,
+                 help="nearest neighbors of a word across languages")
+    _add_command(sub, "export", _EXPORT, cmd_export, help="write embeddings in the text format")
     return parser
 
 
@@ -597,6 +476,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _resolve(args)
         return args.func(args)
     except _USER_ERRORS as exc:
         print(f"jointvec: error: {exc}", file=sys.stderr)

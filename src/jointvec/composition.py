@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CompositionError, ContractError
+from .errors import CompositionError
 
 _FIRST_ROW = np.zeros(1, dtype=np.intp)
 
@@ -70,16 +70,6 @@ def compose(inputs, kind: CompositionKind, lengths=None) -> CompositionResult:
     return CompositionResult(out, t, x.shape[0], kind, lengths, starts)
 
 
-def compose_add(inputs) -> CompositionResult:
-    """Component-wise sum of the input vectors."""
-    return compose(inputs, CompositionKind.ADD)
-
-
-def compose_bi(inputs) -> CompositionResult:
-    """Sum of tanh over adjacent-pair sums, zero-padded on the left."""
-    return compose(inputs, CompositionKind.BI)
-
-
 def backprop(grad_output: np.ndarray, result: CompositionResult) -> np.ndarray:
     """Input gradients (n, d) from the output gradient of each segment.
 
@@ -102,21 +92,3 @@ def backprop(grad_output: np.ndarray, result: CompositionResult) -> np.ndarray:
         from_next[result.starts[1:] - 1] = 0.0  # a segment's last input feeds no further bigram
     g[:-1] += from_next
     return g
-
-
-def backprop_add(grad_output: np.ndarray, n_inputs: int) -> np.ndarray:
-    """A sum routes its output gradient to every input unchanged."""
-    if n_inputs < 1:
-        raise ContractError("n_inputs must be >= 1")
-    return backprop(grad_output, CompositionResult(None, None, n_inputs, CompositionKind.ADD))
-
-
-def backprop_bi(grad_output: np.ndarray, result: CompositionResult, n_inputs: int) -> np.ndarray:
-    """Route gradients through the tanh bigram terms of one composed sequence."""
-    if result.kind is not CompositionKind.BI or result.activations is None:
-        raise ContractError("backprop_bi needs a result produced by compose_bi")
-    if result.n_inputs != n_inputs or result.activations.shape[0] != n_inputs:
-        raise ContractError(
-            f"result covers {result.n_inputs} inputs, caller claims {n_inputs}"
-        )
-    return backprop(grad_output, result)

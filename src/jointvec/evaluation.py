@@ -239,15 +239,26 @@ def _single_label(doc: LabeledDocument) -> str:
     return min(doc.labels)
 
 
-def _resolve_task(task: str, train_docs, test_docs) -> str:
+def resolve_task(task: str, *doc_groups) -> str:
+    """Resolve task "auto" over the given lists of documents.
+
+    Auto is single-label iff every document carries exactly one label.
+    """
     if task in ("single", "multi"):
         return task
     if task != "auto":
         raise ConfigError(f"task must be auto, single, or multi, got {task!r}")
-    single = all(len(d.labels) == 1 for d in train_docs) and all(
-        len(d.labels) == 1 for d in test_docs
-    )
+    single = all(len(d.labels) == 1 for docs in doc_groups for d in docs)
     return "single" if single else "multi"
+
+
+def _check_classifier_settings(clf_epochs: int, seed: int, top_labels) -> None:
+    if clf_epochs < 1:
+        raise ConfigError(f"clf_epochs (classifier epochs) must be >= 1, got {clf_epochs}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if top_labels is not None and top_labels < 1:
+        raise ConfigError(f"top_labels must be >= 1, got {top_labels}")
 
 
 def cldc_run(
@@ -272,9 +283,10 @@ def cldc_run(
     """
     if not train_docs or not test_docs:
         raise ConfigError("need non-empty train and test document sets")
+    _check_classifier_settings(clf_epochs, seed, top_labels)
     train_vecs = _doc_vectors(train_docs, bundle.table(train_lang), bundle.kind, level)
     test_vecs = _doc_vectors(test_docs, bundle.table(test_lang), bundle.kind, level)
-    mode = _resolve_task(task, train_docs, test_docs)
+    mode = resolve_task(task, train_docs, test_docs)
     n_test = len(test_docs)
     rows = []
 
@@ -353,6 +365,7 @@ def transfer_matrix(
     missing = [l for l in langs if l not in docs_by_lang]
     if missing:
         raise ConfigError(f"no documents supplied for {missing}")
+    _check_classifier_settings(clf_epochs, seed, top_labels)
     rows = []
     for i, train_lang in enumerate(langs):
         for j, test_lang in enumerate(langs):

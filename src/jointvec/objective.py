@@ -7,7 +7,7 @@ For an aligned pair (a, b) and k sampled noise sentences n_i, the loss is
 which pulls the aligned pair's distance below every noise distance by at
 least the margin. Hinge terms at exactly zero are inactive. The L2
 regularizer is owned by the optimizer, which applies it to touched rows
-per update, so LossBreakdown.regularizer stays 0 here.
+per update, so the loss here is the hinge total alone.
 
 A minibatch is evaluated as a whole: tables are fixed until its update,
 so every distinct sentence it needs is composed once, the (B, k) hinge
@@ -39,11 +39,6 @@ _FIRST = np.zeros(1, dtype=np.intp)
 class LossBreakdown:
     hinge_total: float = 0.0
     active_noise_count: int = 0
-    regularizer: float = 0.0
-
-    def add(self, hinge_value: float) -> None:
-        self.hinge_total += hinge_value
-        self.active_noise_count += 1
 
 
 def energy(u: np.ndarray, v: np.ndarray) -> float:
@@ -54,10 +49,6 @@ def energy(u: np.ndarray, v: np.ndarray) -> float:
         raise ContractError(f"energy over mismatched shapes {u.shape} vs {v.shape}")
     diff = u - v
     return float(diff @ diff)
-
-
-def hinge(margin: float, e_pos: float, e_neg: float) -> float:
-    return max(margin + e_pos - e_neg, 0.0)
 
 
 class _Sentences:

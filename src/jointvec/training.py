@@ -60,6 +60,7 @@ class TrainConfig:
             (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
             (self.epsilon > 0, f"epsilon must be > 0, got {self.epsilon}"),
             (self.mode in ("single", "joint"), f"mode must be single or joint, got {self.mode!r}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -76,9 +77,6 @@ class AdaGradState:
             self.acc = {lang: np.zeros_like(t.matrix) for lang, t in bundle.tables.items()}
         else:
             raise ContractError("AdaGradState needs a bundle or explicit accumulators")
-
-    def accumulator(self, lang: str) -> np.ndarray:
-        return self.acc[lang]
 
 
 @dataclass
@@ -220,18 +218,6 @@ def train_joint(
         if on_epoch is not None:
             on_epoch(epoch, report)
     return report
-
-
-def train_single(
-    corpus,
-    tables: ModelBundle,
-    config: TrainConfig,
-    state: AdaGradState = None,
-    start_epoch: int = 0,
-    on_epoch=None,
-) -> TrainReport:
-    """Train on one parallel corpus; the one-sub-corpus case of train_joint."""
-    return train_joint([corpus], tables, config, state, start_epoch, on_epoch)
 
 
 def format_setting(v) -> str:

@@ -50,7 +50,6 @@ from jointvec.training import (
     checkpoint,
     resume,
     train_joint,
-    train_single,
 )
 
 ADD = CompositionKind.ADD
@@ -181,7 +180,7 @@ def test_bilingual_synthetic_cldc_accuracy(criterion, tmp_path):
         d=16, margin=16.0, k=10, lam=1.0, step=0.05, batch=10, epochs=100, kind=ADD, seed=3
     )
     bundle, state = _build_model(vocabs, config)
-    report = train_single(corpus, bundle, config, state)
+    report = train_joint([corpus], bundle, config, state)
     assert report.epoch_losses[-1] < report.epoch_losses[0]
 
     synth.write_document_file(synth.make_topic_documents("la", 96, seed=101), tmp_path / "la.docs")
@@ -326,7 +325,7 @@ def test_joint_mode_shares_pivot_parameters(criterion, monkeypatch):
     # one sub-corpus: joint and single are the same computation, bit for bit
     tw = synth.make_twin_corpus("xa", "xb", 30, seed=6)
     runs = []
-    for mode, trainer in (("single", train_single), ("joint", train_joint)):
+    for mode in ("single", "joint"):
         va, vb = Vocabulary(), Vocabulary()
         pairs = _pairs_from_twin(tw, va, vb)
         corpus = ParallelCorpus("xa", "xb", pairs)
@@ -335,7 +334,7 @@ def test_joint_mode_shares_pivot_parameters(criterion, monkeypatch):
             kind=ADD, mode=mode, seed=8,
         )
         b, s = _build_model({"xa": va, "xb": vb}, cfg)
-        trainer(corpus if mode == "single" else [corpus], b, cfg, s)
+        train_joint([corpus], b, cfg, s)
         runs.append((b, s))
     (b1, s1), (b2, s2) = runs
     identical = all(
@@ -443,7 +442,7 @@ def test_reproducibility_and_persistence(criterion, tmp_path):
         d=4, margin=4.0, k=2, lam=1.0, step=0.05, batch=5, epochs=4, kind=ADD, seed=9
     )
     full_bundle, full_state = _build_model({"la": va, "lb": vb}, config)
-    train_single(ParallelCorpus("la", "lb", pairs), full_bundle, config, full_state)
+    train_joint([ParallelCorpus("la", "lb", pairs)], full_bundle, config, full_state)
 
     ckpt_dir = tmp_path / "ckpt"
     part_bundle, part_state = _build_model({"la": va, "lb": vb}, config)
@@ -452,8 +451,8 @@ def test_reproducibility_and_persistence(criterion, tmp_path):
         if epoch == 1:
             checkpoint(part_bundle, part_state, ckpt_dir, config, epoch + 1)
 
-    train_single(
-        ParallelCorpus("la", "lb", pairs), part_bundle, config, part_state, on_epoch=snapshot
+    train_joint(
+        [ParallelCorpus("la", "lb", pairs)], part_bundle, config, part_state, on_epoch=snapshot
     )
     res_bundle, res_state, res_config, res_epoch = resume(ckpt_dir)
     assert res_epoch == 2
@@ -465,8 +464,8 @@ def test_reproducibility_and_persistence(criterion, tmp_path):
         )
         for i, (sa, sb) in enumerate(zip(tw.sents_a, tw.sents_b))
     ]
-    train_single(
-        ParallelCorpus("la", "lb", res_pairs), res_bundle, res_config, res_state,
+    train_joint(
+        [ParallelCorpus("la", "lb", res_pairs)], res_bundle, res_config, res_state,
         start_epoch=res_epoch,
     )
     resume_identical = all(

@@ -296,6 +296,56 @@ def test_explicit_flags_beat_config(fast_corpus, tmp_path, capsys):
     assert "d=8\n" in (out / "meta.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        (["train"], "force=maybe"),
+        (["train"], "dim=abc"),
+        (["train"], "cvm=tri"),
+        (["eval", "cldc"], "level=bogus"),
+        (["query"], "metric=bogus"),
+    ],
+    ids=["force", "dim", "cvm", "level", "metric"],
+)
+def test_bad_config_value_names_file_and_key(command, line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# settings\n{line}\n", encoding="utf-8")
+    rc, _, err = run_cli([*command, "--config", cfg, "--out", tmp_path / "x"], capsys)
+    assert rc == 1
+    assert f"{cfg}:2:" in err and line.split("=")[0] in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_every_subcommand_replays_its_manifest(fast_corpus, trained, tmp_path, capsys):
+    la_docs, lb_docs = f"la:{fast_corpus / 'la.docs'}", f"lb:{fast_corpus / 'lb.docs'}"
+    token = resume(trained)[0].vocab("la").tokens[0]
+    runs = [
+        ["eval", "cldc", "--model", trained, "--train", la_docs, "--test", lb_docs],
+        ["eval", "transfer", "--model", trained, "--langs", "la,lb", "--docs", la_docs,
+         "--docs", lb_docs, "--task", "multi", "--top-labels", 2, "--epochs", 3],
+        ["query", "--model", trained, "--word", f"la:{token}", "--target", "lb",
+         "--metric", "euclidean"],
+        ["export", "--model", trained, "--lang", "lb", "--lang", "la", "--force"],
+    ]
+    for i, argv in enumerate(runs):
+        first, replay = tmp_path / f"first{i}", tmp_path / f"replay{i}"
+        rc, stdout, _ = run_cli([*argv, "--out", first], capsys)
+        assert rc == 0
+        command = argv[:2] if argv[0] == "eval" else argv[:1]
+        rc, replayed, _ = run_cli(
+            [*command, "--config", first / "manifest.txt", "--out", replay], capsys
+        )
+        assert rc == 0
+        assert replayed == stdout
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in replay.iterdir())
+        for name in names:
+            want, got = (first / name).read_bytes(), (replay / name).read_bytes()
+            if name == "manifest.txt":
+                want = want.replace(f"out={first}".encode(), f"out={replay}".encode())
+            assert got == want, (argv[:2], name)
+
+
 def test_unknown_config_key_rejected(fast_corpus, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     # threads was a setting of earlier versions and is gone
@@ -315,6 +365,37 @@ def test_train_divergence_is_user_error_and_writes_no_checkpoint(fast_corpus, tm
     assert rc == 1
     assert "diverged in epoch 0, batch 0" in err and "step=1e+300" in err
     assert not list(out.glob("*.emb"))
+
+
+def test_train_negative_seed_is_user_error_and_writes_nothing(fast_corpus, tmp_path, capsys):
+    out = tmp_path / "run"
+    args = train_args(fast_corpus, out)
+    args[args.index("--seed") + 1] = -1
+    rc, _, err = run_cli(args, capsys)
+    assert rc == 1 and "seed must be >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, setting",
+    [(["--epochs", 0], "epochs"), (["--top-labels", 0], "top_labels"), (["--seed", -1], "seed")],
+    ids=["epochs", "top_labels", "seed"],
+)
+def test_eval_bad_classifier_setting_is_user_error(fast_corpus, trained, tmp_path, extra,
+                                                  setting, capsys):
+    out = tmp_path / "eval"
+    rc, stdout, err = run_cli(
+        [
+            "eval", "cldc", "--model", trained,
+            "--train", f"la:{fast_corpus / 'la.docs'}",
+            "--test", f"lb:{fast_corpus / 'lb.docs'}",
+            "--task", "multi", "--out", out, *extra,
+        ],
+        capsys,
+    )
+    assert rc == 1
+    assert setting in err and "Traceback" not in err
+    assert stdout == "" and not out.exists()
 
 
 def test_doc_signal_training_and_eval(fast_corpus, tmp_path, capsys):

@@ -2,40 +2,35 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from jointvec.composition import (
-    CompositionKind,
-    backprop,
-    backprop_add,
-    backprop_bi,
-    compose,
-    compose_add,
-    compose_bi,
-)
-from jointvec.errors import CompositionError, ContractError
+from jointvec.composition import CompositionKind, backprop, compose
+from jointvec.errors import CompositionError
 
 mp.mp.dps = 30
 
+ADD = CompositionKind.ADD
+BI = CompositionKind.BI
+
 
 def test_compose_add_hand_values():
-    out = compose_add(np.array([[1.0, 2.0], [3.0, 4.0]])).output
+    out = compose(np.array([[1.0, 2.0], [3.0, 4.0]]), ADD).output
     assert np.array_equal(out, [4.0, 6.0])
-    assert np.array_equal(compose_add(np.array([[0.0, 0.0]])).output, [0.0, 0.0])
+    assert np.array_equal(compose(np.array([[0.0, 0.0]]), ADD).output, [0.0, 0.0])
 
 
 def test_compose_add_permutation_invariant():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 3))
-    forward = compose_add(x).output
-    shuffled = compose_add(x[rng.permutation(5)]).output
+    forward = compose(x, ADD).output
+    shuffled = compose(x[rng.permutation(5)], ADD).output
     assert np.allclose(forward, shuffled, atol=1e-12)
 
 
 def test_compose_bi_hand_values_against_mpmath():
-    assert compose_bi(np.array([[0.0]])).output[0] == 0.0
-    half = compose_bi(np.array([[0.5]])).output[0]
+    assert compose(np.array([[0.0]]), BI).output[0] == 0.0
+    half = compose(np.array([[0.5]]), BI).output[0]
     assert half == pytest.approx(float(mp.tanh(mp.mpf("0.5"))), abs=1e-15)
     assert half == pytest.approx(0.462117, abs=1e-6)
-    pair = compose_bi(np.array([[1.0], [-1.0]])).output[0]
+    pair = compose(np.array([[1.0], [-1.0]]), BI).output[0]
     # tanh(0 + 1) + tanh(1 - 1)
     assert pair == pytest.approx(float(mp.tanh(1)), abs=1e-15)
     assert pair == pytest.approx(0.761594, abs=1e-6)
@@ -46,7 +41,7 @@ def test_compose_bi_matches_high_precision_loop():
     for _ in range(20):
         n, d = int(rng.integers(1, 6)), int(rng.integers(1, 4))
         x = rng.normal(size=(n, d))
-        got = compose_bi(x).output
+        got = compose(x, BI).output
         for j in range(d):
             prev = mp.mpf(0)
             want = mp.mpf(0)
@@ -57,8 +52,8 @@ def test_compose_bi_matches_high_precision_loop():
 
 
 def test_compose_bi_order_sensitive_witness():
-    fwd = compose_bi(np.array([[1.0], [-1.0]])).output[0]
-    rev = compose_bi(np.array([[-1.0], [1.0]])).output[0]
+    fwd = compose(np.array([[1.0], [-1.0]]), BI).output[0]
+    rev = compose(np.array([[-1.0], [1.0]]), BI).output[0]
     assert fwd != rev
 
 
@@ -67,51 +62,40 @@ def test_compose_bi_output_strictly_inside_tanh_bounds():
     for _ in range(50):
         n = int(rng.integers(1, 7))
         x = rng.normal(scale=3.0, size=(n, 2))
-        out = compose_bi(x).output
+        out = compose(x, BI).output
         assert np.all(np.abs(out) < n)
 
 
 def test_compose_rejects_bad_input():
     for bad in (np.zeros((0, 3)), np.zeros(3), [[1.0], [1.0, 2.0]]):
         with pytest.raises(CompositionError):
-            compose_add(bad)
+            compose(bad, ADD)
         with pytest.raises(CompositionError):
-            compose_bi(bad)
+            compose(bad, BI)
 
 
 def test_compose_dispatch():
     x = np.array([[1.0, 1.0], [3.0, 3.0]])
-    assert np.array_equal(compose(x, CompositionKind.ADD).output, [4.0, 4.0])
-    assert np.array_equal(compose(x, CompositionKind.BI).output, compose_bi(x).output)
+    assert np.array_equal(compose(x, ADD).output, [4.0, 4.0])
+    assert np.array_equal(compose(x, BI).output, np.tanh([1.0, 1.0]) + np.tanh([4.0, 4.0]))
 
 
 def test_backprop_add_tiles_gradient():
-    grads = backprop_add(np.array([1.0, 1.0]), 3)
+    grads = backprop(np.array([1.0, 1.0]), compose(np.zeros((3, 2)), ADD))
     assert grads.shape == (3, 2)
     assert np.array_equal(grads, np.ones((3, 2)))
-    assert np.array_equal(backprop_add(np.zeros(2), 2), np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        backprop_add(np.zeros(2), 0)
+    assert np.array_equal(backprop(np.zeros(2), compose(np.ones((2, 2)), ADD)), np.zeros((2, 2)))
 
 
 def test_backprop_bi_hand_values():
-    res = compose_bi(np.array([[0.0]]))
-    assert backprop_bi(np.array([1.0]), res, 1)[0, 0] == pytest.approx(1.0)
-    res2 = compose_bi(np.array([[1.0], [-1.0]]))
-    grads = backprop_bi(np.array([1.0]), res2, 2)
+    res = compose(np.array([[0.0]]), BI)
+    assert backprop(np.array([1.0]), res)[0, 0] == pytest.approx(1.0)
+    res2 = compose(np.array([[1.0], [-1.0]]), BI)
+    grads = backprop(np.array([1.0]), res2)
     want_x1 = float(1 - mp.tanh(1) ** 2 + 1)
     assert grads[0, 0] == pytest.approx(want_x1, abs=1e-12)
     assert grads[0, 0] == pytest.approx(1.419974, abs=1e-6)
     assert grads[1, 0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_backprop_bi_contract_errors():
-    res = compose_add(np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        backprop_bi(np.zeros(2), res, 2)
-    res_bi = compose_bi(np.zeros((2, 2)))
-    with pytest.raises(ContractError):
-        backprop_bi(np.zeros(2), res_bi, 3)
 
 
 def _fd_scalar(fn, x, step=1e-5):

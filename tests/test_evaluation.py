@@ -15,6 +15,7 @@ from jointvec.evaluation import (
     doc_representation,
     macro_f1,
     micro_f1,
+    resolve_task,
     train_multiclass,
     train_multilabel,
     transfer_matrix,
@@ -297,6 +298,9 @@ def test_cldc_auto_task_detection():
         "majority_baseline",
     }
     assert "micro_f1" in {r.metric for r in cldc_run("x", multi, "x", multi, bundle).rows}
+    assert resolve_task("auto", single, single) == "single"
+    assert resolve_task("auto", single, multi) == "multi"
+    assert resolve_task("single", multi) == "single"
     forced = cldc_run("x", single, "x", single, bundle, task="multi")
     assert "micro_f1" in {r.metric for r in forced.rows}
     with pytest.raises(ConfigError):
@@ -323,10 +327,20 @@ def test_transfer_matrix_counts_and_order_independence():
     ]
 
 
-def test_transfer_matrix_validation():
+def test_transfer_matrix_validation(monkeypatch):
     bundle = _topic_bundle(["x", "y"])
     docs = {"x": _topic_docs("x"), "y": _topic_docs("y")}
     with pytest.raises(ConfigError):
         transfer_matrix(["x"], docs, bundle)
     with pytest.raises(ConfigError):
         transfer_matrix(["x", "missing"], docs, bundle)
+
+    def no_representation(*args):
+        raise AssertionError("a document was represented before the settings were checked")
+
+    monkeypatch.setattr("jointvec.evaluation._doc_vectors", no_representation)
+    for name, bad in (("clf_epochs", 0), ("top_labels", 0), ("seed", -1)):
+        with pytest.raises(ConfigError, match=name):
+            transfer_matrix(["x", "y"], docs, bundle, **{name: bad})
+        with pytest.raises(ConfigError, match=name):
+            cldc_run("x", docs["x"], "y", docs["y"], bundle, **{name: bad})

@@ -16,11 +16,9 @@ from jointvec.corpus import (
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
 from jointvec.errors import AlignmentError, ContractError
 from jointvec.objective import (
-    LossBreakdown,
     batch_loss_and_grads,
     doc_loss_and_grads,
     energy,
-    hinge,
     pair_loss_and_grads,
 )
 
@@ -56,22 +54,43 @@ def test_energy_symmetric_nonnegative(values):
     assert energy(u, v) == pytest.approx(energy(v, u), abs=1e-12)
 
 
+def _zero_source_hinges(margin, target, noise):
+    """LossBreakdown of a zero source vector against a target and noise vectors.
+
+    With a zero source, each energy is the squared norm of the other side.
+    """
+    rows = np.array([target, *noise], dtype=float)
+    bundle = ModelBundle(
+        {"a": Vocabulary(["x"]), "b": Vocabulary(f"y{i}" for i in range(len(rows)))},
+        {"a": EmbeddingTable("a", np.zeros((1, rows.shape[1]))), "b": EmbeddingTable("b", rows)},
+        CompositionKind.ADD,
+    )
+    pair = ParallelPair(Sentence((0,)), Sentence((0,)), 0)
+    noise_sents = [Sentence((i,)) for i in range(1, len(rows))]
+    breakdown, _ = pair_loss_and_grads(
+        pair, noise_sents, bundle, CompositionKind.ADD, margin, ("a", "b")
+    )
+    return breakdown
+
+
 @given(
     st.floats(0.01, 10),
-    st.floats(0, 100),
-    st.floats(0, 100),
+    st.floats(0, 10),
+    st.floats(0, 10),
 )
 @settings(max_examples=200, deadline=None)
-def test_hinge_matches_max_form(m, e_pos, e_neg):
-    h = hinge(m, e_pos, e_neg)
+def test_hinge_matches_max_form(m, target, noise):
+    h = _zero_source_hinges(m, [target], [[noise]]).hinge_total
+    e_pos, e_neg = target * target, noise * noise
     assert h >= 0.0
     assert h == max(m + e_pos - e_neg, 0.0)
 
 
 def test_hinge_hand_values():
-    assert hinge(1.0, 0.5, 2.0) == 0.0
-    assert hinge(1.0, 0.5, 1.0) == 0.5
-    assert hinge(1.0, 0.0, 0.0) == 1.0
+    # squared norms: (0.5, 0.5) -> 0.5, (1, 1) -> 2, (1, 0) -> 1
+    assert _zero_source_hinges(1.0, [0.5, 0.5], [[1.0, 1.0]]).hinge_total == 0.0
+    assert _zero_source_hinges(1.0, [0.5, 0.5], [[1.0, 0.0]]).hinge_total == 0.5
+    assert _zero_source_hinges(1.0, [0.0, 0.0], [[0.0, 0.0]]).hinge_total == 1.0
 
 
 def _hand_bundle():
@@ -93,7 +112,6 @@ def test_pair_loss_hand_example():
     )
     assert breakdown.hinge_total == pytest.approx(2.0)
     assert breakdown.active_noise_count == 1
-    assert breakdown.regularizer == 0.0
     assert set(grads) == {("a", 0), ("b", 0), ("b", 1)}
     assert grads[("a", 0)][0] == pytest.approx(-2.0)
     assert grads[("b", 0)][0] == pytest.approx(2.0)
@@ -187,12 +205,10 @@ def test_scaling_within_slack_keeps_inactive_pair_at_zero():
 
 
 def test_loss_breakdown_accumulates():
-    b = LossBreakdown()
-    b.add(1.5)
-    b.add(0.5)
+    # hinges 1 + 0.5 - 0 = 1.5 and 1 + 0.5 - 1 = 0.5; the third, 1 + 0.5 - 2, is inactive
+    b = _zero_source_hinges(1.0, [0.5, 0.5], [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     assert b.hinge_total == 2.0
     assert b.active_noise_count == 2
-    assert b.regularizer == 0.0
 
 
 def _single_sentence_doc(lang, sentence, idx=0):

@@ -32,7 +32,6 @@ from jointvec.training import (
     checkpoint,
     resume,
     train_joint,
-    train_single,
 )
 
 from conftest import make_bundle
@@ -62,6 +61,7 @@ def test_train_config_margin_defaults_to_d():
         {"epsilon": 0.0},
         {"mode": "parallel"},
         {"kind": "tri"},
+        {"seed": -1},
     ],
 )
 def test_train_config_rejects_invalid_values(kwargs):
@@ -200,7 +200,7 @@ def test_toy_training_drives_loss_down():
     corpus, bundle, config = _toy_setup(
         n=50, d=8, margin=8.0, k=5, batch=10, epochs=50
     )
-    report = train_single(corpus, bundle, config)
+    report = train_joint([corpus], bundle, config)
     assert len(report.epoch_losses) == 50
     assert report.epoch_losses[-1] < 0.1 * report.epoch_losses[0]
     assert all(0.0 <= f <= 1.0 for f in report.active_fractions)
@@ -233,7 +233,7 @@ def test_one_update_per_epoch_when_batch_covers_corpus(monkeypatch):
         "jointvec.training.adagrad_apply",
         lambda *args, **kw: (calls.append(1), real(*args, **kw))[1],
     )
-    train_single(corpus, bundle, config)
+    train_joint([corpus], bundle, config)
     assert len(calls) == 3
 
 
@@ -245,7 +245,7 @@ def test_update_count_follows_batching(monkeypatch):
         "jointvec.training.adagrad_apply",
         lambda *args, **kw: (calls.append(1), real(*args, **kw))[1],
     )
-    train_single(corpus, bundle, config)
+    train_joint([corpus], bundle, config)
     assert len(calls) == 2 * 3  # ceil(12 / 5) batches per epoch
 
 
@@ -254,7 +254,7 @@ def test_training_bitwise_deterministic():
     for _ in range(2):
         corpus, bundle, config = _toy_setup()
         state = AdaGradState(bundle)
-        train_single(corpus, bundle, config, state)
+        train_joint([corpus], bundle, config, state)
         runs.append((bundle, state))
     for lang in ("la", "lb"):
         assert np.array_equal(
@@ -263,10 +263,10 @@ def test_training_bitwise_deterministic():
         assert np.array_equal(runs[0][1].acc[lang], runs[1][1].acc[lang])
 
 
-def test_train_joint_single_corpus_equals_train_single():
+def test_joint_mode_single_corpus_equals_single_mode():
     corpus, bundle1, config = _toy_setup()
-    train_single(corpus, bundle1, config)
-    corpus2, bundle2, config2 = _toy_setup()
+    train_joint([corpus], bundle1, config)
+    corpus2, bundle2, config2 = _toy_setup(mode="joint")
     train_joint([corpus2], bundle2, config2)
     for lang in ("la", "lb"):
         assert np.array_equal(bundle1.table(lang).matrix, bundle2.table(lang).matrix)
@@ -275,7 +275,7 @@ def test_train_joint_single_corpus_equals_train_single():
 def test_train_single_runs_with_bi_composition():
     corpus, bundle, config = _toy_setup(kind=CompositionKind.BI)
     before = bundle.table("la").matrix.copy()
-    report = train_single(corpus, bundle, config)
+    report = train_joint([corpus], bundle, config)
     assert len(report.epoch_losses) == config.epochs
     assert not np.array_equal(bundle.table("la").matrix, before)
 
@@ -371,7 +371,7 @@ def test_joint_run_checks_every_sub_corpus_before_first_update(case):
 def test_checkpoint_resume_round_trip(tmp_path):
     corpus, bundle, config = _toy_setup()
     state = AdaGradState(bundle)
-    train_single(corpus, bundle, config, state)
+    train_joint([corpus], bundle, config, state)
     checkpoint(bundle, state, tmp_path, config, epoch=2)
     bundle2, state2, config2, epoch = resume(tmp_path)
     assert epoch == 2
@@ -415,7 +415,7 @@ def test_checkpoint_twice_identical_bytes(tmp_path):
 
 def test_resume_continue_matches_uninterrupted(tmp_path):
     full_corpus, full_bundle, full_config = _toy_setup(n=12, epochs=4)
-    train_single(full_corpus, full_bundle, full_config)
+    train_joint([full_corpus], full_bundle, full_config)
 
     corpus, bundle, config = _toy_setup(n=12, epochs=4)
     state = AdaGradState(bundle)
@@ -424,7 +424,7 @@ def test_resume_continue_matches_uninterrupted(tmp_path):
         if epoch == 1:
             checkpoint(bundle, state, tmp_path, config, epoch + 1)
 
-    train_single(corpus, bundle, config, state, on_epoch=snap)
+    train_joint([corpus], bundle, config, state, on_epoch=snap)
 
     bundle2, state2, config2, epoch2 = resume(tmp_path)
     assert epoch2 == 2
