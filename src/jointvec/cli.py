@@ -1,8 +1,10 @@
 """Command-line entry point for reproducible training, evaluation, and queries.
 
 Every run resolves its flags against built-in defaults and an optional
-key=value config file (flags win), then echoes the resolved settings to a
-manifest before doing any work; re-running that manifest reproduces all
+key=value config file (flags win). Once the work has succeeded, a run with
+an output directory creates it and echoes the resolved settings to a
+manifest there, just before writing its other outputs, so a failed run
+leaves no output directory behind; re-running that manifest reproduces all
 outputs byte for byte. Exit codes: 0 success, 1 user or configuration
 error, 2 internal error.
 """
@@ -252,7 +254,8 @@ def _resolve(args) -> None:
 
 
 def _write_manifest(args) -> None:
-    """Echo every set setting of the run into its --out, in table order."""
+    """Create --out and echo every set setting of the run into it, in table order."""
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write(f"subcommand={args.command}\n")
         for flag in args.settings:
@@ -279,10 +282,11 @@ def _split_lang_file(flag: str, value: str) -> tuple:
     return lang, path
 
 
-def _prepare_out(path, force: bool) -> None:
+def _check_out(path, force: bool) -> None:
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ConfigError(f"{path} exists and is not a directory")
     if os.path.isdir(path) and os.listdir(path) and not force:
         raise ConfigError(f"{path} exists and is not empty; pass --force to write anyway")
-    os.makedirs(path, exist_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +301,7 @@ def cmd_train(args) -> int:
     for f in fields:  # the manifest echoes the config as resolved, margin included
         setattr(args, f.name, getattr(config, f.field))
 
-    _prepare_out(args.out, args.force)
-    _write_manifest(args)
+    _check_out(args.out, args.force)
 
     read = iter_document_token_sentences if config.doc_signal else iter_token_sentences
     paths = {}
@@ -331,6 +334,7 @@ def cmd_train(args) -> int:
 
     report = train_joint(corpora, bundle, config, state)
 
+    _write_manifest(args)
     checkpoint(bundle, state, args.out, config, config.epochs)
     with open(os.path.join(args.out, "loss_log.tsv"), "w", encoding="utf-8") as fh:
         fh.write("epoch\tloss\tactive_fraction\n")
@@ -370,7 +374,6 @@ def _classifier_settings(args, ckpt_config, *doc_groups) -> dict:
 def _write_eval_outputs(args, report) -> None:
     sys.stdout.write(report.headline().to_tsv())
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_manifest(args)
         report.headline().write(os.path.join(args.out, "report.tsv"))
         report.write(os.path.join(args.out, "report_all.tsv"))
@@ -416,7 +419,6 @@ def cmd_query(args) -> int:
     lines = "".join(f"{nl}\t{nt}\t{score:.6f}\n" for nl, nt, score in neighbors)
     sys.stdout.write(lines)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_manifest(args)
         with open(os.path.join(args.out, "neighbors.tsv"), "w", encoding="utf-8") as fh:
             fh.write(lines)
@@ -428,7 +430,7 @@ def cmd_export(args) -> int:
     args.lang = args.lang or list(bundle.languages)
     for lang in args.lang:
         bundle.table(lang)  # unknown language fails before any file is written
-    _prepare_out(args.out, args.force)
+    _check_out(args.out, args.force)
     _write_manifest(args)
     for lang in args.lang:
         export_table(bundle.table(lang), bundle.vocab(lang), os.path.join(args.out, f"{lang}.emb"))

@@ -212,25 +212,42 @@ def nearest_neighbors(
     metric="euclidean", negated Euclidean distance, so higher is always
     better. The query token itself is excluded; exact score ties order by
     (language, token).
+
+    Each target table is scored in one array pass. Only its rows scoring at
+    or above the table's n-th best score reach the final sort, so every row
+    tied with that cut competes on (language, token).
     """
     if metric not in ("cosine", "euclidean"):
         raise ConfigError(f"unknown metric {metric!r}")
     lang_q, token_q = query
-    vq = bundle.table(lang_q).matrix[bundle.vocab(lang_q)[token_q]]
+    row_q = bundle.vocab(lang_q)[token_q]
+    vq = bundle.table(lang_q).matrix[row_q]
     langs = bundle.languages if target_language == "all" else [target_language]
+    tables = [bundle.table(lang) for lang in langs]
+    if n <= 0:
+        return []
     candidates = []
-    for lang in langs:
-        mat = bundle.table(lang).matrix
+    for lang, table in zip(langs, tables):
+        mat = table.matrix
+        # np.linalg.norm's own sums, spelled out so one (V, d) temporary suffices.
         if metric == "cosine":
-            norms = np.linalg.norm(mat, axis=1) * np.linalg.norm(vq)
+            norms = np.sqrt(np.add.reduce(mat * mat, axis=1)) * np.linalg.norm(vq)
             scores = np.divide(mat @ vq, norms, out=np.zeros(len(mat)), where=norms > 0)
         else:
-            scores = -np.linalg.norm(mat - vq, axis=1)
+            diff = mat - vq
+            diff *= diff
+            scores = -np.sqrt(np.add.reduce(diff, axis=1))
+        rows = np.arange(len(scores))
+        if lang == lang_q:
+            rows = np.delete(rows, row_q)
+            scores = scores[rows]
+        if len(scores) > n:
+            cut = np.partition(scores, len(scores) - n)[len(scores) - n]
+            keep = np.flatnonzero(scores >= cut)
+            rows, scores = rows[keep], scores[keep]
         vocab = bundle.vocab(lang)
-        for idx, score in enumerate(scores):
-            tok = vocab.token(idx)
-            if lang == lang_q and tok == token_q:
-                continue
-            candidates.append((lang, tok, float(score)))
+        candidates.extend(
+            (lang, vocab.token(r), s) for r, s in zip(rows.tolist(), scores.tolist())
+        )
     candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
-    return candidates[: max(n, 0)]
+    return candidates[:n]

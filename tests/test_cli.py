@@ -88,6 +88,14 @@ def test_train_refuses_nonempty_out_without_force(fast_corpus, tmp_path, capsys)
     assert rc == 0
 
 
+def test_train_refuses_out_that_is_a_file(fast_corpus, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.write_text("old", encoding="utf-8")
+    rc, _, err = run_cli(train_args(fast_corpus, out, extra=["--force"]), capsys)
+    assert rc == 1 and "not a directory" in err
+    assert out.read_text(encoding="utf-8") == "old"
+
+
 def test_train_single_mode_takes_one_pair(fast_corpus, tmp_path, capsys):
     args = train_args(fast_corpus, tmp_path / "x")
     args += ["--pair", f"la:lb:{fast_corpus / 'la.txt'}:{fast_corpus / 'lb.txt'}"]
@@ -364,7 +372,27 @@ def test_train_divergence_is_user_error_and_writes_no_checkpoint(fast_corpus, tm
     rc, _, err = run_cli(train_args(fast_corpus, out, extra=extra), capsys)
     assert rc == 1
     assert "diverged in epoch 0, batch 0" in err and "step=1e+300" in err
-    assert not list(out.glob("*.emb"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", [None, 1], ids=["missing_file", "one_pair"])
+def test_failed_train_leaves_no_out_and_rerun_needs_no_force(fast_corpus, tmp_path, lines,
+                                                             capsys):
+    """A run that fails on its input creates no --out, so fixing the input is enough."""
+    sides = [tmp_path / "la.txt", tmp_path / "lb.txt"]
+    if lines:
+        for side in sides:
+            head = (fast_corpus / side.name).read_text(encoding="utf-8").splitlines()[:lines]
+            side.write_text("".join(f"{line}\n" for line in head), encoding="utf-8")
+    out = tmp_path / "run"
+    rc, _, err = run_cli(train_args(tmp_path, out), capsys)
+    assert rc == 1 and ("la.txt" in err if lines is None else "fewer than 2" in err)
+    assert not out.exists()
+    for side in sides:
+        shutil.copy(fast_corpus / side.name, side)
+    rc, _, err = run_cli(train_args(tmp_path, out), capsys)
+    assert rc == 0, err
+    assert (out / "manifest.txt").is_file() and (out / "la.emb").is_file()
 
 
 def test_train_negative_seed_is_user_error_and_writes_nothing(fast_corpus, tmp_path, capsys):

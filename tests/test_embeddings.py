@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointvec.composition import CompositionKind
 from jointvec.embeddings import (
@@ -195,6 +197,99 @@ def test_nearest_neighbors_euclidean_metric():
         nearest_neighbors(bundle, ("en", "x"), 2, metric="dot")
     with pytest.raises(TokenLookupError):
         nearest_neighbors(bundle, ("en", "unknown"), 2)
+
+
+def test_nearest_neighbors_ties_across_the_cut_order_by_language_and_token():
+    # Five rows equal to the query; no table's top 2 by row id is the answer,
+    # so a table must keep every row tied with its n-th score.
+    same = [1.0, 0.0]
+    vocabs = {
+        "de": Vocabulary(["a", "z", "b"]),
+        "en": Vocabulary(["q", "y", "low", "c"]),
+    }
+    tables = {
+        "de": EmbeddingTable("de", np.array([same, same, same])),
+        "en": EmbeddingTable("en", np.array([same, same, [0.0, 1.0], same])),
+    }
+    bundle = ModelBundle(vocabs, tables, CompositionKind.ADD)
+    for metric, top in (("cosine", 1.0), ("euclidean", 0.0)):
+        out = nearest_neighbors(bundle, ("en", "q"), 2, metric=metric)
+        assert out == [("de", "a", top), ("de", "b", top)]
+        out = nearest_neighbors(bundle, ("en", "q"), 1, target_language="en", metric=metric)
+        assert out == [("en", "c", top)]
+
+
+def test_nearest_neighbors_validates_before_n():
+    bundle = _query_bundle()
+    assert nearest_neighbors(bundle, ("en", "x"), 0) == []
+    assert nearest_neighbors(bundle, ("en", "x"), -3, target_language="de") == []
+    with pytest.raises(ConfigError, match="'zz'"):
+        nearest_neighbors(bundle, ("en", "x"), 0, target_language="zz")
+    with pytest.raises(ConfigError, match="metric"):
+        nearest_neighbors(bundle, ("en", "unknown"), 0, target_language="zz", metric="dot")
+    with pytest.raises(TokenLookupError):
+        nearest_neighbors(bundle, ("en", "unknown"), 0, target_language="zz")
+
+
+def _brute_force_neighbors(bundle, query, n, target_language="all", metric="cosine"):
+    """Reference: score every row through np.linalg.norm and sort them all."""
+    lang_q, token_q = query
+    vq = bundle.table(lang_q).matrix[bundle.vocab(lang_q)[token_q]]
+    langs = bundle.languages if target_language == "all" else [target_language]
+    candidates = []
+    for lang in langs:
+        mat = bundle.table(lang).matrix
+        if metric == "cosine":
+            norms = np.linalg.norm(mat, axis=1) * np.linalg.norm(vq)
+            scores = np.divide(mat @ vq, norms, out=np.zeros(len(mat)), where=norms > 0)
+        else:
+            scores = -np.linalg.norm(mat - vq, axis=1)
+        vocab = bundle.vocab(lang)
+        for idx, score in enumerate(scores):
+            tok = vocab.token(idx)
+            if lang == lang_q and tok == token_q:
+                continue
+            candidates.append((lang, tok, float(score)))
+    candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
+    return candidates[: max(n, 0)]
+
+
+@st.composite
+def _query_cases(draw):
+    """Small integer tables (duplicate and zero rows are common), shuffled token names."""
+    d = draw(st.integers(1, 3))
+    langs = draw(st.lists(st.sampled_from(["de", "en", "fr"]), min_size=1, max_size=3, unique=True))
+    vocabs, tables = {}, {}
+    for lang in langs:
+        v = draw(st.integers(1, 7))
+        names = draw(st.permutations(["a", "b", "c", "w10", "w2", "w9", "z"]))[:v]
+        entries = draw(st.lists(st.integers(-1, 1), min_size=v * d, max_size=v * d))
+        vocabs[lang] = Vocabulary(names)
+        tables[lang] = EmbeddingTable(lang, np.array(entries, dtype=float).reshape(v, d))
+    bundle = ModelBundle(vocabs, tables, CompositionKind.ADD)
+    lang_q = draw(st.sampled_from(langs))
+    query = (lang_q, draw(st.sampled_from(vocabs[lang_q].tokens)))
+    target = draw(st.sampled_from(["all", *langs]))
+    pool = sum(len(v) for v in vocabs.values())
+    return bundle, query, draw(st.integers(0, pool + 2)), target
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_query_cases(), metric=st.sampled_from(["cosine", "euclidean"]))
+def test_nearest_neighbors_equals_brute_force(case, metric):
+    bundle, query, n, target = case
+    expected = _brute_force_neighbors(bundle, query, n, target, metric)
+    assert nearest_neighbors(bundle, query, n, target, metric) == expected
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_nearest_neighbors_scores_bit_identical_on_gaussian_tables(metric):
+    # Long rows with inexact sums: any change in how a score is reduced shows here.
+    bundle = make_bundle({"de": 60, "en": 50, "fr": 40}, 37, seed=5)
+    for token in bundle.vocab("en").tokens[::7]:
+        for target, n in (("all", 9), ("en", 3), ("fr", 200)):
+            expected = _brute_force_neighbors(bundle, ("en", token), n, target, metric)
+            assert nearest_neighbors(bundle, ("en", token), n, target, metric) == expected
 
 
 def test_make_bundle_helper_shares_dimension():
