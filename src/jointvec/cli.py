@@ -35,38 +35,21 @@ from .embeddings import (
     init_table,
     nearest_neighbors,
 )
-from .errors import (
-    AlignmentError,
-    CheckpointError,
-    ConfigError,
-    DivergenceError,
-    FileFormatError,
-    JointvecError,
-    RepresentationError,
-    SamplingError,
-    TokenLookupError,
-)
+from .errors import ConfigError, JointvecError, UserError
 from .evaluation import LEVELS, cldc_run, resolve_task, transfer_matrix
 from .training import (
+    MODES,
     AdaGradState,
     TrainConfig,
     checkpoint,
     format_setting,
+    parse_setting,
+    read_settings,
     resume,
     train_joint,
 )
 
 MANIFEST_NAME = "manifest.txt"
-_USER_ERRORS = (
-    AlignmentError,
-    CheckpointError,
-    ConfigError,
-    DivergenceError,
-    FileFormatError,
-    RepresentationError,
-    SamplingError,
-    TokenLookupError,
-)
 
 REGIME = "[reference regime]"
 TOOLING = "[tooling choice]"
@@ -126,7 +109,6 @@ _FORCE = Flag("force", "write into a non-empty output directory", bool, False)
 _CONFIG = Flag("config", "key=value file supplying defaults; explicit flags win", tag=TOOLING,
                metavar="FILE")
 
-# epsilon has no flag
 _TRAIN = (
     Flag("pair", "aligned corpus files for a language pair; repeatable, first code is the pivot",
          metavar="L1:L2:FILE1:FILE2", repeat=True, required=True),
@@ -143,7 +125,7 @@ _TRAIN = (
                 "inputs are document files; train at document level plus sentence signal",
                 bool, REGIME),
     _train_flag("mode", "mode", "one pair, or several sharing a pivot", str, TOOLING,
-                choices=("single", "joint")),
+                choices=MODES),
     _train_flag("seed", "seed", "master seed for all randomness", int, TOOLING),
     Flag("out", "output directory (checkpoint, manifest, loss log)", metavar="DIR", required=True),
     _FORCE,
@@ -192,15 +174,6 @@ _EXPORT = (
 )
 
 
-def _to_bool(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def load_config_file(path, flags) -> dict:
     """key=value lines, converted and checked as the flags are.
 
@@ -209,26 +182,14 @@ def load_config_file(path, flags) -> dict:
     """
     by_name = {f.name: f for f in flags}
     values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, text = line.partition("=")
-        key, text = key.strip(), text.strip()
+    for lineno, key, text in read_settings(path, ConfigError):
         if key in ("subcommand", "config"):
             continue
         flag = by_name.get(key)
         if flag is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r} for this subcommand")
         try:
-            value = _to_bool(text) if flag.type is bool else flag.type(text)
+            value = parse_setting(flag.type, text)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: config key {key}: {exc}") from None
         if flag.choices and value not in flag.choices:
@@ -480,7 +441,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _resolve(args)
         return args.func(args)
-    except _USER_ERRORS as exc:
+    except UserError as exc:
         print(f"jointvec: error: {exc}", file=sys.stderr)
         return 1
     except JointvecError as exc:

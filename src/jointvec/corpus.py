@@ -88,26 +88,30 @@ def tokenize(text: str) -> list[str]:
     return text.casefold().split()
 
 
-def _read_lines(path) -> list[str]:
+def read_lines(path, error=FileFormatError) -> list[str]:
+    """The lines of the UTF-8 text file at `path`; every input file is read here.
+
+    A file that cannot be opened or decoded raises `error` naming the path.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read().splitlines()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def iter_token_sentences(path):
     """Token lists of a plain parallel file, one per line (empties included)."""
-    for line in _read_lines(path):
+    for line in read_lines(path):
         yield tokenize(line)
 
 
 def iter_document_token_sentences(path):
     """Token lists of every sentence in a document file, in file order."""
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
-        _, _, _, sentences = _parse_document_line(line, lineno)
+        _, _, _, sentences = _parse_document_line(path, lineno, line)
         yield from sentences
 
 
@@ -117,8 +121,8 @@ def load_parallel(path_a, path_b, vocab_a, vocab_b) -> list[ParallelPair]:
     Pairs in which either side tokenizes to nothing are dropped; survivors
     are re-indexed 0..n-1. Both vocabularies must already cover the files.
     """
-    lines_a = _read_lines(path_a)
-    lines_b = _read_lines(path_b)
+    lines_a = read_lines(path_a)
+    lines_b = read_lines(path_b)
     if len(lines_a) != len(lines_b):
         raise AlignmentError(
             f"line count mismatch: {path_a} has {len(lines_a)}, {path_b} has {len(lines_b)}"
@@ -139,11 +143,12 @@ def load_parallel(path_a, path_b, vocab_a, vocab_b) -> list[ParallelPair]:
     return pairs
 
 
-def _parse_document_line(line: str, lineno: int) -> tuple[str, str, set[str], list[list[str]]]:
+def _parse_document_line(path, lineno: int, line: str) -> tuple:
+    """(doc_id, lang, labels, token lists) of one document line."""
     fields = line.split("\t")
     if len(fields) != 4:
         raise FileFormatError(
-            f"line {lineno}: expected 4 TAB-separated fields, got {len(fields)}"
+            f"{path}:{lineno}: expected 4 TAB-separated fields, got {len(fields)}"
         )
     doc_id, lang, label_field, body = fields
     labels = {l for l in label_field.split(",") if l}
@@ -166,10 +171,10 @@ def load_documents(path, vocab) -> list[LabeledDocument]:
     Sentences left empty and documents left without sentences are dropped.
     """
     docs = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
-        doc = _id_map_document(*_parse_document_line(line, lineno), vocab)
+        doc = _id_map_document(*_parse_document_line(path, lineno, line), vocab)
         if doc.sentences:
             docs.append(doc)
     return docs
@@ -181,16 +186,16 @@ def load_document_pairs(path_a, path_b, vocab_a, vocab_b) -> list[DocumentPair]:
     Alignment is positional over raw lines; a pair is dropped only when one
     side ends up with no sentences, keeping the two sides in lockstep.
     """
-    lines_a = _read_lines(path_a)
-    lines_b = _read_lines(path_b)
+    lines_a = read_lines(path_a)
+    lines_b = read_lines(path_b)
     if len(lines_a) != len(lines_b):
         raise AlignmentError(
             f"document count mismatch: {path_a} has {len(lines_a)}, {path_b} has {len(lines_b)}"
         )
     pairs = []
     for lineno, (raw_a, raw_b) in enumerate(zip(lines_a, lines_b), start=1):
-        doc_a = _id_map_document(*_parse_document_line(raw_a, lineno), vocab_a)
-        doc_b = _id_map_document(*_parse_document_line(raw_b, lineno), vocab_b)
+        doc_a = _id_map_document(*_parse_document_line(path_a, lineno, raw_a), vocab_a)
+        doc_b = _id_map_document(*_parse_document_line(path_b, lineno, raw_b), vocab_b)
         if not doc_a.sentences or not doc_b.sentences:
             continue
         pairs.append(DocumentPair(doc_a, doc_b, len(pairs)))

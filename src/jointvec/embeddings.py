@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import CompositionKind
+from .corpus import read_lines
 from .errors import ConfigError, ContractError, FileFormatError, TokenLookupError
 
 
@@ -161,8 +162,7 @@ def export_table(table: EmbeddingTable, vocab: Vocabulary, path) -> None:
 
 def import_table(path, language: str = "") -> tuple[Vocabulary, EmbeddingTable]:
     """Parse the text format back into a (Vocabulary, EmbeddingTable) pair."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise FileFormatError(f"{path}: empty embedding file")
     header = lines[0].split()

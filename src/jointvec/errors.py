@@ -5,19 +5,23 @@ class JointvecError(Exception):
     """Base class for all toolkit errors."""
 
 
-class AlignmentError(JointvecError):
+class UserError(JointvecError):
+    """A failure caused by the user's input or settings (the CLI exits 1)."""
+
+
+class AlignmentError(UserError):
     """Parallel inputs disagree in length (lines, sentences, documents)."""
 
 
-class FileFormatError(JointvecError):
-    """A corpus, document, or embedding file does not match its documented format."""
+class FileFormatError(UserError):
+    """A corpus, document, or embedding file cannot be read or does not match its format."""
 
 
-class SamplingError(JointvecError):
+class SamplingError(UserError):
     """Noise sampling is impossible (corpus too small)."""
 
 
-class TokenLookupError(JointvecError):
+class TokenLookupError(UserError):
     """A token or token id is not present in the vocabulary or table."""
 
 
@@ -29,17 +33,17 @@ class ContractError(JointvecError):
     """An internal precondition was violated (shape or argument mismatch)."""
 
 
-class ConfigError(JointvecError):
+class ConfigError(UserError):
     """Invalid configuration or incompatible model/request combination."""
 
 
-class RepresentationError(JointvecError):
+class RepresentationError(UserError):
     """A document has no representable sentence."""
 
 
-class CheckpointError(JointvecError):
+class CheckpointError(UserError):
     """A checkpoint directory is missing files or cannot be parsed."""
 
 
-class DivergenceError(JointvecError):
+class DivergenceError(UserError):
     """Training drove parameters to non-finite values (step or lambda too large)."""

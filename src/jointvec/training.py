@@ -20,12 +20,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composition import CompositionKind
-from .corpus import DocumentCorpus, gather_ranges, pack_corpus, sample_indices_excluding
+from .corpus import (
+    DocumentCorpus,
+    gather_ranges,
+    pack_corpus,
+    read_lines,
+    sample_indices_excluding,
+)
 from .embeddings import EmbeddingTable, ModelBundle, export_table, import_table
 from .errors import CheckpointError, ConfigError, ContractError, DivergenceError
 from .objective import batch_loss_and_grads
 
 CHECKPOINT_META = "meta.txt"
+EPSILON = 1e-6  # AdaGrad's denominator floor
+MODES = ("single", "joint")
 
 
 @dataclass
@@ -41,7 +49,6 @@ class TrainConfig:
     doc_signal: bool = False
     mode: str = "single"
     seed: int = 1
-    epsilon: float = 1e-6
 
     def __post_init__(self):
         if self.margin is None:
@@ -58,8 +65,7 @@ class TrainConfig:
             (self.step > 0, f"step must be > 0, got {self.step}"),
             (self.batch >= 1, f"batch must be >= 1, got {self.batch}"),
             (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
-            (self.epsilon > 0, f"epsilon must be > 0, got {self.epsilon}"),
-            (self.mode in ("single", "joint"), f"mode must be single or joint, got {self.mode!r}"),
+            (self.mode in MODES, f"mode must be {' or '.join(MODES)}, got {self.mode!r}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
         ]
         for ok, msg in checks:
@@ -96,7 +102,7 @@ def adagrad_apply(tables: ModelBundle, grads: dict, state: AdaGradState, config:
 
     `grads` maps a language to (unique row ids, gradient rows). For each
     touched row w with raw gradient g: g += lambda * w, then G += g^2 and
-    w -= step * g / sqrt(G + epsilon). Untouched rows see neither update
+    w -= step * g / sqrt(G + EPSILON). Untouched rows see neither update
     nor regularizer. A non-finite gradient rejects the whole update before
     anything mutates. Returns whether every updated row, in the tables and
     the accumulators, is still finite.
@@ -117,7 +123,7 @@ def adagrad_apply(tables: ModelBundle, grads: dict, state: AdaGradState, config:
             scratch = np.multiply(g_eff, g_eff)
             acc_rows += scratch
             g_eff *= config.step
-            g_eff /= np.sqrt(np.add(acc_rows, config.epsilon, out=scratch), out=scratch)
+            g_eff /= np.sqrt(np.add(acc_rows, EPSILON, out=scratch), out=scratch)
             w_rows -= g_eff
         acc[ids] = acc_rows
         w[ids] = w_rows
@@ -235,16 +241,37 @@ def format_setting(v) -> str:
 _FIELD_TYPES = {
     f.name: (typing.get_args(f.type) or (f.type,))[0] for f in dataclasses.fields(TrainConfig)
 }
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def parse_setting(name: str, text: str):
-    """Inverse of format_setting for the TrainConfig field `name`."""
-    typ = _FIELD_TYPES[name]
+def parse_setting(typ, text: str):
+    """Inverse of format_setting for a value of type `typ`.
+
+    Bools also accept 1/0 and yes/no, in any case. A bad value raises ValueError.
+    """
     if typ is bool:
-        if text not in ("true", "false"):
-            raise ValueError(f"expected true or false, got {text!r}")
-        return text == "true"
+        try:
+            return _BOOLS[text.lower()]
+        except KeyError:
+            raise ValueError(f"expected a boolean, got {text!r}") from None
     return typ(text)
+
+
+def read_settings(path, error):
+    """(line number, key, value) for each key=value line of a settings file.
+
+    Config files, manifests and meta.txt share this grammar: blank and `#`
+    lines are skipped, and key and value are stripped at the first `=`. A
+    line without `=` raises `error` naming path:line.
+    """
+    for lineno, line in enumerate(read_lines(path, error), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
 
 
 def _meta_key(name: str) -> str:
@@ -279,23 +306,6 @@ def checkpoint(
             fh.write(f"{key}={format_setting(meta[key])}\n")
 
 
-def _parse_meta(path) -> dict:
-    meta = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise CheckpointError(f"{path}: malformed line {line!r}")
-                key, _, value = line.partition("=")
-                meta[key] = value
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint metadata: {exc}") from exc
-    return meta
-
-
 def resume(path):
     """Load a checkpoint directory back into memory.
 
@@ -305,7 +315,8 @@ def resume(path):
     TrainConfig field reads are ignored, so a checkpoint that still names a
     since-removed setting loads.
     """
-    meta = _parse_meta(os.path.join(path, CHECKPOINT_META))
+    meta_path = os.path.join(path, CHECKPOINT_META)
+    meta = {key: value for _, key, value in read_settings(meta_path, CheckpointError)}
     names = [f.name for f in dataclasses.fields(TrainConfig)]
     for key in ["languages", "epoch"] + [_meta_key(n) for n in names]:
         if key not in meta:
@@ -330,7 +341,7 @@ def resume(path):
         tables[lang] = table
         acc[lang] = ada_table.matrix
     try:
-        config = TrainConfig(**{n: parse_setting(n, meta[_meta_key(n)]) for n in names})
+        config = TrainConfig(**{n: parse_setting(_FIELD_TYPES[n], meta[_meta_key(n)]) for n in names})
         epoch = int(meta["epoch"])
     except (ValueError, ConfigError) as exc:
         raise CheckpointError(f"invalid checkpoint metadata: {exc}") from exc

@@ -1,11 +1,15 @@
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from jointvec import synth
-from jointvec.cli import main
+from jointvec.cli import _TRAIN, load_config_file, main
+from jointvec.errors import ConfigError
 from jointvec.training import resume
 
 
@@ -424,6 +428,70 @@ def test_eval_bad_classifier_setting_is_user_error(fast_corpus, trained, tmp_pat
     assert rc == 1
     assert setting in err and "Traceback" not in err
     assert stdout == "" and not out.exists()
+
+
+# what each reader finds in place of its file when the fault is "malformed"
+_MALFORMED = {
+    "corpus": "one line against forty\n",
+    "documents": "d1\tla\thello world\n",
+    "config": "no equals sign\n",
+    "meta": "no equals sign\n",
+    "emb": "1 2 3\n",
+}
+
+
+@pytest.mark.parametrize("fault", ["non-utf8", "directory", "malformed"])
+@pytest.mark.parametrize("reader", list(_MALFORMED))
+def test_unreadable_input_is_user_error_naming_file(fast_corpus, trained, la_token, tmp_path,
+                                                    reader, fault, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(trained, model)
+    out = tmp_path / "out"
+    la_txt, la_docs, cfg = tmp_path / "la.txt", tmp_path / "la.docs", tmp_path / "train.cfg"
+    query = ["query", "--model", model, "--word", f"la:{la_token}"]
+    bad, argv = {
+        "corpus": (la_txt, ["train", "--pair", f"la:lb:{la_txt}:{fast_corpus / 'lb.txt'}",
+                            "--out", out]),
+        "documents": (la_docs, ["eval", "cldc", "--model", model, "--train", f"la:{la_docs}",
+                                "--test", f"lb:{fast_corpus / 'lb.docs'}"]),
+        "config": (cfg, ["train", "--config", cfg, "--out", out]),
+        "meta": (model / "meta.txt", query),
+        "emb": (model / "la.emb", query),
+    }[reader]
+    bad.unlink(missing_ok=True)
+    if fault == "non-utf8":
+        bad.write_bytes("café au lait\n".encode("latin-1"))
+    elif fault == "directory":
+        bad.mkdir()
+    else:
+        bad.write_text(_MALFORMED[reader], encoding="utf-8")
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 1, err
+    assert "Traceback" not in err
+    assert str(bad) in err
+    assert not out.exists()
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.text(),
+            st.tuples(
+                st.sampled_from([f.name for f in _TRAIN] + ["subcommand", "bogus"]), st.text()
+            ).map("=".join),
+        ),
+        max_size=8,
+    )
+)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_file_loads_or_names_file_and_line(tmp_path, lines):
+    cfg = tmp_path / "any.cfg"
+    cfg.write_text("\n".join(lines), encoding="utf-8", newline="")
+    try:
+        load_config_file(cfg, _TRAIN)
+    except ConfigError as exc:
+        assert re.match(re.escape(f"{cfg}:") + r"\d+: ", str(exc)), str(exc)
 
 
 def test_doc_signal_training_and_eval(fast_corpus, tmp_path, capsys):

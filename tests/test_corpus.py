@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,8 +97,15 @@ def test_load_documents_parses_fields(tmp_path):
 
 def test_load_documents_bad_field_count_names_line(tmp_path):
     path = _write(tmp_path / "d.docs", "d1\ten\thello world\n")
-    with pytest.raises(FileFormatError, match="line 1"):
-        load_documents(path, Vocabulary())
+    good = _write(tmp_path / "good.docs", "d1\ten\tl\thello\n")
+    readers = [
+        lambda: load_documents(path, Vocabulary()),
+        lambda: list(iter_document_token_sentences(path)),
+        lambda: load_document_pairs(good, path, Vocabulary(), Vocabulary()),
+    ]
+    for read in readers:
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}:1: expected 4")):
+            read()
 
 
 def test_load_documents_skips_oov_and_empty(tmp_path):

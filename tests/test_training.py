@@ -58,7 +58,6 @@ def test_train_config_margin_defaults_to_d():
         {"step": 0.0},
         {"batch": 0},
         {"epochs": 0},
-        {"epsilon": 0.0},
         {"mode": "parallel"},
         {"kind": "tri"},
         {"seed": -1},
@@ -386,7 +385,7 @@ def test_checkpoint_resume_round_trip(tmp_path):
 def test_every_config_field_round_trips_through_checkpoint(tmp_path):
     non_default = dict(
         d=3, margin=2.5, k=4, lam=0.25, step=0.5, batch=9, epochs=6,
-        kind=CompositionKind.BI, doc_signal=True, mode="joint", seed=11, epsilon=1e-8,
+        kind=CompositionKind.BI, doc_signal=True, mode="joint", seed=11,
     )
     fields = dataclasses.fields(TrainConfig)
     assert set(non_default) == {f.name for f in fields}
@@ -396,10 +395,17 @@ def test_every_config_field_round_trips_through_checkpoint(tmp_path):
     checkpoint(bundle, AdaGradState(bundle), tmp_path, config, epoch=1)
     assert resume(tmp_path)[2] == config
 
-    # a checkpoint written while TrainConfig still had a threads field
+    # a checkpoint written while TrainConfig still had threads and epsilon fields
     with open(tmp_path / "meta.txt", "a", encoding="utf-8") as fh:
-        fh.write("threads=1\n")
+        fh.write("threads=1\nepsilon=1e-06\n")
     assert resume(tmp_path)[2] == config
+
+    # meta.txt reads bools as config files do
+    meta = (tmp_path / "meta.txt").read_text(encoding="utf-8")
+    assert "doc_signal=true\n" in meta
+    meta = meta.replace("doc_signal=true\n", "doc_signal=yes\n")
+    (tmp_path / "meta.txt").write_text(meta, encoding="utf-8")
+    assert resume(tmp_path)[2].doc_signal is True
 
 
 def test_checkpoint_twice_identical_bytes(tmp_path):
