@@ -15,21 +15,18 @@ import os
 import sys
 import traceback
 import typing
-from itertools import chain
 
 from .composition import CompositionKind
 from .corpus import (
     DocumentCorpus,
     ParallelCorpus,
-    iter_document_token_sentences,
-    iter_token_sentences,
     load_document_pairs,
     load_documents,
     load_parallel,
 )
 from .embeddings import (
     ModelBundle,
-    build_vocab,
+    Vocabulary,
     derive_seed,
     export_table,
     init_table,
@@ -264,26 +261,17 @@ def cmd_train(args) -> int:
 
     _check_out(args.out, args.force)
 
-    read = iter_document_token_sentences if config.doc_signal else iter_token_sentences
-    paths = {}
+    if config.doc_signal:
+        load, make_corpus = load_document_pairs, DocumentCorpus
+    else:
+        load, make_corpus = load_parallel, ParallelCorpus
+    vocabs, corpora = {}, []
     for l1, l2, f1, f2 in pairs:
-        paths.setdefault(l1, []).append(f1)
-        paths.setdefault(l2, []).append(f2)
-    vocabs = {lang: build_vocab(chain.from_iterable(map(read, p))) for lang, p in paths.items()}
-    for lang, vocab in vocabs.items():
-        if not len(vocab):
-            raise ConfigError(f"no tokens found for language {lang!r}")
-
-    corpora = []
-    for l1, l2, f1, f2 in pairs:
-        if config.doc_signal:
-            loaded = load_document_pairs(f1, f2, vocabs[l1], vocabs[l2])
-            corpora.append(DocumentCorpus(l1, l2, loaded))
-        else:
-            loaded = load_parallel(f1, f2, vocabs[l1], vocabs[l2])
-            corpora.append(ParallelCorpus(l1, l2, loaded))
+        vocab_1, vocab_2 = (vocabs.setdefault(lang, Vocabulary()) for lang in (l1, l2))
+        loaded = load(f1, f2, vocab_1, vocab_2)
         if len(loaded) < 2:
             raise ConfigError(f"{f1}/{f2}: fewer than 2 usable pairs, cannot sample noise")
+        corpora.append(make_corpus(l1, l2, loaded))
 
     langs = sorted(vocabs)
     tables = {
@@ -340,12 +328,19 @@ def _write_eval_outputs(args, report) -> None:
         report.write(os.path.join(args.out, "report_all.tsv"))
 
 
+def _load_documents(path, vocab) -> list:
+    docs = load_documents(path, vocab)
+    if not docs:
+        raise ConfigError(f"{path}: no document has a token in the model's vocabulary")
+    return docs
+
+
 def cmd_eval_cldc(args) -> int:
     train_lang, train_path = _split_lang_file("train", args.train)
     test_lang, test_path = _split_lang_file("test", args.test)
     bundle, _, ckpt_config, _ = resume(args.model)
-    train_docs = load_documents(train_path, bundle.vocab(train_lang))
-    test_docs = load_documents(test_path, bundle.vocab(test_lang))
+    train_docs = _load_documents(train_path, bundle.vocab(train_lang))
+    test_docs = _load_documents(test_path, bundle.vocab(test_lang))
     settings = _classifier_settings(args, ckpt_config, train_docs, test_docs)
     report = cldc_run(train_lang, train_docs, test_lang, test_docs, bundle, **settings)
     _write_eval_outputs(args, report)
@@ -361,7 +356,7 @@ def cmd_eval_transfer(args) -> int:
     if missing:
         raise ConfigError(f"--docs missing for languages: {','.join(missing)}")
     bundle, _, ckpt_config, _ = resume(args.model)
-    docs_by_lang = {l: load_documents(doc_paths[l], bundle.vocab(l)) for l in langs}
+    docs_by_lang = {l: _load_documents(doc_paths[l], bundle.vocab(l)) for l in langs}
     settings = _classifier_settings(args, ckpt_config, *docs_by_lang.values())
     report = transfer_matrix(langs, docs_by_lang, bundle, **settings)
     _write_eval_outputs(args, report)

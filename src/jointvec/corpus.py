@@ -6,6 +6,11 @@ File formats:
   * document file: UTF-8 lines of four TAB-separated fields
     ``doc_id TAB lang TAB comma-separated-labels TAB sentences`` where
     sentences are joined by the literal ``" ||| "``.
+
+Training loaders assign ids as they read: each token gets the next free id
+of its language's vocabulary where it is first seen, reading every line of
+a pair's first file before its second and the pairs in order, lines that
+are dropped for an empty counterpart included.
 """
 
 import warnings
@@ -115,32 +120,29 @@ def iter_document_token_sentences(path):
         yield from sentences
 
 
-def load_parallel(path_a, path_b, vocab_a, vocab_b) -> list[ParallelPair]:
-    """Read two line-aligned files into id-mapped pairs.
-
-    Pairs in which either side tokenizes to nothing are dropped; survivors
-    are re-indexed 0..n-1. Both vocabularies must already cover the files.
-    """
+def _read_aligned(path_a, path_b, what: str) -> tuple:
+    """The lines of two files that must align line by line."""
     lines_a = read_lines(path_a)
     lines_b = read_lines(path_b)
     if len(lines_a) != len(lines_b):
         raise AlignmentError(
-            f"line count mismatch: {path_a} has {len(lines_a)}, {path_b} has {len(lines_b)}"
+            f"{what} count mismatch: {path_a} has {len(lines_a)}, {path_b} has {len(lines_b)}"
         )
-    pairs = []
-    for raw_a, raw_b in zip(lines_a, lines_b):
-        toks_a = tokenize(raw_a)
-        toks_b = tokenize(raw_b)
-        if not toks_a or not toks_b:
-            continue
-        pairs.append(
-            ParallelPair(
-                Sentence(tuple(vocab_a[t] for t in toks_a)),
-                Sentence(tuple(vocab_b[t] for t in toks_b)),
-                len(pairs),
-            )
-        )
-    return pairs
+    return lines_a, lines_b
+
+
+def load_parallel(path_a, path_b, vocab_a, vocab_b) -> list[ParallelPair]:
+    """Read two line-aligned files into id-mapped pairs, assigning ids on reading.
+
+    Every token of `path_a`, then of `path_b`, goes through `Vocabulary.add`,
+    lines later dropped included. Pairs in which either side tokenizes to
+    nothing are dropped; survivors are re-indexed 0..n-1.
+    """
+    lines_a, lines_b = _read_aligned(path_a, path_b, "line")
+    ids_a = [tuple(map(vocab_a.add, tokenize(line))) for line in lines_a]
+    ids_b = [tuple(map(vocab_b.add, tokenize(line))) for line in lines_b]
+    kept = [(a, b) for a, b in zip(ids_a, ids_b) if a and b]
+    return [ParallelPair(Sentence(a), Sentence(b), i) for i, (a, b) in enumerate(kept)]
 
 
 def _parse_document_line(path, lineno: int, line: str) -> tuple:
@@ -156,12 +158,10 @@ def _parse_document_line(path, lineno: int, line: str) -> tuple:
     return doc_id, lang, labels, sentences
 
 
-def _id_map_document(doc_id, lang, labels, token_sents, vocab) -> LabeledDocument:
-    sentences = []
-    for toks in token_sents:
-        ids = tuple(vocab[t] for t in toks if t in vocab)
-        if ids:
-            sentences.append(Sentence(ids))
+def _read_document(path, lineno: int, line: str, to_ids) -> LabeledDocument:
+    """The document on one line; `to_ids` maps a token list to ids, empty sentences drop."""
+    doc_id, lang, labels, token_sents = _parse_document_line(path, lineno, line)
+    sentences = [Sentence(ids) for ids in map(to_ids, token_sents) if ids]
     return LabeledDocument(doc_id, lang, labels, sentences)
 
 
@@ -170,36 +170,37 @@ def load_documents(path, vocab) -> list[LabeledDocument]:
 
     Sentences left empty and documents left without sentences are dropped.
     """
-    docs = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
-        doc = _id_map_document(*_parse_document_line(path, lineno, line), vocab)
-        if doc.sentences:
-            docs.append(doc)
-    return docs
+
+    def known(toks):
+        return tuple(vocab[t] for t in toks if t in vocab)
+
+    docs = [
+        _read_document(path, lineno, line, known)
+        for lineno, line in enumerate(read_lines(path), start=1)
+        if line
+    ]
+    return [doc for doc in docs if doc.sentences]
 
 
 def load_document_pairs(path_a, path_b, vocab_a, vocab_b) -> list[DocumentPair]:
-    """Read two line-aligned document files into DocumentPairs.
+    """Read two line-aligned document files into DocumentPairs, assigning ids on reading.
 
-    Alignment is positional over raw lines; a pair is dropped only when one
-    side ends up with no sentences, keeping the two sides in lockstep.
+    Every token of `path_a`, then of `path_b`, goes through `Vocabulary.add`,
+    documents later dropped included. Alignment is positional over raw
+    lines; a pair is dropped only when one side has no sentences, keeping
+    the two sides in lockstep.
     """
-    lines_a = read_lines(path_a)
-    lines_b = read_lines(path_b)
-    if len(lines_a) != len(lines_b):
-        raise AlignmentError(
-            f"document count mismatch: {path_a} has {len(lines_a)}, {path_b} has {len(lines_b)}"
-        )
-    pairs = []
-    for lineno, (raw_a, raw_b) in enumerate(zip(lines_a, lines_b), start=1):
-        doc_a = _id_map_document(*_parse_document_line(path_a, lineno, raw_a), vocab_a)
-        doc_b = _id_map_document(*_parse_document_line(path_b, lineno, raw_b), vocab_b)
-        if not doc_a.sentences or not doc_b.sentences:
-            continue
-        pairs.append(DocumentPair(doc_a, doc_b, len(pairs)))
-    return pairs
+    lines_a, lines_b = _read_aligned(path_a, path_b, "document")
+
+    def read(path, lines, vocab):
+        def to_ids(toks):
+            return tuple(map(vocab.add, toks))
+
+        return [_read_document(path, n, line, to_ids) for n, line in enumerate(lines, start=1)]
+
+    docs = zip(read(path_a, lines_a, vocab_a), read(path_b, lines_b, vocab_b))
+    kept = [(a, b) for a, b in docs if a.sentences and b.sentences]
+    return [DocumentPair(a, b, i) for i, (a, b) in enumerate(kept)]
 
 
 def select_top_labels(docs: list[LabeledDocument], n: int) -> set[str]:
@@ -239,8 +240,9 @@ class PackedSide(NamedTuple):
 
     Sentence s holds the token ids ids[sent_starts[s]:sent_starts[s + 1]].
     For documents, document i holds the sentences
-    doc_starts[i]:doc_starts[i + 1]; sentence corpora have no doc_starts and
-    item i is sentence i.
+    doc_starts[i]:doc_starts[i + 1], and sentences after the last document
+    belong to none; sentence corpora have no doc_starts and item i is
+    sentence i.
     """
 
     ids: np.ndarray
@@ -271,16 +273,10 @@ def gather_ranges(starts: np.ndarray, idx: np.ndarray) -> tuple:
     return (first + lengths - ends).repeat(lengths) + np.arange(ends[-1]), lengths
 
 
-def sentence_tokens(sentences) -> tuple:
-    """(concatenated token ids, per-sentence lengths) of a list of Sentences."""
-    lengths = np.fromiter((len(s.ids) for s in sentences), np.intp, len(sentences))
-    ids = np.fromiter(chain.from_iterable(s.ids for s in sentences), np.intp, lengths.sum())
-    return ids, lengths
-
-
 def pack_sentences(sentences) -> PackedSide:
     """CSR form of a list of Sentences."""
-    ids, lengths = sentence_tokens(sentences)
+    lengths = np.fromiter((len(s.ids) for s in sentences), np.intp, len(sentences))
+    ids = np.fromiter(chain.from_iterable(s.ids for s in sentences), np.intp, lengths.sum())
     return PackedSide(ids, _starts(lengths))
 
 

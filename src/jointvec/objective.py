@@ -14,7 +14,8 @@ so every distinct sentence it needs is composed once, the (B, k) hinge
 matrix is formed at once, and gradients are summed per distinct sentence
 before one scatter into word rows. Gradients cover exactly the
 words of every sentence that takes part in at least one active hinge
-term; a batch with no active term touches no row.
+term; a batch with no active term touches no row. The one-pair losses
+pack their Sentences and take the same path.
 
 Document-level training composes twice (words -> sentence vectors ->
 document vector) and applies the same hinge between aligned documents,
@@ -28,7 +29,14 @@ from itertools import chain
 import numpy as np
 
 from .composition import CompositionKind, backprop, compose
-from .corpus import DocumentPair, PackedSide, ParallelPair, gather_ranges, sentence_tokens
+from .corpus import (
+    DocumentPair,
+    PackedSide,
+    ParallelPair,
+    gather_ranges,
+    pack_documents,
+    pack_sentences,
+)
 from .embeddings import ModelBundle
 from .errors import AlignmentError, ContractError
 
@@ -140,33 +148,6 @@ def _hinge_matrix(reps, n_b, pos, neg, margin, breakdown):
     return grad, np.concatenate([per_anchor > 0, weight.any(axis=0)])
 
 
-def _evaluate(tables, kind, margin, languages, src, tgt, sent_terms, doc_terms=None) -> tuple:
-    """Hinge terms over the source sentences `src` and target sentences `tgt`.
-
-    Both are (token ids, lengths). `sent_terms` is None or (pos, neg):
-    source sentence b is aligned with target sentence pos[b] and its noise
-    is the target sentences neg[b]. `doc_terms` is None or (rows, lengths,
-    pos, neg): documents composed from the sentences at `rows` (which do
-    not repeat), cut into documents by `lengths`, source documents first,
-    with (pos, neg) naming target documents. Returns (LossBreakdown,
-    {language: (unique word ids, gradient rows)}).
-    """
-    breakdown = LossBreakdown()
-    sents = _Sentences(tables, languages, src, tgt, kind)
-    if doc_terms is not None:
-        rows, lengths, pos, neg = doc_terms
-        docs = compose(sents.result.output[rows], kind, lengths)
-        grad, touched = _hinge_matrix(docs.output, len(pos), pos, neg, margin, breakdown)
-        sents.grad[rows] += backprop(grad, docs)
-        sents.touched[rows] |= touched.repeat(lengths)
-    if sent_terms is not None:
-        pos, neg = sent_terms
-        grad, touched = _hinge_matrix(sents.result.output, sents.n_src, pos, neg, margin, breakdown)
-        sents.grad += grad
-        sents.touched |= touched
-    return breakdown, sents.word_grads(languages, tables.table(languages[0]).vocab_size)
-
-
 def _tokens(side: PackedSide, sentences: np.ndarray) -> tuple:
     """(token ids, lengths) of the given sentences of a packed side."""
     positions, lengths = gather_ranges(side.sent_starts, sentences)
@@ -199,28 +180,39 @@ def batch_loss_and_grads(
     n_b = len(pairs)
     items, inv = np.unique(np.concatenate([pairs, noise.ravel()]), return_inverse=True)
     pos, neg = inv[:n_b], inv[n_b:].reshape(noise.shape)
+    # documents compose from the sentence vectors at `rows`, cut by
+    # `lengths`, source documents first; sent_terms (pos, neg) align source
+    # sentence b with target sentence pos[b] against the noise neg[b]
+    rows = sent_terms = None
     if src.doc_starts is None:
-        return _evaluate(
-            tables, kind, margin, languages, _tokens(src, pairs), _tokens(tgt, items), (pos, neg)
-        )
-    src_sents, src_len = gather_ranges(src.doc_starts, pairs)
-    tgt_sents, tgt_len = gather_ranges(tgt.doc_starts, items)
-    extra = () if sentence_noise is None else (sentence_noise.ravel(),)
-    pool, inv = np.unique(np.concatenate([tgt_sents, *extra]), return_inverse=True)
-    # a sentence belongs to one document, so no row repeats
-    rows = np.concatenate([np.arange(len(src_sents)), len(src_sents) + inv[: len(tgt_sents)]])
-    doc_terms = (rows, np.concatenate([src_len, tgt_len]), pos, neg)
-    sent_terms = None
-    if sentence_noise is not None:
-        aligned, _ = gather_ranges(tgt.doc_starts, pairs)
-        sent_terms = (
-            np.searchsorted(pool, aligned),
-            inv[len(tgt_sents) :].reshape(sentence_noise.shape),
-        )
-    return _evaluate(
-        tables, kind, margin, languages,
-        _tokens(src, src_sents), _tokens(tgt, pool), sent_terms, doc_terms,
-    )
+        src_sents, tgt_sents, sent_terms = pairs, items, (pos, neg)
+    else:
+        src_sents, src_len = gather_ranges(src.doc_starts, pairs)
+        doc_sents, tgt_len = gather_ranges(tgt.doc_starts, items)
+        lengths = np.concatenate([src_len, tgt_len])
+        extra = () if sentence_noise is None else (sentence_noise.ravel(),)
+        tgt_sents, inv = np.unique(np.concatenate([doc_sents, *extra]), return_inverse=True)
+        # a sentence belongs to one document, so no row repeats
+        rows = np.concatenate([np.arange(len(src_sents)), len(src_sents) + inv[: len(doc_sents)]])
+        if sentence_noise is not None:
+            aligned, _ = gather_ranges(tgt.doc_starts, pairs)
+            sent_terms = (
+                np.searchsorted(tgt_sents, aligned),
+                inv[len(doc_sents) :].reshape(sentence_noise.shape),
+            )
+    breakdown = LossBreakdown()
+    sents = _Sentences(tables, languages, _tokens(src, src_sents), _tokens(tgt, tgt_sents), kind)
+    if rows is not None:
+        docs = compose(sents.result.output[rows], kind, lengths)
+        grad, touched = _hinge_matrix(docs.output, n_b, pos, neg, margin, breakdown)
+        sents.grad[rows] += backprop(grad, docs)
+        sents.touched[rows] |= touched.repeat(lengths)
+    if sent_terms is not None:
+        pos, neg = sent_terms
+        grad, touched = _hinge_matrix(sents.result.output, sents.n_src, pos, neg, margin, breakdown)
+        sents.grad += grad
+        sents.touched |= touched
+    return breakdown, sents.word_grads(languages, tables.table(languages[0]).vocab_size)
 
 
 def _as_row_map(grads: dict) -> dict:
@@ -242,13 +234,13 @@ def pair_loss_and_grads(
     `languages` is (source language, target language); `noise` holds
     target-side Sentences. Returns (LossBreakdown, gradient map from
     (language, word id) to a d-vector); the one-pair case of
-    batch_loss_and_grads, without its packing and deduplication.
+    batch_loss_and_grads.
     """
-    breakdown, grads = _evaluate(
+    breakdown, grads = batch_loss_and_grads(
+        pack_sentences([pair.source]),
+        pack_sentences([pair.target, *noise]),
+        _FIRST, np.arange(1, len(noise) + 1)[None, :],
         tables, kind, margin, languages,
-        sentence_tokens([pair.source]),
-        sentence_tokens([pair.target, *noise]),
-        (_FIRST, np.arange(1, len(noise) + 1)[None, :]),
     )
     return breakdown, _as_row_map(grads)
 
@@ -269,37 +261,33 @@ def doc_loss_and_grads(
     combine_sentence_signal set, the two sides must have equal sentence
     counts and `sentence_noise` must hold one target-side noise list per
     aligned sentence position, all of one length; those pair losses add
-    into the same gradients. The one-pair case of batch_loss_and_grads,
-    without its packing and deduplication.
+    into the same gradients. The one-pair case of batch_loss_and_grads.
     """
-    src_sents = doc_pair.source.sentences
-    target_docs = [doc_pair.target.sentences] + [d.sentences for d in noise_docs]
-    target = list(chain.from_iterable(target_docs))
-    lengths = np.array([len(src_sents)] + [len(d) for d in target_docs])
-    doc_terms = (
-        np.arange(len(src_sents) + len(target)), lengths,
-        _FIRST, np.arange(1, len(noise_docs) + 1)[None, :],
-    )
-    sent_terms = None
+    n = len(doc_pair.source.sentences)
+    noise_sents, noise_at = [], None
     if combine_sentence_signal:
-        if len(src_sents) != len(doc_pair.target.sentences):
+        if n != len(doc_pair.target.sentences):
             raise AlignmentError(
                 f"combined signal needs sentence-aligned documents, got "
-                f"{len(src_sents)} vs {len(doc_pair.target.sentences)} sentences"
+                f"{n} vs {len(doc_pair.target.sentences)} sentences"
             )
-        if sentence_noise is None or len(sentence_noise) != len(src_sents):
-            raise ContractError(
-                "combined signal needs one noise list per aligned sentence"
-            )
+        if sentence_noise is None or len(sentence_noise) != n:
+            raise ContractError("combined signal needs one noise list per aligned sentence")
         k = len(sentence_noise[0])
-        if any(len(n) != k for n in sentence_noise):
+        if any(len(s) != k for s in sentence_noise):
             raise ContractError("combined signal needs equally long sentence noise lists")
-        # noise sentences follow the documents' sentences, outside every document
-        noise_at = len(target) + np.arange(len(src_sents) * k).reshape(len(src_sents), k)
-        sent_terms = (np.arange(len(src_sents)), noise_at)
-        target.extend(chain.from_iterable(sentence_noise))
-    breakdown, grads = _evaluate(
+        noise_sents = list(chain.from_iterable(sentence_noise))
+        noise_at = np.arange(n * k).reshape(n, k)
+    # the sentence noise is packed as one more document, then cut loose
+    tgt = pack_documents(
+        [doc_pair.target.sentences, *(d.sentences for d in noise_docs), noise_sents]
+    )
+    tgt = tgt._replace(doc_starts=tgt.doc_starts[:-1])
+    breakdown, grads = batch_loss_and_grads(
+        pack_documents([doc_pair.source.sentences]),
+        tgt,
+        _FIRST, np.arange(1, len(noise_docs) + 1)[None, :],
         tables, kind, margin, languages,
-        sentence_tokens(src_sents), sentence_tokens(target), sent_terms, doc_terms,
+        None if noise_at is None else tgt.doc_starts[-1] + noise_at,
     )
     return breakdown, _as_row_map(grads)

@@ -2,6 +2,7 @@ import re
 import shutil
 import subprocess
 import sys
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from jointvec import synth
 from jointvec.cli import _TRAIN, load_config_file, main
+from jointvec.corpus import iter_token_sentences
+from jointvec.embeddings import build_vocab
 from jointvec.errors import ConfigError
 from jointvec.training import resume
 
@@ -198,6 +201,71 @@ def test_eval_transfer_requires_docs_per_lang(fast_corpus, trained, capsys):
     assert rc == 1 and "lb" in err
 
 
+@pytest.mark.parametrize("content", ["", "d1\tla\tl\tnowhere in vocabulary\n"],
+                         ids=["empty", "out_of_vocabulary"])
+@pytest.mark.parametrize("command", ["cldc", "transfer"])
+def test_eval_document_file_without_known_tokens_names_file(fast_corpus, trained, tmp_path,
+                                                            command, content, capsys):
+    bad = tmp_path / "la.docs"
+    bad.write_text(content, encoding="utf-8")
+    lb_docs = fast_corpus / "lb.docs"
+    argv = {
+        "cldc": ["--train", f"la:{bad}", "--test", f"lb:{lb_docs}"],
+        "transfer": ["--langs", "la,lb", "--docs", f"la:{bad}", "--docs", f"lb:{lb_docs}"],
+    }[command]
+    rc, _, err = run_cli(["eval", command, "--model", trained, *argv], capsys)
+    assert rc == 1 and str(bad) in err
+
+
+def _emb_tokens(path):
+    """The tokens of a text embedding file, in row order."""
+    return [line.split(" ")[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+@pytest.mark.parametrize(
+    "files, pairs, dropped",
+    [
+        (
+            {
+                "en_de.en": "The cat sleeps\nonly here\nA dog runs\nthe dog\n",
+                "en_de.de": "die Katze schläft\n\nein Hund läuft\nder Hund\n",
+                "en_fr.en": "a bird sings\nalso alone too\nthe cat\n",
+                "en_fr.fr": "un oiseau chante\n\nle chat\n",
+            },
+            ["en:de:en_de.en:en_de.de", "en:fr:en_fr.en:en_fr.fr"],
+            ("en", {"only", "here", "also", "alone", "too"}),
+        ),
+        (
+            {"a.la": "x y\nz y\n\nw\n", "b.la": "q x\nr\nv v\ns\n"},
+            ["la:la:a.la:b.la"],
+            ("la", {"v"}),
+        ),
+    ],
+    ids=["joint_blank_targets", "same_language"],
+)
+def test_train_ids_are_first_sight_over_each_languages_files(tmp_path, files, pairs, dropped,
+                                                             capsys):
+    """Each language's rows follow build_vocab over its files in --pair order, dropped lines too."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    specs = [p.split(":") for p in pairs]
+    argv = ["train", "--dim", 4, "--noise", 1, "--batch", 2, "--epochs", 1, "--seed", 1,
+            "--mode", "joint", "--out", tmp_path / "run"]
+    for l1, l2, f1, f2 in specs:
+        argv += ["--pair", f"{l1}:{l2}:{tmp_path / f1}:{tmp_path / f2}"]
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 0, err
+    paths = {}
+    for l1, l2, f1, f2 in specs:
+        paths.setdefault(l1, []).append(tmp_path / f1)
+        paths.setdefault(l2, []).append(tmp_path / f2)
+    for lang, lang_paths in paths.items():
+        expected = build_vocab(chain.from_iterable(map(iter_token_sentences, lang_paths)))
+        assert _emb_tokens(tmp_path / "run" / f"{lang}.emb") == expected.tokens
+    lang, tokens = dropped  # tokens only on lines whose counterpart is blank
+    assert tokens <= set(_emb_tokens(tmp_path / "run" / f"{lang}.emb"))
+
+
 @pytest.fixture(scope="module")
 def la_token(trained):
     bundle, _, _, _ = resume(trained)
@@ -379,18 +447,18 @@ def test_train_divergence_is_user_error_and_writes_no_checkpoint(fast_corpus, tm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lines", [None, 1], ids=["missing_file", "one_pair"])
+@pytest.mark.parametrize("lines", [None, 1, 0], ids=["missing_file", "one_pair", "empty_file"])
 def test_failed_train_leaves_no_out_and_rerun_needs_no_force(fast_corpus, tmp_path, lines,
                                                              capsys):
     """A run that fails on its input creates no --out, so fixing the input is enough."""
     sides = [tmp_path / "la.txt", tmp_path / "lb.txt"]
-    if lines:
+    if lines is not None:
         for side in sides:
             head = (fast_corpus / side.name).read_text(encoding="utf-8").splitlines()[:lines]
             side.write_text("".join(f"{line}\n" for line in head), encoding="utf-8")
     out = tmp_path / "run"
     rc, _, err = run_cli(train_args(tmp_path, out), capsys)
-    assert rc == 1 and ("la.txt" in err if lines is None else "fewer than 2" in err)
+    assert rc == 1 and "la.txt" in err and (lines is None or "fewer than 2" in err)
     assert not out.exists()
     for side in sides:
         shutil.copy(fast_corpus / side.name, side)

@@ -124,7 +124,7 @@ def test_load_documents_skips_oov_and_empty(tmp_path):
 def test_load_document_pairs_alignment(tmp_path):
     a = _write(
         tmp_path / "a.docs",
-        "a1\ten\tl\tcat cat ||| dog\na2\ten\tl\tmystery\n",
+        "a1\ten\tl\tcat cat ||| dog\na2\ten\tl\t\n",
     )
     b = _write(
         tmp_path / "b.docs",
@@ -133,7 +133,7 @@ def test_load_document_pairs_alignment(tmp_path):
     va = Vocabulary(["cat", "dog"])
     vb = Vocabulary(["katze", "hund"])
     pairs = load_document_pairs(a, b, va, vb)
-    # second pair dropped: its English side is fully out of vocabulary
+    # second pair dropped: its English side has an empty body
     assert len(pairs) == 1
     assert pairs[0].source.doc_id == "a1"
     assert pairs[0].target.doc_id == "b1"
