@@ -47,6 +47,7 @@ from .training import (
     TrainReport,
     adagrad_apply,
     checkpoint,
+    load_model,
     resume,
     train_joint,
 )

@@ -40,9 +40,9 @@ from .training import (
     TrainConfig,
     checkpoint,
     format_setting,
+    load_model,
     parse_setting,
     read_settings,
-    resume,
     train_joint,
 )
 
@@ -338,7 +338,7 @@ def _load_documents(path, vocab) -> list:
 def cmd_eval_cldc(args) -> int:
     train_lang, train_path = _split_lang_file("train", args.train)
     test_lang, test_path = _split_lang_file("test", args.test)
-    bundle, _, ckpt_config, _ = resume(args.model)
+    bundle, ckpt_config, _ = load_model(args.model)
     train_docs = _load_documents(train_path, bundle.vocab(train_lang))
     test_docs = _load_documents(test_path, bundle.vocab(test_lang))
     settings = _classifier_settings(args, ckpt_config, train_docs, test_docs)
@@ -355,7 +355,7 @@ def cmd_eval_transfer(args) -> int:
     missing = [l for l in langs if l not in doc_paths]
     if missing:
         raise ConfigError(f"--docs missing for languages: {','.join(missing)}")
-    bundle, _, ckpt_config, _ = resume(args.model)
+    bundle, ckpt_config, _ = load_model(args.model)
     docs_by_lang = {l: _load_documents(doc_paths[l], bundle.vocab(l)) for l in langs}
     settings = _classifier_settings(args, ckpt_config, *docs_by_lang.values())
     report = transfer_matrix(langs, docs_by_lang, bundle, **settings)
@@ -370,7 +370,7 @@ def cmd_query(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     lang, token = _split_lang_file("word", args.word)
-    bundle, _, _, _ = resume(args.model)
+    bundle, _, _ = load_model(args.model)
     neighbors = nearest_neighbors(bundle, (lang, token), args.n, args.target, args.metric)
     lines = "".join(f"{nl}\t{nt}\t{score:.6f}\n" for nl, nt, score in neighbors)
     sys.stdout.write(lines)
@@ -382,7 +382,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_export(args) -> int:
-    bundle, _, _, _ = resume(args.model)
+    bundle, _, _ = load_model(args.model)
     args.lang = args.lang or list(bundle.languages)
     for lang in args.lang:
         bundle.table(lang)  # unknown language fails before any file is written

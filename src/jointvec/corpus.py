@@ -187,8 +187,8 @@ def load_document_pairs(path_a, path_b, vocab_a, vocab_b) -> list[DocumentPair]:
 
     Every token of `path_a`, then of `path_b`, goes through `Vocabulary.add`,
     documents later dropped included. Alignment is positional over raw
-    lines; a pair is dropped only when one side has no sentences, keeping
-    the two sides in lockstep.
+    lines; a blank line is a document without sentences. A pair is dropped
+    only when one side has no sentences, keeping the two sides in lockstep.
     """
     lines_a, lines_b = _read_aligned(path_a, path_b, "document")
 
@@ -196,10 +196,13 @@ def load_document_pairs(path_a, path_b, vocab_a, vocab_b) -> list[DocumentPair]:
         def to_ids(toks):
             return tuple(map(vocab.add, toks))
 
-        return [_read_document(path, n, line, to_ids) for n, line in enumerate(lines, start=1)]
+        return [
+            _read_document(path, n, line, to_ids) if line else None
+            for n, line in enumerate(lines, start=1)
+        ]
 
     docs = zip(read(path_a, lines_a, vocab_a), read(path_b, lines_b, vocab_b))
-    kept = [(a, b) for a, b in docs if a.sentences and b.sentences]
+    kept = [(a, b) for a, b in docs if a and b and a.sentences and b.sentences]
     return [DocumentPair(a, b, i) for i, (a, b) in enumerate(kept)]
 
 

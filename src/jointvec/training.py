@@ -11,7 +11,10 @@ Each minibatch is evaluated as a whole and the tables change only
 between batches.
 """
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import os
 import time
 import typing
@@ -27,13 +30,17 @@ from .corpus import (
     read_lines,
     sample_indices_excluding,
 )
-from .embeddings import EmbeddingTable, ModelBundle, export_table, import_table
+from .embeddings import EmbeddingTable, ModelBundle, Vocabulary
 from .errors import CheckpointError, ConfigError, ContractError, DivergenceError
 from .objective import batch_loss_and_grads
 
 CHECKPOINT_META = "meta.txt"
 EPSILON = 1e-6  # AdaGrad's denominator floor
 MODES = ("single", "joint")
+# glibc mallopt parameters, and the ceiling of glibc's own dynamic mmap
+# threshold on 64-bit hosts (DEFAULT_MMAP_THRESHOLD_MAX)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
 
 
 @dataclass
@@ -153,6 +160,32 @@ def _epoch_schedule(corpora: list, config: TrainConfig, epoch: int):
     return rngs, batches
 
 
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Pin glibc's mmap and trim thresholds where its dynamic rule tops out.
+
+    Every minibatch allocates and frees a few (tokens, d) float arrays.
+    glibc serves a large array either from memory it kept or from fresh
+    pages that fault on first touch, by thresholds that it raises whenever
+    the process frees a larger mapped block. The same batches therefore
+    ran up to 1.5x slower in one process than in another, depending on
+    what each had freed before. With the thresholds fixed at 32 MB (mmap)
+    and 64 MB (trim), the values that rule reaches at its ceiling, freed
+    pages serve the next batch in every process. Once per process, and
+    only under glibc; a refused mallopt leaves glibc's own rule in place,
+    which costs time, not correctness.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return
+    if glibc and glibc.startswith("glibc"):
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 def train_joint(
     corpora: list,
     tables: ModelBundle,
@@ -169,7 +202,8 @@ def train_joint(
     completed epoch, e.g. for checkpointing. Every sub-corpus is packed and
     checked before the first update (see corpus.pack_corpus). An update
     that leaves a row non-finite raises DivergenceError; the tables are
-    then unusable.
+    then unusable. The first call pins the process's glibc malloc
+    thresholds (see _keep_freed_pages).
     """
     if not corpora:
         raise ConfigError("need at least one sub-corpus")
@@ -187,6 +221,7 @@ def train_joint(
     if state is None:
         state = AdaGradState(tables)
     packed = [pack_corpus(c) for c in corpora]
+    _keep_freed_pages()
 
     report = TrainReport()
     for epoch in range(start_epoch, config.epochs):
@@ -278,6 +313,19 @@ def _meta_key(name: str) -> str:
     return "lambda" if name == "lam" else name
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file open for writing that replaces `path` when the block completes.
+
+    The bytes go to path.tmp first, so an interrupted write never leaves
+    a partial file under the final name.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
 def checkpoint(
     tables: ModelBundle,
     state: AdaGradState,
@@ -285,65 +333,126 @@ def checkpoint(
     config: TrainConfig,
     epoch: int,
 ) -> None:
-    """Write <lang>.emb and <lang>.adagrad per language plus meta.txt.
+    """Write a checkpoint directory: per language, its table, accumulators and vocabulary.
 
-    Both matrices use the embedding text format, so a checkpoint doubles as
-    an export; meta.txt is key=value with the config echo, epoch counter,
-    and seed. Writing is deterministic: same inputs, same bytes.
+    <lang>.npy holds the table and <lang>.adagrad.npy the AdaGrad
+    accumulators, as .npy files without pickles; <lang>.vocab holds one
+    token per line, row i of both arrays belonging to line i + 1. meta.txt
+    is key=value with the config echo, epoch counter, and seed. Writing is
+    deterministic: same inputs, same bytes.
+
+    The write is safe against a killed process: meta.txt is removed first,
+    every file is written under a .tmp name and renamed into place, and
+    meta.txt comes last, so resume() accepts only a complete checkpoint.
+    Nothing is synced to disk, so a power loss is not covered. The text
+    form of a table comes from export_table (`jointvec export`).
     """
     os.makedirs(path, exist_ok=True)
+    meta_path = os.path.join(path, CHECKPOINT_META)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(meta_path)
     for lang in tables.languages:
-        vocab = tables.vocab(lang)
-        export_table(tables.table(lang), vocab, os.path.join(path, f"{lang}.emb"))
-        export_table(
-            EmbeddingTable(lang, state.acc[lang]), vocab, os.path.join(path, f"{lang}.adagrad")
-        )
+        with _replacing(os.path.join(path, f"{lang}.vocab")) as fh:
+            fh.write("".join(f"{t}\n" for t in tables.vocab(lang).tokens).encode("utf-8"))
+        arrays = {f"{lang}.npy": tables.table(lang).matrix, f"{lang}.adagrad.npy": state.acc[lang]}
+        for name, matrix in arrays.items():
+            with _replacing(os.path.join(path, name)) as fh:
+                np.save(fh, matrix, allow_pickle=False)
     meta = {"languages": ",".join(tables.languages), "epoch": epoch}
     for f in dataclasses.fields(TrainConfig):
         meta[_meta_key(f.name)] = getattr(config, f.name)
-    with open(os.path.join(path, CHECKPOINT_META), "w", encoding="utf-8") as fh:
-        for key in sorted(meta):
-            fh.write(f"{key}={format_setting(meta[key])}\n")
+    with _replacing(meta_path) as fh:
+        fh.write("".join(f"{k}={format_setting(meta[k])}\n" for k in sorted(meta)).encode("utf-8"))
 
 
-def resume(path):
-    """Load a checkpoint directory back into memory.
+def _read_vocab(path) -> Vocabulary:
+    """The vocabulary of a .vocab file, one token per line; a repeated token fails."""
+    vocab = Vocabulary()
+    for lineno, token in enumerate(read_lines(path, CheckpointError), start=1):
+        if vocab.add(token) != lineno - 1:
+            raise CheckpointError(f"{path}:{lineno}: duplicate token {token!r}")
+    return vocab
 
-    Returns (ModelBundle, AdaGradState, TrainConfig, epoch). Missing files,
-    vocabulary disagreements between the embedding and accumulator files,
-    or negative accumulator entries all fail loudly. Keys that no
-    TrainConfig field reads are ignored, so a checkpoint that still names a
-    since-removed setting loads.
+
+def _reject_rows(path, vocab: Vocabulary, bad: np.ndarray, what: str) -> None:
+    """Fail naming the first row flagged in `bad`; rows count from 1, as .vocab lines do."""
+    if bad.any():
+        row = int(bad.argmax())
+        raise CheckpointError(f"{path}: row {row + 1} ({vocab.token(row)!r}) has {what}")
+
+
+def _read_matrix(path, vocab: Vocabulary, reference=None) -> np.ndarray:
+    """The finite 2-D float64 array of the .npy file `path`, one row per token of `vocab`.
+
+    `reference`, if given, is (path, width) of an array whose width this
+    one must share. Pickled data is never loaded.
+    """
+    try:
+        with open(path, "rb") as fh:
+            matrix = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError, MemoryError) as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.ndim == 2):
+        got = f"{matrix.dtype} {matrix.shape}" if isinstance(matrix, np.ndarray) else "an archive"
+        raise CheckpointError(f"{path}: expected a 2-D float64 array, got {got}")
+    if len(matrix) != len(vocab):
+        raise CheckpointError(f"{path} has {len(matrix)} rows for {len(vocab)} vocabulary tokens")
+    if reference is not None and matrix.shape[1] != reference[1]:
+        raise CheckpointError(
+            f"{path} has width {matrix.shape[1]}, but {reference[0]} has width {reference[1]}"
+        )
+    _reject_rows(path, vocab, ~np.isfinite(matrix).all(axis=1), "non-finite values")
+    return matrix
+
+
+def load_model(path):
+    """Load a checkpoint directory's model, without its AdaGrad accumulators.
+
+    Returns (ModelBundle, TrainConfig, epoch). meta.txt is read first,
+    then each language's .vocab and .npy. Every fault is a CheckpointError
+    naming the file, plus the row or token where one applies: a missing
+    or unreadable file, a missing metadata key, a repeated token, an
+    array that is not 2-D float64, whose row count is not its vocabulary's
+    size, whose width differs from another language's, or that holds a
+    non-finite value. Keys that no TrainConfig field reads are ignored, so
+    a checkpoint that still names a since-removed setting loads.
     """
     meta_path = os.path.join(path, CHECKPOINT_META)
     meta = {key: value for _, key, value in read_settings(meta_path, CheckpointError)}
     names = [f.name for f in dataclasses.fields(TrainConfig)]
     for key in ["languages", "epoch"] + [_meta_key(n) for n in names]:
         if key not in meta:
-            raise CheckpointError(f"checkpoint metadata missing {key!r}")
-    languages = meta["languages"].split(",")
-    vocabs = {}
-    tables = {}
-    acc = {}
-    for lang in languages:
-        emb_path = os.path.join(path, f"{lang}.emb")
-        ada_path = os.path.join(path, f"{lang}.adagrad")
-        for p in (emb_path, ada_path):
-            if not os.path.exists(p):
-                raise CheckpointError(f"checkpoint is missing {p}")
-        vocab, table = import_table(emb_path, lang)
-        ada_vocab, ada_table = import_table(ada_path, lang)
-        if ada_vocab.tokens != vocab.tokens:
-            raise CheckpointError(f"{lang}: accumulator vocabulary disagrees with embeddings")
-        if (ada_table.matrix < 0).any():
-            raise CheckpointError(f"{lang}: negative AdaGrad accumulator entries")
-        vocabs[lang] = vocab
-        tables[lang] = table
-        acc[lang] = ada_table.matrix
+            raise CheckpointError(f"{meta_path}: checkpoint metadata missing {key!r}")
     try:
         config = TrainConfig(**{n: parse_setting(_FIELD_TYPES[n], meta[_meta_key(n)]) for n in names})
         epoch = int(meta["epoch"])
     except (ValueError, ConfigError) as exc:
-        raise CheckpointError(f"invalid checkpoint metadata: {exc}") from exc
-    bundle = ModelBundle(vocabs, tables, config.kind)
+        raise CheckpointError(f"{meta_path}: invalid checkpoint metadata: {exc}") from exc
+    vocabs, tables = {}, {}
+    reference = None
+    for lang in meta["languages"].split(","):
+        vocabs[lang] = _read_vocab(os.path.join(path, f"{lang}.vocab"))
+        table_path = os.path.join(path, f"{lang}.npy")
+        matrix = _read_matrix(table_path, vocabs[lang], reference)
+        reference = reference or (table_path, matrix.shape[1])
+        tables[lang] = EmbeddingTable(lang, matrix)
+    return ModelBundle(vocabs, tables, config.kind), config, epoch
+
+
+def resume(path):
+    """Load a checkpoint directory back into memory, accumulators included.
+
+    Returns (ModelBundle, AdaGradState, TrainConfig, epoch). The model
+    comes from load_model, with its checks; each <lang>.adagrad.npy must
+    then match its table's shape, be finite and have no negative entry.
+    Every fault is a CheckpointError naming the file.
+    """
+    bundle, config, epoch = load_model(path)
+    acc = {}
+    for lang in bundle.languages:
+        vocab = bundle.vocab(lang)
+        acc_path = os.path.join(path, f"{lang}.adagrad.npy")
+        reference = (os.path.join(path, f"{lang}.npy"), bundle.d)
+        acc[lang] = _read_matrix(acc_path, vocab, reference)
+        _reject_rows(acc_path, vocab, (acc[lang] < 0).any(axis=1), "negative accumulator entries")
     return bundle, AdaGradState(acc=acc), config, epoch

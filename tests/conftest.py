@@ -164,3 +164,76 @@ def max_rel_err(analytic: dict, numeric: dict) -> float:
         err = np.abs(analytic[lang] - f) / np.maximum(1.0, np.abs(f))
         worst = max(worst, float(err.max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# damaged checkpoints
+
+
+def _rewrite_array(path, change) -> None:
+    np.save(path, change(np.load(path)))
+
+
+def _truncate(path) -> None:
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _pickled(path) -> None:
+    objects = np.empty(2, dtype=object)
+    objects[:] = [{"row": 1}, "token"]
+    np.save(path, objects, allow_pickle=True)
+
+
+def _huge_header(path) -> None:
+    with open(path, "wb") as fh:
+        header = {"descr": "<f8", "fortran_order": False, "shape": (2**30, 2**20)}
+        np.lib.format.write_array_header_1_0(fh, header)
+
+
+def _set_row_2(value):
+    def change(matrix):
+        matrix[1, 0] = value
+        return matrix
+
+    return lambda path: _rewrite_array(path, change)
+
+
+def _duplicate_token(path) -> None:
+    tokens = path.read_text(encoding="utf-8").splitlines()
+    tokens[1] = tokens[0]
+    path.write_text("".join(f"{t}\n" for t in tokens), encoding="utf-8")
+
+
+def _wider(path) -> None:
+    _rewrite_array(path, lambda m: np.hstack([m, m[:, :1]]))
+
+
+# case -> (damaged file, damage, whether the model without its accumulators
+# sees it, text the error must hold after the file's path). Read-only
+# commands never open <lang>.adagrad.npy, so accumulator damage fails only
+# resume().
+HOSTILE_CHECKPOINTS = {
+    "truncated": ("la.npy", _truncate, True, ""),
+    "pickled": ("la.npy", _pickled, True, ""),
+    "huge_header": ("la.npy", _huge_header, True, ""),
+    "float32": ("la.npy", lambda p: _rewrite_array(p, lambda m: m.astype(np.float32)), True,
+                ": expected a 2-D float64 array"),
+    "row_count": ("la.npy", lambda p: _rewrite_array(p, lambda m: m[:-1]), True, " has "),
+    "language_widths": ("lb.npy", _wider, True, " has width"),
+    "accumulator_width": ("la.adagrad.npy", _wider, False, " has width"),
+    "nan_row_2": ("la.npy", _set_row_2(np.nan), True, ": row 2 ("),
+    "negative_accumulator": ("la.adagrad.npy", _set_row_2(-1.0), False, ": row 2 ("),
+    "duplicate_token": ("la.vocab", _duplicate_token, True, ":2: duplicate token"),
+    "missing_meta": ("meta.txt", lambda p: p.unlink(), True, ""),
+    "missing_vocab": ("lb.vocab", lambda p: p.unlink(), True, ""),
+}
+
+
+def damage_checkpoint(model, case: str):
+    """Damage the checkpoint directory `model` as HOSTILE_CHECKPOINTS[case] says.
+
+    Returns (damaged path, whether load_model sees it, text the error must hold).
+    """
+    name, damage, read_only_sees, text = HOSTILE_CHECKPOINTS[case]
+    damage(model / name)
+    return model / name, read_only_sees, f"{model / name}{text}"

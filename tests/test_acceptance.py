@@ -430,7 +430,10 @@ def test_reproducibility_and_persistence(criterion, tmp_path):
             continue
         replay.extend([f"--{key.replace('_', '-')}", value])
     assert cli_main(["train", *replay, "--out", str(out2)]) == 0
-    artifacts = ("la.emb", "lb.emb", "la.adagrad", "lb.adagrad", "meta.txt", "loss_log.tsv")
+    artifacts = (
+        "la.npy", "lb.npy", "la.adagrad.npy", "lb.adagrad.npy", "la.vocab", "lb.vocab",
+        "meta.txt", "loss_log.tsv",
+    )
     replay_identical = all(
         (out1 / name).read_bytes() == (out2 / name).read_bytes() for name in artifacts
     )

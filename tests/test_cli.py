@@ -4,16 +4,21 @@ import subprocess
 import sys
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jointvec import synth
 from jointvec.cli import _TRAIN, load_config_file, main
-from jointvec.corpus import iter_token_sentences
-from jointvec.embeddings import build_vocab
-from jointvec.errors import ConfigError
-from jointvec.training import resume
+from jointvec.corpus import iter_document_token_sentences, iter_token_sentences
+from jointvec.embeddings import build_vocab, export_table, import_table
+from jointvec.errors import CheckpointError, ConfigError
+from jointvec.training import load_model, resume
+
+from conftest import HOSTILE_CHECKPOINTS, damage_checkpoint
+
+CHECKPOINT_FILES = ("la.npy", "lb.npy", "la.adagrad.npy", "lb.adagrad.npy", "la.vocab", "lb.vocab")
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +67,9 @@ def test_train_writes_checkpoint_and_logs(fast_corpus, tmp_path, capsys):
     rc, _, err = run_cli(train_args(fast_corpus, out), capsys)
     assert rc == 0
     assert "checkpoint" in err
-    for name in ("manifest.txt", "meta.txt", "loss_log.tsv",
-                 "la.emb", "lb.emb", "la.adagrad", "lb.adagrad"):
-        assert (out / name).is_file()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["manifest.txt", "meta.txt", "loss_log.tsv", *CHECKPOINT_FILES]
+    )
     manifest = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
     assert manifest[0] == "subcommand=train"
     assert "dim=8" in manifest
@@ -114,7 +119,7 @@ def test_train_joint_mode_single_pair_matches_single(fast_corpus, trained, tmp_p
     out = tmp_path / "joint"
     rc, _, _ = run_cli(train_args(fast_corpus, out, extra=["--mode", "joint"]), capsys)
     assert rc == 0
-    for name in ("la.emb", "lb.emb"):
+    for name in ("la.npy", "lb.npy", "la.vocab", "lb.vocab"):
         assert (out / name).read_bytes() == (trained / name).read_bytes()
 
 
@@ -217,9 +222,9 @@ def test_eval_document_file_without_known_tokens_names_file(fast_corpus, trained
     assert rc == 1 and str(bad) in err
 
 
-def _emb_tokens(path):
-    """The tokens of a text embedding file, in row order."""
-    return [line.split(" ")[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+def _vocab_tokens(path):
+    """The tokens of a checkpoint's .vocab file, in row order."""
+    return path.read_text(encoding="utf-8").splitlines()
 
 
 @pytest.mark.parametrize(
@@ -261,9 +266,9 @@ def test_train_ids_are_first_sight_over_each_languages_files(tmp_path, files, pa
         paths.setdefault(l2, []).append(tmp_path / f2)
     for lang, lang_paths in paths.items():
         expected = build_vocab(chain.from_iterable(map(iter_token_sentences, lang_paths)))
-        assert _emb_tokens(tmp_path / "run" / f"{lang}.emb") == expected.tokens
+        assert _vocab_tokens(tmp_path / "run" / f"{lang}.vocab") == expected.tokens
     lang, tokens = dropped  # tokens only on lines whose counterpart is blank
-    assert tokens <= set(_emb_tokens(tmp_path / "run" / f"{lang}.emb"))
+    assert tokens <= set(_vocab_tokens(tmp_path / "run" / f"{lang}.vocab"))
 
 
 @pytest.fixture(scope="module")
@@ -306,13 +311,49 @@ def test_query_target_language_filter(trained, la_token, tmp_path, capsys):
 def test_query_non_finite_checkpoint_is_user_error(trained, la_token, tmp_path, capsys):
     model = tmp_path / "model"
     shutil.copytree(trained, model)
-    lines = (model / "la.emb").read_text(encoding="utf-8").splitlines()
-    word, *values = lines[2].split(" ")
-    lines[2] = " ".join([word, "nan", *values[1:]])
-    (model / "la.emb").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.load(model / "la.npy")
+    table[1, 0] = np.nan
+    np.save(model / "la.npy", table)
     rc, _, err = run_cli(["query", "--model", model, "--word", f"la:{la_token}"], capsys)
     assert rc == 1
-    assert f"{model / 'la.emb'}: row 2" in err
+    assert f"{model / 'la.npy'}: row 2" in err
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_CHECKPOINTS))
+def test_query_damaged_checkpoint_is_user_error_naming_file(trained, la_token, tmp_path, case,
+                                                            capsys):
+    model = tmp_path / "model"
+    shutil.copytree(trained, model)
+    bad, read_only_sees, text = damage_checkpoint(model, case)
+    rc, stdout, err = run_cli(["query", "--model", model, "--word", f"la:{la_token}"], capsys)
+    if read_only_sees:
+        assert rc == 1, err
+        assert "Traceback" not in err and str(bad) in err and text in err
+        assert stdout == ""
+    else:  # query reads no accumulators
+        assert rc == 0, err
+
+
+def test_read_only_commands_skip_accumulators(fast_corpus, trained, la_token, tmp_path, capsys):
+    model = tmp_path / "model"
+    shutil.copytree(trained, model)
+    (model / "la.adagrad.npy").unlink()
+    runs = [
+        ["query", "--word", f"la:{la_token}", "--n", 3],
+        ["eval", "cldc", "--train", f"la:{fast_corpus / 'la.docs'}",
+         "--test", f"lb:{fast_corpus / 'lb.docs'}"],
+    ]
+    for argv in runs:
+        rc, stdout, err = run_cli([*argv, "--model", model], capsys)
+        assert rc == 0, err
+        assert (rc, stdout) == run_cli([*argv, "--model", trained], capsys)[:2]
+    rc, _, err = run_cli(["export", "--model", model, "--out", tmp_path / "exp"], capsys)
+    assert rc == 0, err
+    assert run_cli(["export", "--model", trained, "--out", tmp_path / "want"], capsys)[0] == 0
+    for name in ("la.emb", "lb.emb"):
+        assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    with pytest.raises(CheckpointError, match=re.escape(str(model / "la.adagrad.npy"))):
+        resume(model)
 
 
 def test_query_unknown_word_fails(trained, la_token, capsys):
@@ -330,8 +371,13 @@ def test_export_all_and_selected(trained, tmp_path, capsys):
     out = tmp_path / "exp"
     rc, _, _ = run_cli(["export", "--model", trained, "--out", out], capsys)
     assert rc == 0
-    assert (out / "la.emb").read_bytes() == (trained / "la.emb").read_bytes()
-    assert (out / "lb.emb").read_bytes() == (trained / "lb.emb").read_bytes()
+    bundle, _, _ = load_model(trained)
+    for lang in ("la", "lb"):
+        export_table(bundle.table(lang), bundle.vocab(lang), tmp_path / f"{lang}.emb")
+        assert (out / f"{lang}.emb").read_bytes() == (tmp_path / f"{lang}.emb").read_bytes()
+    vocab, table = import_table(out / "la.emb")
+    assert vocab.tokens == _vocab_tokens(trained / "la.vocab")
+    assert table.matrix.tobytes() == np.load(trained / "la.npy").tobytes()
 
     only = tmp_path / "only"
     rc, _, _ = run_cli(
@@ -362,7 +408,7 @@ def test_config_file_supplies_flags(fast_corpus, trained, tmp_path, capsys):
     out = tmp_path / "run"
     rc, _, _ = run_cli(["train", "--config", cfg, "--out", out], capsys)
     assert rc == 0
-    for name in ("la.emb", "lb.emb", "la.adagrad", "lb.adagrad"):
+    for name in CHECKPOINT_FILES:
         assert (out / name).read_bytes() == (trained / name).read_bytes()
 
 
@@ -464,7 +510,7 @@ def test_failed_train_leaves_no_out_and_rerun_needs_no_force(fast_corpus, tmp_pa
         shutil.copy(fast_corpus / side.name, side)
     rc, _, err = run_cli(train_args(tmp_path, out), capsys)
     assert rc == 0, err
-    assert (out / "manifest.txt").is_file() and (out / "la.emb").is_file()
+    assert (out / "manifest.txt").is_file() and (out / "la.npy").is_file()
 
 
 def test_train_negative_seed_is_user_error_and_writes_nothing(fast_corpus, tmp_path, capsys):
@@ -505,6 +551,7 @@ _MALFORMED = {
     "config": "no equals sign\n",
     "meta": "no equals sign\n",
     "emb": "1 2 3\n",
+    "vocab": "twin\ntwin\n",
 }
 
 
@@ -524,7 +571,8 @@ def test_unreadable_input_is_user_error_naming_file(fast_corpus, trained, la_tok
                                 "--test", f"lb:{fast_corpus / 'lb.docs'}"]),
         "config": (cfg, ["train", "--config", cfg, "--out", out]),
         "meta": (model / "meta.txt", query),
-        "emb": (model / "la.emb", query),
+        "emb": (model / "la.npy", query),
+        "vocab": (model / "la.vocab", query),
     }[reader]
     bad.unlink(missing_ok=True)
     if fault == "non-utf8":
@@ -624,3 +672,24 @@ def test_subprocess_exit_code_propagates(tmp_path):
     )
     assert proc.returncode == 1
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("blank", [(2, 2), (1, 3)], ids=["same_line", "different_lines"])
+def test_doc_signal_training_skips_blank_document_lines(fast_corpus, tmp_path, blank, capsys):
+    """A blank line is a document without sentences; its pair drops, the others train."""
+    paths = []
+    for lang, line in zip(("la", "lb"), blank):
+        docs = (fast_corpus / f"{lang}.docs").read_text(encoding="utf-8").splitlines()
+        docs[line] = ""
+        paths.append(tmp_path / f"{lang}.docs")
+        paths[-1].write_text("".join(f"{d}\n" for d in docs), encoding="utf-8")
+    out = tmp_path / "run"
+    rc, _, err = run_cli(
+        ["train", "--pair", f"la:lb:{paths[0]}:{paths[1]}", "--doc-signal", "--dim", 8,
+         "--noise", 2, "--batch", 4, "--epochs", 1, "--seed", 2, "--out", out],
+        capsys,
+    )
+    assert rc == 0, err
+    for lang, path in zip(("la", "lb"), paths):
+        expected = build_vocab(iter_document_token_sentences(path))
+        assert _vocab_tokens(out / f"{lang}.vocab") == expected.tokens

@@ -142,6 +142,18 @@ def test_load_document_pairs_alignment(tmp_path):
         load_document_pairs(a, short, va, vb)
 
 
+def test_load_document_pairs_blank_line_is_document_without_sentences(tmp_path):
+    a = _write(tmp_path / "a.docs", "a1\ten\tl\tcat\n\na3\ten\tl\tdog\na4\ten\tl\tcat dog\n")
+    b = _write(tmp_path / "b.docs", "b1\tde\tl\tkatze\nb2\tde\tl\tmaus\nb3\tde\tl\thund\n\n")
+    va, vb = Vocabulary(), Vocabulary()
+    pairs = load_document_pairs(a, b, va, vb)
+    # each blank line drops its pair; the dropped b2 still assigns its ids
+    assert [(p.source.doc_id, p.target.doc_id, p.index) for p in pairs] == [
+        ("a1", "b1", 0), ("a3", "b3", 1)
+    ]
+    assert va.tokens == ["cat", "dog"] and vb.tokens == ["katze", "maus", "hund"]
+
+
 def _docs_with_labels(label_lists):
     return [
         LabeledDocument(f"d{i}", "en", set(labs), [Sentence((0,))])

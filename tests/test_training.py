@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import re
 import shutil
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +20,14 @@ from jointvec.corpus import (
     Sentence,
     sample_indices_excluding,
 )
-from jointvec.embeddings import ModelBundle, Vocabulary, build_vocab, derive_seed, init_table
+from jointvec.embeddings import (
+    ModelBundle,
+    Vocabulary,
+    build_vocab,
+    derive_seed,
+    export_table,
+    init_table,
+)
 from jointvec.errors import (
     AlignmentError,
     CheckpointError,
@@ -30,11 +41,12 @@ from jointvec.training import (
     TrainConfig,
     adagrad_apply,
     checkpoint,
+    load_model,
     resume,
     train_joint,
 )
 
-from conftest import make_bundle
+from conftest import HOSTILE_CHECKPOINTS, damage_checkpoint, make_bundle
 
 mp.mp.dps = 30
 
@@ -364,6 +376,55 @@ def test_joint_run_checks_every_sub_corpus_before_first_update(case):
         assert state.acc[lang].tobytes() == acc
 
 
+# Trains fresh tables four times in one process; prints the page faults of each run.
+_PAGE_FAULT_PROBE = """
+import resource
+from jointvec import synth
+from jointvec.corpus import ParallelCorpus, ParallelPair, Sentence
+from jointvec.embeddings import ModelBundle, build_vocab, init_table
+from jointvec.training import TrainConfig, train_joint
+
+tw = synth.make_twin_corpus("la", "lb", 300, seed=3)
+vocabs = {"la": build_vocab(tw.sents_a), "lb": build_vocab(tw.sents_b)}
+pairs = [
+    ParallelPair(Sentence(tuple(vocabs["la"][t] for t in a)),
+                 Sentence(tuple(vocabs["lb"][t] for t in b)), i)
+    for i, (a, b) in enumerate(zip(tw.sents_a, tw.sents_b))
+]
+config = TrainConfig(d=128, k=50, batch=50, epochs=1, seed=1)
+for run in range(4):
+    tables = {l: init_table(len(v), config.d, 2 * run + i, l) for i, (l, v) in enumerate(vocabs.items())}
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_joint([ParallelCorpus("la", "lb", pairs)], ModelBundle(vocabs, tables, config.kind), config)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are pinned under glibc only")
+def test_batches_reuse_freed_pages_across_runs():
+    """Batch arrays of some 1,500 tokens x 128 floats come from memory the process
+    kept, not fresh pages: only the first of several trainings faults pages in."""
+    import jointvec
+
+    src = os.path.dirname(os.path.dirname(jointvec.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PAGE_FAULT_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(n) for n in proc.stdout.split()]
+    assert len(faults) == 4
+    # unpinned, each run faults in about 7,000 pages (28 MB)
+    assert max(faults[1:]) < 200, faults
+
+
 # ---------------------------------------------------------------------------
 # checkpoint / resume
 
@@ -451,27 +512,24 @@ def test_resume_errors(tmp_path):
     good = tmp_path / "good"
     checkpoint(bundle, state, good, config, epoch=1)
 
-    broken = tmp_path / "no_emb"
+    broken = tmp_path / "no_table"
     shutil.copytree(good, broken)
-    (broken / "lb.emb").unlink()
+    (broken / "lb.npy").unlink()
     with pytest.raises(CheckpointError):
         resume(broken)
 
     negacc = tmp_path / "negacc"
     shutil.copytree(good, negacc)
-    lines = (negacc / "la.adagrad").read_text(encoding="utf-8").splitlines()
-    word, _, _ = lines[1].partition(" ")
-    lines[1] = word + " " + " ".join(["-1.0"] * config.d)
-    (negacc / "la.adagrad").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    acc = np.load(negacc / "la.adagrad.npy")
+    acc[0] = -1.0
+    np.save(negacc / "la.adagrad.npy", acc)
     with pytest.raises(CheckpointError, match="negative"):
         resume(negacc)
 
     badvocab = tmp_path / "badvocab"
     shutil.copytree(good, badvocab)
-    lines = (badvocab / "la.adagrad").read_text(encoding="utf-8").splitlines()
-    _, _, rest = lines[1].partition(" ")
-    lines[1] = "imposter " + rest
-    (badvocab / "la.adagrad").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(badvocab / "la.vocab", "a", encoding="utf-8") as fh:
+        fh.write("imposter\n")
     with pytest.raises(CheckpointError, match="vocabulary"):
         resume(badvocab)
 
@@ -488,3 +546,69 @@ def test_resume_errors(tmp_path):
     (missingkey / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
     with pytest.raises(CheckpointError, match="languages"):
         resume(missingkey)
+
+
+def test_text_checkpoint_names_missing_vocabulary(tmp_path):
+    """A checkpoint of the earlier text layout is refused, naming the first missing file."""
+    corpus, bundle, config = _toy_setup()
+    checkpoint(bundle, AdaGradState(bundle), tmp_path, config, epoch=1)
+    for lang in ("la", "lb"):
+        for name in (f"{lang}.npy", f"{lang}.adagrad.npy", f"{lang}.vocab"):
+            (tmp_path / name).unlink()
+        export_table(bundle.table(lang), bundle.vocab(lang), tmp_path / f"{lang}.emb")
+    with pytest.raises(CheckpointError, match=re.escape(str(tmp_path / "la.vocab"))):
+        resume(tmp_path)
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_CHECKPOINTS))
+def test_damaged_checkpoint_is_checkpoint_error_naming_file(tmp_path, case):
+    corpus, bundle, config = _toy_setup()
+    state = AdaGradState(bundle)
+    train_joint([corpus], bundle, config, state)
+    checkpoint(bundle, state, tmp_path, config, epoch=config.epochs)
+    bad, read_only_sees, text = damage_checkpoint(tmp_path, case)
+    with pytest.raises(CheckpointError) as exc:
+        resume(tmp_path)
+    assert str(bad) in str(exc.value) and text in str(exc.value)
+    if read_only_sees:
+        with pytest.raises(CheckpointError, match=re.escape(text)):
+            load_model(tmp_path)
+    else:
+        loaded, _, _ = load_model(tmp_path)
+        assert np.array_equal(loaded.table("la").matrix, bundle.table("la").matrix)
+
+
+def test_interrupted_checkpoint_is_refused(tmp_path, monkeypatch):
+    """A write that dies after its first array leaves a directory resume() refuses."""
+    corpus, bundle, config = _toy_setup()
+    state = AdaGradState(bundle)
+    checkpoint(bundle, state, tmp_path, config, epoch=0)
+    assert resume(tmp_path)[3] == 0
+    assert not list(tmp_path.glob("*.tmp"))
+
+    train_joint([corpus], bundle, config, state)
+    save, calls = np.save, []
+
+    def failing_save(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("disk went away")
+        return save(*args, **kwargs)
+
+    monkeypatch.setattr(np, "save", failing_save)
+    with pytest.raises(OSError, match="disk went away"):
+        checkpoint(bundle, state, tmp_path, config, epoch=config.epochs)
+    monkeypatch.undo()
+    meta = tmp_path / "meta.txt"
+    with pytest.raises(CheckpointError, match=re.escape(str(meta))):
+        resume(tmp_path)
+    with pytest.raises(CheckpointError, match=re.escape(str(meta))):
+        load_model(tmp_path)
+
+    checkpoint(bundle, state, tmp_path, config, epoch=config.epochs)
+    assert not list(tmp_path.glob("*.tmp"))
+    resumed, resumed_state, _, epoch = resume(tmp_path)
+    assert epoch == config.epochs
+    for lang in ("la", "lb"):
+        assert np.array_equal(resumed.table(lang).matrix, bundle.table(lang).matrix)
+        assert np.array_equal(resumed_state.acc[lang], state.acc[lang])
