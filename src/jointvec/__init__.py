@@ -34,8 +34,8 @@ from .evaluation import (
     EvalReport,
     PerceptronModel,
     cldc_run,
-    doc_representation,
     micro_f1,
+    represent_documents,
     train_multiclass,
     train_multilabel,
     transfer_matrix,

@@ -3,7 +3,9 @@
 Documents become vectors (sentence-average or the two-stage compositional
 form), an averaged perceptron trains on one language's documents, and the
 resulting classifier is scored on another language's documents with no
-target-language supervision. Single-label tasks report accuracy,
+target-language supervision. Documents compose through the segmented
+`compose` that training uses; `transfer_matrix` composes each language's
+documents once for all its pairs. Single-label tasks report accuracy,
 multi-label tasks micro-F1 (macro-F1 emitted alongside); a majority-class
 baseline row accompanies every run.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import CompositionKind, compose
-from .corpus import LabeledDocument, select_top_labels
+from .corpus import pack_documents, select_top_labels
 from .embeddings import EmbeddingTable, ModelBundle, derive_seed
 from .errors import ConfigError, ContractError, RepresentationError
 
@@ -28,33 +30,52 @@ class DocVector:
     labels: set
 
 
-def doc_representation(
-    doc: LabeledDocument,
+# Tokens per block of documents: keeps each compose call's (tokens, d)
+# temporaries near 1 MB at d = 128, and no slower than one call for all.
+_ROWS_PER_CALL = 1024
+
+
+def represent_documents(
+    docs: list,
     table: EmbeddingTable,
     kind: CompositionKind,
     level: str = "sentence-average",
-) -> DocVector:
-    """Map a document to one d-vector.
+) -> list:
+    """Map each document to one d-vector, as a DocVector.
 
-    sentence-average: mean of the per-sentence composed vectors; doc-cvm:
-    the document-level composition over them. Loading already dropped
-    out-of-vocabulary tokens, so an empty document means nothing here was
-    representable.
+    Documents are packed once and composed in blocks of whole documents:
+    one segmented `compose` over a block's sentences, then one
+    `np.add.reduceat` mean (sentence-average) or one more `compose`
+    (doc-cvm) over their vectors. Sums run in `reduceat`'s order, as in
+    training, so a document's vector does not depend on the others passed
+    with it. Errors name the first faulty document.
     """
     if level not in LEVELS:
         raise ConfigError(f"unknown representation level {level!r}")
-    if not doc.sentences:
-        raise RepresentationError(f"document {doc.doc_id!r} has no representable sentence")
-    sent_vectors = np.stack(
-        [compose(table.matrix[list(s.ids)], kind).output for s in doc.sentences]
-    )
-    if level == "sentence-average":
-        vec = sent_vectors.mean(axis=0)
-    else:
-        vec = compose(sent_vectors, kind).output
-    if not np.isfinite(vec).all():
-        raise RepresentationError(f"document {doc.doc_id!r} produced non-finite entries")
-    return DocVector(vec, doc.doc_id, set(doc.labels))
+    empty = [doc.doc_id for doc in docs if not doc.sentences]
+    if empty:
+        raise RepresentationError(f"document {empty[0]!r} has no representable sentence")
+    packed = pack_documents([doc.sentences for doc in docs])
+    doc_starts, sent_starts = packed.doc_starts, packed.sent_starts
+    first_token = sent_starts[doc_starts]
+    # a block starts at each document that holds a multiple of _ROWS_PER_CALL
+    cuts = np.searchsorted(first_token, np.arange(0, first_token[-1], _ROWS_PER_CALL), "right") - 1
+    cuts = np.append(np.unique(cuts), len(docs))
+    vecs = np.empty((len(docs), table.d))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        s, e = doc_starts[a], doc_starts[b]
+        rows = table.matrix[packed.ids[sent_starts[s] : sent_starts[e]]]
+        sents = compose(rows, kind, np.diff(sent_starts[s : e + 1])).output
+        n_sents = np.diff(doc_starts[a : b + 1])
+        if level == "sentence-average":
+            vecs[a:b] = np.add.reduceat(sents, doc_starts[a:b] - s, axis=0) / n_sents[:, None]
+        else:
+            vecs[a:b] = compose(sents, kind, n_sents).output
+    bad = ~np.isfinite(vecs).all(axis=1)
+    if bad.any():
+        doc_id = docs[int(bad.argmax())].doc_id
+        raise RepresentationError(f"document {doc_id!r} produced non-finite entries")
+    return [DocVector(vec, doc.doc_id, set(doc.labels)) for vec, doc in zip(vecs, docs)]
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
@@ -94,7 +115,6 @@ def train_multiclass(examples: list, epochs: int = 10, seed: int = 0) -> Percept
     w = np.zeros((n_classes, d + 1))
     acc = np.zeros_like(w)
     updates = 0
-    snapshots = 0
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         for i in rng.permutation(len(xs)):
@@ -105,8 +125,7 @@ def train_multiclass(examples: list, epochs: int = 10, seed: int = 0) -> Percept
                 w[pred] -= x
                 updates += 1
             acc += w
-            snapshots += 1
-    return PerceptronModel(w, acc / snapshots, updates)
+    return PerceptronModel(w, acc / (epochs * len(xs)), updates)
 
 
 @dataclass
@@ -125,7 +144,6 @@ def _train_binary(xs: np.ndarray, ys: np.ndarray, epochs: int, seed: int) -> Bin
     w = np.zeros(xs.shape[1])
     acc = np.zeros_like(w)
     updates = 0
-    snapshots = 0
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         for i in rng.permutation(len(xs)):
@@ -135,8 +153,7 @@ def _train_binary(xs: np.ndarray, ys: np.ndarray, epochs: int, seed: int) -> Bin
                 w += x if y else -x
                 updates += 1
             acc += w
-            snapshots += 1
-    return BinaryPerceptron(acc / snapshots, updates, not ys.any())
+    return BinaryPerceptron(acc / (epochs * len(xs)), updates, not ys.any())
 
 
 def train_multilabel(
@@ -231,16 +248,12 @@ class EvalReport:
             fh.write(self.to_tsv())
 
 
-def _doc_vectors(docs, table, kind, level):
-    return [doc_representation(doc, table, kind, level) for doc in docs]
-
-
-def _single_label(doc: LabeledDocument) -> str:
+def _single_label(doc) -> str:
     return min(doc.labels)
 
 
 def resolve_task(task: str, *doc_groups) -> str:
-    """Resolve task "auto" over the given lists of documents.
+    """Resolve task "auto" over the given lists of documents or DocVectors.
 
     Auto is single-label iff every document carries exactly one label.
     """
@@ -281,61 +294,50 @@ def cldc_run(
     positive examples reported alongside). The majority baseline predicts
     the most document-frequent training label everywhere.
     """
-    if not train_docs or not test_docs:
-        raise ConfigError("need non-empty train and test document sets")
+    for lang, docs in ((train_lang, train_docs), (test_lang, test_docs)):
+        if not docs:
+            raise ConfigError(f"no documents supplied for {lang!r}")
     _check_classifier_settings(clf_epochs, seed, top_labels)
-    train_vecs = _doc_vectors(train_docs, bundle.table(train_lang), bundle.kind, level)
-    test_vecs = _doc_vectors(test_docs, bundle.table(test_lang), bundle.kind, level)
-    mode = resolve_task(task, train_docs, test_docs)
-    n_test = len(test_docs)
-    rows = []
+    train = represent_documents(train_docs, bundle.table(train_lang), bundle.kind, level)
+    test = represent_documents(test_docs, bundle.table(test_lang), bundle.kind, level)
+    rows = _classify(train_lang, train, test_lang, test, task, clf_epochs, seed, top_labels)
+    return EvalReport(rows)
 
-    if mode == "single":
-        labels = sorted({_single_label(d) for d in train_docs})
+
+def _classify(train_lang, train, test_lang, test, task, clf_epochs, seed, top_labels) -> list:
+    """cldc_run's report rows, from the DocVectors of both languages."""
+    n_test = len(test)
+
+    def row(metric, value, support=n_test):
+        return EvalRow(train_lang, test_lang, metric, value, support)
+
+    if resolve_task(task, train, test) == "single":
+        labels = sorted({_single_label(dv) for dv in train})
         label_id = {lab: i for i, lab in enumerate(labels)}
-        examples = [(dv, label_id[_single_label(d)]) for dv, d in zip(train_vecs, train_docs)]
+        examples = [(dv, label_id[_single_label(dv)]) for dv in train]
         model = train_multiclass(examples, clf_epochs, seed)
-        correct = sum(
-            1
-            for dv, d in zip(test_vecs, test_docs)
-            if labels[model.predict(dv.vector)] == _single_label(d)
-        )
-        rows.append(EvalRow(train_lang, test_lang, "accuracy", correct / n_test, n_test))
-        majority = _majority_label(train_docs)
-        base = sum(1 for d in test_docs if _single_label(d) == majority) / n_test
-        rows.append(EvalRow(train_lang, test_lang, "majority_baseline", base, n_test))
-        return EvalReport(rows)
+        correct = sum(1 for dv in test if labels[model.predict(dv.vector)] == _single_label(dv))
+        majority = _majority_label(train)
+        base = sum(1 for dv in test if _single_label(dv) == majority) / n_test
+        return [row("accuracy", correct / n_test), row("majority_baseline", base)]
 
     if top_labels is not None:
-        universe = select_top_labels(train_docs, top_labels)
+        universe = select_top_labels(train, top_labels)
     else:
-        universe = {lab for d in train_docs for lab in d.labels}
+        universe = {lab for dv in train for lab in dv.labels}
     if not universe:
         raise ConfigError("training documents carry no labels")
-    examples = [(dv, d.labels) for dv, d in zip(train_vecs, train_docs)]
-    models = train_multilabel(examples, universe, clf_epochs, seed)
-    predictions = [
-        {lab for lab, m in models.items() if m.predict(dv.vector)} for dv in test_vecs
-    ]
-    gold = [d.labels & universe for d in test_docs]
-    rows.append(EvalRow(train_lang, test_lang, "micro_f1", micro_f1(predictions, gold), n_test))
-    rows.append(
-        EvalRow(train_lang, test_lang, "macro_f1", macro_f1(predictions, gold, universe), n_test)
-    )
-    majority = _majority_label(train_docs)
-    base_preds = [{majority} & universe for _ in test_docs]
-    rows.append(
-        EvalRow(
-            train_lang, test_lang, "majority_baseline", micro_f1(base_preds, gold), n_test
-        )
-    )
+    models = train_multilabel([(dv, dv.labels) for dv in train], universe, clf_epochs, seed)
+    predictions = [{lab for lab, m in models.items() if m.predict(dv.vector)} for dv in test]
+    gold = [dv.labels & universe for dv in test]
+    base_preds = [{_majority_label(train)} & universe for _ in test]
     flagged = sum(1 for m in models.values() if m.no_positives)
-    rows.append(
-        EvalRow(
-            train_lang, test_lang, "no_positive_labels_frac", flagged / len(models), len(models)
-        )
-    )
-    return EvalReport(rows)
+    return [
+        row("micro_f1", micro_f1(predictions, gold)),
+        row("macro_f1", macro_f1(predictions, gold, universe)),
+        row("majority_baseline", micro_f1(base_preds, gold)),
+        row("no_positive_labels_frac", flagged / len(models), len(models)),
+    ]
 
 
 def _majority_label(docs) -> str:
@@ -356,32 +358,31 @@ def transfer_matrix(
 ) -> EvalReport:
     """cldc_run over every ordered language pair, diagonal omitted.
 
-    Each pair gets a seed derived from (seed, train index, test index) in
-    the sorted language order, so entries do not depend on iteration order.
+    Each language's documents are represented once, and their vectors
+    serve every pair that language is in. Each pair gets a seed derived
+    from (seed, train index, test index) in the sorted language order, so
+    entries do not depend on iteration order.
     """
     langs = sorted(languages)
+    repeated = [lang for lang, n in Counter(langs).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"language {repeated[0]!r} is listed more than once")
     if len(langs) < 2:
         raise ConfigError("transfer matrix needs at least 2 languages")
-    missing = [l for l in langs if l not in docs_by_lang]
+    missing = [l for l in langs if not docs_by_lang.get(l)]
     if missing:
         raise ConfigError(f"no documents supplied for {missing}")
     _check_classifier_settings(clf_epochs, seed, top_labels)
+    vecs = {
+        lang: represent_documents(docs_by_lang[lang], bundle.table(lang), bundle.kind, level)
+        for lang in langs
+    }
     rows = []
     for i, train_lang in enumerate(langs):
         for j, test_lang in enumerate(langs):
-            if i == j:
-                continue
-            report = cldc_run(
-                train_lang,
-                docs_by_lang[train_lang],
-                test_lang,
-                docs_by_lang[test_lang],
-                bundle,
-                level=level,
-                task=task,
-                clf_epochs=clf_epochs,
-                seed=derive_seed(seed, i, j),
-                top_labels=top_labels,
-            )
-            rows.extend(report.rows)
+            if i != j:
+                rows += _classify(
+                    train_lang, vecs[train_lang], test_lang, vecs[test_lang],
+                    task, clf_epochs, derive_seed(seed, i, j), top_labels,
+                )
     return EvalReport(rows)

@@ -193,6 +193,20 @@ def test_eval_transfer_rows(fast_corpus, trained, capsys):
     assert pairs == {("la", "lb"), ("lb", "la")}
 
 
+def test_eval_transfer_repeated_language_is_user_error(fast_corpus, trained, capsys):
+    rc, stdout, err = run_cli(
+        [
+            "eval", "transfer",
+            "--model", trained,
+            "--langs", "la,la",
+            "--docs", f"la:{fast_corpus / 'la.docs'}",
+        ],
+        capsys,
+    )
+    assert rc == 1 and "'la'" in err and "Traceback" not in err
+    assert stdout == ""
+
+
 def test_eval_transfer_requires_docs_per_lang(fast_corpus, trained, capsys):
     rc, _, err = run_cli(
         [

@@ -98,6 +98,19 @@ def test_backprop_bi_hand_values():
     assert grads[1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", [CompositionKind.ADD, CompositionKind.BI])
+def test_single_sequence_is_the_one_segment_case(kind):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 8, 9, 40):
+        x = rng.normal(size=(n, 6))
+        single = compose(x, kind)
+        segment = compose(x, kind, np.array([n]))
+        assert single.output.shape == (6,)
+        assert np.array_equal(single.output, segment.output[0])
+        grad = rng.normal(size=6)
+        assert np.array_equal(backprop(grad, single), backprop(grad[None, :], segment))
+
+
 def _fd_scalar(fn, x, step=1e-5):
     g = np.zeros_like(x)
     for i in range(x.shape[0]):

@@ -12,9 +12,9 @@ from jointvec.evaluation import (
     PerceptronModel,
     TSV_HEADER,
     cldc_run,
-    doc_representation,
     macro_f1,
     micro_f1,
+    represent_documents,
     resolve_task,
     train_multiclass,
     train_multilabel,
@@ -33,31 +33,31 @@ def _two_word_table():
     return vocab, table
 
 
-def test_doc_representation_hand_values():
+def test_represent_documents_hand_values():
     _, table = _two_word_table()
     doc = LabeledDocument("d", "x", {"l"}, [Sentence((0,)), Sentence((1,))])
-    avg = doc_representation(doc, table, ADD, "sentence-average")
+    avg = represent_documents([doc], table, ADD, "sentence-average")[0]
     assert np.array_equal(avg.vector, [2.0, 2.0])
     assert avg.doc_id == "d" and avg.labels == {"l"}
-    cvm = doc_representation(doc, table, ADD, "doc-cvm")
+    cvm = represent_documents([doc], table, ADD, "doc-cvm")[0]
     assert np.array_equal(cvm.vector, [4.0, 4.0])
 
 
-def test_doc_representation_single_sentence_modes_agree():
+def test_represent_documents_single_sentence_modes_agree():
     _, table = _two_word_table()
     doc = LabeledDocument("d", "x", set(), [Sentence((0, 1))])
-    avg = doc_representation(doc, table, ADD, "sentence-average").vector
-    cvm = doc_representation(doc, table, ADD, "doc-cvm").vector
+    avg = represent_documents([doc], table, ADD, "sentence-average")[0].vector
+    cvm = represent_documents([doc], table, ADD, "doc-cvm")[0].vector
     assert np.array_equal(avg, cvm)
 
 
-def test_doc_representation_errors():
+def test_represent_documents_errors():
     _, table = _two_word_table()
     doc = LabeledDocument("d", "x", set(), [Sentence((0,))])
     with pytest.raises(ConfigError):
-        doc_representation(doc, table, ADD, "paragraph")
+        represent_documents([doc], table, ADD, "paragraph")
     with pytest.raises(RepresentationError):
-        doc_representation(LabeledDocument("e", "x", set(), []), table, ADD)
+        represent_documents([LabeledDocument("e", "x", set(), [])], table, ADD)
 
 
 def test_sentence_average_order_invariant_bi_doc_cvm_not():
@@ -67,14 +67,88 @@ def test_sentence_average_order_invariant_bi_doc_cvm_not():
     fwd = LabeledDocument("d", "x", set(), sents)
     rev = LabeledDocument("d", "x", set(), sents[::-1])
     assert np.allclose(
-        doc_representation(fwd, table, CompositionKind.BI, "sentence-average").vector,
-        doc_representation(rev, table, CompositionKind.BI, "sentence-average").vector,
+        represent_documents([fwd], table, CompositionKind.BI, "sentence-average")[0].vector,
+        represent_documents([rev], table, CompositionKind.BI, "sentence-average")[0].vector,
         atol=1e-12,
     )
     assert not np.allclose(
-        doc_representation(fwd, table, CompositionKind.BI, "doc-cvm").vector,
-        doc_representation(rev, table, CompositionKind.BI, "doc-cvm").vector,
+        represent_documents([fwd], table, CompositionKind.BI, "doc-cvm")[0].vector,
+        represent_documents([rev], table, CompositionKind.BI, "doc-cvm")[0].vector,
     )
+
+
+def _loop_representation(doc, table, kind, level):
+    """Reference: one document at a time, each sum in row order (x.sum(axis=0))."""
+
+    def compose_rows(x):
+        if kind is CompositionKind.BI:
+            x = np.tanh(x + np.vstack([np.zeros((1, x.shape[1])), x[:-1]]))
+        return x.sum(axis=0)
+
+    sent_vectors = np.stack([compose_rows(table.matrix[list(s.ids)]) for s in doc.sentences])
+    if level == "sentence-average":
+        return sent_vectors.mean(axis=0)
+    return compose_rows(sent_vectors)
+
+
+def _random_documents(rng, n_docs, vocab_size, lang="x"):
+    """Documents of 1-12 sentences of 1-15 tokens, so segments reach reduceat's blocked sums."""
+    return [
+        LabeledDocument(
+            f"{lang}-{i}", lang, {f"t{i % 3}"},
+            [
+                Sentence(tuple(int(t) for t in rng.integers(0, vocab_size, rng.integers(1, 16))))
+                for _ in range(rng.integers(1, 13))
+            ],
+        )
+        for i in range(n_docs)
+    ]
+
+
+@pytest.mark.parametrize("kind", list(CompositionKind))
+@pytest.mark.parametrize("level", ["sentence-average", "doc-cvm"])
+def test_represent_documents_row_does_not_depend_on_other_documents(kind, level):
+    rng = np.random.default_rng(13)
+    table = EmbeddingTable("x", rng.normal(size=(40, 16)))
+    docs = _random_documents(rng, 60, 40)
+    together = represent_documents(docs, table, kind, level)
+    assert [dv.doc_id for dv in together] == [doc.doc_id for doc in docs]
+    assert [dv.labels for dv in together] == [doc.labels for doc in docs]
+    for doc, dv in zip(docs, together):
+        alone = represent_documents([doc], table, kind, level)[0]
+        assert np.array_equal(alone.vector, dv.vector)
+    reversed_rows = represent_documents(docs[::-1], table, kind, level)[::-1]
+    for a, b in zip(together, reversed_rows):
+        assert np.array_equal(a.vector, b.vector)
+
+
+@pytest.mark.parametrize("kind", list(CompositionKind))
+@pytest.mark.parametrize("level", ["sentence-average", "doc-cvm"])
+def test_represent_documents_matches_per_sentence_loop(kind, level):
+    rng = np.random.default_rng(17)
+    table = EmbeddingTable("x", rng.normal(size=(40, 16)))
+    docs = _random_documents(rng, 60, 40)
+    for doc, dv in zip(docs, represent_documents(docs, table, kind, level)):
+        want = _loop_representation(doc, table, kind, level)
+        assert np.allclose(dv.vector, want, rtol=0, atol=1e-12)
+
+
+def test_represent_documents_names_first_faulty_document():
+    _, table = _two_word_table()
+    good = LabeledDocument("ok", "x", set(), [Sentence((0,))])
+    empty = [LabeledDocument(name, "x", set(), []) for name in ("e1", "e2")]
+    with pytest.raises(RepresentationError, match="'e1'"):
+        represent_documents([good, empty[0], good, empty[1]], table, ADD)
+    table.matrix[1, 0] = np.inf
+    docs = [
+        LabeledDocument("finite", "x", set(), [Sentence((0,))]),
+        LabeledDocument("inf1", "x", set(), [Sentence((0,)), Sentence((0, 1))]),
+        LabeledDocument("inf2", "x", set(), [Sentence((1,))]),
+    ]
+    for level in ("sentence-average", "doc-cvm"):
+        with pytest.raises(RepresentationError, match="'inf1' produced non-finite"):
+            represent_documents(docs, table, ADD, level)
+    assert represent_documents([], table, ADD) == []
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +401,35 @@ def test_transfer_matrix_counts_and_order_independence():
     ]
 
 
+def test_transfer_matrix_represents_each_language_once(monkeypatch):
+    langs = ["x", "y", "z"]
+    bundle = _topic_bundle(langs)
+    docs = {lang: _topic_docs(lang) for lang in langs}
+    want = transfer_matrix(langs, docs, bundle, seed=5).to_tsv()
+    calls = []
+
+    def spy(docs, table, kind, level):
+        calls.append(table.language)
+        return represent_documents(docs, table, kind, level)
+
+    monkeypatch.setattr("jointvec.evaluation.represent_documents", spy)
+    assert transfer_matrix(langs, docs, bundle, seed=5).to_tsv() == want
+    assert sorted(calls) == langs
+
+
+def test_transfer_matrix_repeated_or_empty_language_is_named():
+    bundle = _topic_bundle(["x", "y"])
+    docs = {"x": _topic_docs("x"), "y": _topic_docs("y")}
+    with pytest.raises(ConfigError, match="'x'"):
+        transfer_matrix(["x", "x"], docs, bundle)
+    with pytest.raises(ConfigError, match="'y'"):
+        transfer_matrix(["x", "y", "y"], docs, bundle)
+    with pytest.raises(ConfigError, match="'y'"):
+        transfer_matrix(["x", "y"], {"x": docs["x"], "y": []}, bundle)
+    with pytest.raises(ConfigError, match="'y'"):
+        cldc_run("x", docs["x"], "y", [], bundle)
+
+
 def test_transfer_matrix_validation(monkeypatch):
     bundle = _topic_bundle(["x", "y"])
     docs = {"x": _topic_docs("x"), "y": _topic_docs("y")}
@@ -338,7 +441,7 @@ def test_transfer_matrix_validation(monkeypatch):
     def no_representation(*args):
         raise AssertionError("a document was represented before the settings were checked")
 
-    monkeypatch.setattr("jointvec.evaluation._doc_vectors", no_representation)
+    monkeypatch.setattr("jointvec.evaluation.represent_documents", no_representation)
     for name, bad in (("clf_epochs", 0), ("top_labels", 0), ("seed", -1)):
         with pytest.raises(ConfigError, match=name):
             transfer_matrix(["x", "y"], docs, bundle, **{name: bad})
