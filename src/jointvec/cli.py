@@ -202,13 +202,19 @@ def load_config_file(path, flags) -> dict:
 
 
 def _resolve(args) -> None:
-    """Fill unset settings from the config file, then from built-in defaults."""
+    """Fill unset settings from the config file, then from built-in defaults.
+
+    Every subcommand's --out names a directory, so an existing file there
+    fails here, before any work.
+    """
     cfg = load_config_file(args.config, args.settings) if args.config else {}
     for flag in args.settings:
         if getattr(args, flag.name) is None:
             setattr(args, flag.name, cfg.get(flag.name, flag.default))
         if flag.required and getattr(args, flag.name) is None:
             raise ConfigError(f"--{flag.name.replace('_', '-')} is required")
+    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"{args.out} exists and is not a directory")
 
 
 def _write_manifest(args) -> None:
@@ -241,8 +247,7 @@ def _split_lang_file(flag: str, value: str) -> tuple:
 
 
 def _check_out(path, force: bool) -> None:
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise ConfigError(f"{path} exists and is not a directory")
+    """train and export write a directory of their own: an existing one must be empty."""
     if os.path.isdir(path) and os.listdir(path) and not force:
         raise ConfigError(f"{path} exists and is not empty; pass --force to write anyway")
 

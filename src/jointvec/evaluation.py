@@ -3,15 +3,17 @@
 Documents become vectors (sentence-average or the two-stage compositional
 form), an averaged perceptron trains on one language's documents, and the
 resulting classifier is scored on another language's documents with no
-target-language supervision. Documents compose through the segmented
-`compose` that training uses; `transfer_matrix` composes each language's
-documents once for all its pairs. Single-label tasks report accuracy,
-multi-label tasks micro-F1 (macro-F1 emitted alongside); a majority-class
-baseline row accompanies every run.
+target-language supervision. A language's documents compose, through the
+segmented `compose` that training uses, into one (n, d) matrix that the
+perceptrons train on and predict from; `transfer_matrix` composes each
+language once for all its pairs and resolves the task once. Single-label
+tasks report accuracy, multi-label tasks micro-F1 (macro-F1 emitted
+alongside); a majority-class baseline row accompanies every run.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -21,13 +23,6 @@ from .embeddings import EmbeddingTable, ModelBundle, derive_seed
 from .errors import ConfigError, ContractError, RepresentationError
 
 LEVELS = ("sentence-average", "doc-cvm")
-
-
-@dataclass
-class DocVector:
-    vector: np.ndarray
-    doc_id: str
-    labels: set
 
 
 # Tokens per block of documents: keeps each compose call's (tokens, d)
@@ -40,8 +35,8 @@ def represent_documents(
     table: EmbeddingTable,
     kind: CompositionKind,
     level: str = "sentence-average",
-) -> list:
-    """Map each document to one d-vector, as a DocVector.
+) -> np.ndarray:
+    """Map the documents to an (n, d) float64 matrix, row i for `docs[i]`.
 
     Documents are packed once and composed in blocks of whole documents:
     one segmented `compose` over a block's sentences, then one
@@ -75,11 +70,12 @@ def represent_documents(
     if bad.any():
         doc_id = docs[int(bad.argmax())].doc_id
         raise RepresentationError(f"document {doc_id!r} produced non-finite entries")
-    return [DocVector(vec, doc.doc_id, set(doc.labels)) for vec, doc in zip(vecs, docs)]
+    return vecs
 
 
-def _with_bias(x: np.ndarray) -> np.ndarray:
-    return np.append(x, 1.0)
+def _add_bias(xs) -> np.ndarray:
+    """The (n, d) matrix `xs` with a column of ones appended: the bias input."""
+    return np.column_stack([np.asarray(xs, dtype=float), np.ones(len(xs))])
 
 
 @dataclass
@@ -90,29 +86,31 @@ class PerceptronModel:
     averaged: np.ndarray
     updates: int
 
-    def predict(self, x: np.ndarray) -> int:
-        """Argmax over averaged scores; exact ties go to the lowest class id."""
-        return int(np.argmax(self.averaged @ _with_bias(x)))
+    def predict(self, xs: np.ndarray) -> np.ndarray:
+        """Class id per row of the (n, d) matrix `xs`; exact ties go to the lowest id.
+
+        Stacked matrix-vector products give the per-row `averaged @ [x, 1]`
+        bit for bit; one gemm `xs @ averaged.T` would round differently.
+        """
+        return np.argmax(self.averaged @ _add_bias(xs)[:, :, None], axis=1)[:, 0]
 
 
-def train_multiclass(examples: list, epochs: int = 10, seed: int = 0) -> PerceptronModel:
-    """Averaged perceptron over (DocVector, class id) pairs.
+def train_multiclass(xs, ys, epochs: int = 10, seed: int = 0) -> PerceptronModel:
+    """Averaged perceptron over the rows of the (n, d) matrix `xs`, row i of class `ys[i]`.
 
     Learning rate 1; on a mistake the true class gains the example and the
     predicted class loses it. The weight matrix is snapshotted after every
     example (updated or not) and the snapshot mean is what predicts.
     """
-    if not examples:
+    xs, ys = _add_bias(xs), np.asarray(ys, dtype=int)
+    if not len(xs):
         raise ConfigError("no training examples")
-    classes = {c for _, c in examples}
+    classes = np.unique(ys)
     if len(classes) < 2:
-        raise ConfigError(f"need at least 2 classes, got {sorted(classes)}")
-    n_classes = max(classes) + 1
-    d = len(examples[0][0].vector)
-    xs = np.stack([_with_bias(dv.vector) for dv, _ in examples])
-    ys = np.array([c for _, c in examples])
+        raise ConfigError(f"need at least 2 classes, got {classes.tolist()}")
+    n_classes = int(classes[-1]) + 1
 
-    w = np.zeros((n_classes, d + 1))
+    w = np.zeros((n_classes, xs.shape[1]))
     acc = np.zeros_like(w)
     updates = 0
     rng = np.random.default_rng(seed)
@@ -136,8 +134,12 @@ class BinaryPerceptron:
     updates: int
     no_positives: bool
 
-    def predict(self, x: np.ndarray) -> bool:
-        return float(self.averaged @ _with_bias(x)) > 0.0
+    def predict(self, xs: np.ndarray) -> np.ndarray:
+        """Per row of the (n, d) matrix `xs`, bit for bit `float(averaged @ [x, 1]) > 0`.
+
+        Stacked vector products round as the per-row product; a gemv would not.
+        """
+        return (_add_bias(xs)[:, None, :] @ self.averaged)[:, 0] > 0.0
 
 
 def _train_binary(xs: np.ndarray, ys: np.ndarray, epochs: int, seed: int) -> BinaryPerceptron:
@@ -156,26 +158,21 @@ def _train_binary(xs: np.ndarray, ys: np.ndarray, epochs: int, seed: int) -> Bin
     return BinaryPerceptron(acc / (epochs * len(xs)), updates, not ys.any())
 
 
-def train_multilabel(
-    examples: list,
-    label_universe: set,
-    epochs: int = 10,
-    seed: int = 0,
-) -> dict:
-    """One-vs-rest binary averaged perceptrons over (DocVector, label set) pairs.
+def train_multilabel(xs, label_sets: list, universe: set, epochs: int = 10, seed: int = 0) -> dict:
+    """One-vs-rest averaged perceptrons over the (n, d) matrix `xs`, row i labelled `label_sets[i]`.
 
     Labels train independently with per-label derived seeds. A label with no
     positive examples keeps zero weights (predicting always-negative) and is
     flagged via its model's no_positives field.
     """
-    if not label_universe:
+    if not universe:
         raise ConfigError("empty label universe")
-    if not examples:
+    xs = _add_bias(xs)
+    if not len(xs):
         raise ConfigError("no training examples")
-    xs = np.stack([_with_bias(dv.vector) for dv, _ in examples])
     models = {}
-    for li, label in enumerate(sorted(label_universe)):
-        ys = np.array([label in labels for _, labels in examples])
+    for li, label in enumerate(sorted(universe)):
+        ys = np.array([label in labels for labels in label_sets])
         models[label] = _train_binary(xs, ys, epochs, derive_seed(seed, li))
     return models
 
@@ -253,9 +250,9 @@ def _single_label(doc) -> str:
 
 
 def resolve_task(task: str, *doc_groups) -> str:
-    """Resolve task "auto" over the given lists of documents or DocVectors.
+    """Resolve task "auto" once over all the given lists of documents.
 
-    Auto is single-label iff every document carries exactly one label.
+    Auto is single-label iff every document of every list carries exactly one label.
     """
     if task in ("single", "multi"):
         return task
@@ -294,43 +291,49 @@ def cldc_run(
     positive examples reported alongside). The majority baseline predicts
     the most document-frequent training label everywhere.
     """
-    for lang, docs in ((train_lang, train_docs), (test_lang, test_docs)):
+    given = ((train_lang, train_docs), (test_lang, test_docs))
+    for lang, docs in given:
         if not docs:
             raise ConfigError(f"no documents supplied for {lang!r}")
     _check_classifier_settings(clf_epochs, seed, top_labels)
-    train = represent_documents(train_docs, bundle.table(train_lang), bundle.kind, level)
-    test = represent_documents(test_docs, bundle.table(test_lang), bundle.kind, level)
-    rows = _classify(train_lang, train, test_lang, test, task, clf_epochs, seed, top_labels)
-    return EvalReport(rows)
+    task = resolve_task(task, train_docs, test_docs)
+    train, test = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))
+                   for lang, docs in given]
+    return EvalReport(_classify(train, test, task, clf_epochs, seed, top_labels))
 
 
-def _classify(train_lang, train, test_lang, test, task, clf_epochs, seed, top_labels) -> list:
-    """cldc_run's report rows, from the DocVectors of both languages."""
-    n_test = len(test)
+def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
+    """cldc_run's report rows for a resolved task, from two (language, documents, matrix)."""
+    (train_lang, train_docs, train_x), (test_lang, test_docs, test_x) = train, test
+    n_test = len(test_docs)
 
     def row(metric, value, support=n_test):
         return EvalRow(train_lang, test_lang, metric, value, support)
 
-    if resolve_task(task, train, test) == "single":
-        labels = sorted({_single_label(dv) for dv in train})
+    if task == "single":
+        labels = sorted({_single_label(doc) for doc in train_docs})
+        if len(labels) < 2:
+            raise ConfigError(f"all training documents in {train_lang!r} carry the one label "
+                              f"{labels[0]!r}; a single-label task needs at least 2")
         label_id = {lab: i for i, lab in enumerate(labels)}
-        examples = [(dv, label_id[_single_label(dv)]) for dv in train]
-        model = train_multiclass(examples, clf_epochs, seed)
-        correct = sum(1 for dv in test if labels[model.predict(dv.vector)] == _single_label(dv))
-        majority = _majority_label(train)
-        base = sum(1 for dv in test if _single_label(dv) == majority) / n_test
+        ys = [label_id[_single_label(doc)] for doc in train_docs]
+        predicted = train_multiclass(train_x, ys, clf_epochs, seed).predict(test_x)
+        correct = sum(labels[c] == _single_label(doc) for c, doc in zip(predicted, test_docs))
+        majority = _majority_label(train_docs)
+        base = sum(_single_label(doc) == majority for doc in test_docs) / n_test
         return [row("accuracy", correct / n_test), row("majority_baseline", base)]
 
     if top_labels is not None:
-        universe = select_top_labels(train, top_labels)
+        universe = select_top_labels(train_docs, top_labels)
     else:
-        universe = {lab for dv in train for lab in dv.labels}
+        universe = {lab for doc in train_docs for lab in doc.labels}
     if not universe:
-        raise ConfigError("training documents carry no labels")
-    models = train_multilabel([(dv, dv.labels) for dv in train], universe, clf_epochs, seed)
-    predictions = [{lab for lab, m in models.items() if m.predict(dv.vector)} for dv in test]
-    gold = [dv.labels & universe for dv in test]
-    base_preds = [{_majority_label(train)} & universe for _ in test]
+        raise ConfigError(f"training documents in {train_lang!r} carry no labels")
+    models = train_multilabel(train_x, [d.labels for d in train_docs], universe, clf_epochs, seed)
+    positive = {lab: m.predict(test_x) for lab, m in models.items()}
+    predictions = [{lab for lab, pos in positive.items() if pos[i]} for i in range(n_test)]
+    gold = [doc.labels & universe for doc in test_docs]
+    base_preds = [{_majority_label(train_docs)} & universe for _ in test_docs]
     flagged = sum(1 for m in models.values() if m.no_positives)
     return [
         row("micro_f1", micro_f1(predictions, gold)),
@@ -358,10 +361,11 @@ def transfer_matrix(
 ) -> EvalReport:
     """cldc_run over every ordered language pair, diagonal omitted.
 
-    Each language's documents are represented once, and their vectors
-    serve every pair that language is in. Each pair gets a seed derived
-    from (seed, train index, test index) in the sorted language order, so
-    entries do not depend on iteration order.
+    The task is resolved once over all the documents, and each language's
+    documents are represented once, as one matrix that serves every pair
+    that language is in. Each pair gets a seed derived from (seed, train
+    index, test index) in the sorted language order, so entries do not
+    depend on iteration order.
     """
     langs = sorted(languages)
     repeated = [lang for lang, n in Counter(langs).items() if n > 1]
@@ -373,16 +377,11 @@ def transfer_matrix(
     if missing:
         raise ConfigError(f"no documents supplied for {missing}")
     _check_classifier_settings(clf_epochs, seed, top_labels)
-    vecs = {
-        lang: represent_documents(docs_by_lang[lang], bundle.table(lang), bundle.kind, level)
-        for lang in langs
-    }
+    given = [(lang, docs_by_lang[lang]) for lang in langs]
+    task = resolve_task(task, *(docs for _, docs in given))
+    groups = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))
+              for lang, docs in given]
     rows = []
-    for i, train_lang in enumerate(langs):
-        for j, test_lang in enumerate(langs):
-            if i != j:
-                rows += _classify(
-                    train_lang, vecs[train_lang], test_lang, vecs[test_lang],
-                    task, clf_epochs, derive_seed(seed, i, j), top_labels,
-                )
+    for (i, train), (j, test) in permutations(enumerate(groups), 2):
+        rows += _classify(train, test, task, clf_epochs, derive_seed(seed, i, j), top_labels)
     return EvalReport(rows)

@@ -236,6 +236,53 @@ def test_eval_document_file_without_known_tokens_names_file(fast_corpus, trained
     assert rc == 1 and str(bad) in err
 
 
+def _relabel(src, dst, label_field):
+    """A copy of the document file `src` whose every document has `label_field` as labels."""
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = [line.split("\t") for line in lines]
+    dst.write_text("".join("\t".join([*f[:2], label_field, *f[3:]]) for f in fields),
+                   encoding="utf-8")
+    return dst
+
+
+@pytest.mark.parametrize(
+    "label_field, task, message",
+    [("only", "auto", "training documents in 'la' carry the one label 'only'"),
+     ("", "multi", "training documents in 'la' carry no labels")],
+    ids=["one_label", "no_labels"],
+)
+def test_eval_training_labels_error_names_language(fast_corpus, trained, tmp_path, label_field,
+                                                   task, message, capsys):
+    train = _relabel(fast_corpus / "la.docs", tmp_path / "la.docs", label_field)
+    rc, stdout, err = run_cli(
+        ["eval", "cldc", "--model", trained, "--train", f"la:{train}",
+         "--test", f"lb:{fast_corpus / 'lb.docs'}", "--task", task],
+        capsys,
+    )
+    assert rc == 1 and message in err and "Traceback" not in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("command", ["train", "eval cldc", "eval transfer", "query", "export"])
+def test_out_that_is_a_file_is_user_error_before_any_work(fast_corpus, trained, la_token,
+                                                          tmp_path, command, capsys):
+    out = tmp_path / "taken"
+    out.write_text("old", encoding="utf-8")
+    la_docs, lb_docs = f"la:{fast_corpus / 'la.docs'}", f"lb:{fast_corpus / 'lb.docs'}"
+    argv = {
+        "train": train_args(fast_corpus, out)[:-2],  # without its --out
+        "eval cldc": ["eval", "cldc", "--model", trained, "--train", la_docs, "--test", lb_docs],
+        "eval transfer": ["eval", "transfer", "--model", trained, "--langs", "la,lb",
+                          "--docs", la_docs, "--docs", lb_docs],
+        "query": ["query", "--model", trained, "--word", f"la:{la_token}"],
+        "export": ["export", "--model", trained],
+    }[command]
+    rc, stdout, err = run_cli([*argv, "--out", out], capsys)
+    assert rc == 1 and f"{out} exists and is not a directory" in err
+    assert "Traceback" not in err and stdout == ""
+    assert out.read_text(encoding="utf-8") == "old"
+
+
 def _vocab_tokens(path):
     """The tokens of a checkpoint's .vocab file, in row order."""
     return path.read_text(encoding="utf-8").splitlines()

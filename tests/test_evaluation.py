@@ -6,7 +6,7 @@ from jointvec.corpus import LabeledDocument, Sentence
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
 from jointvec.errors import ConfigError, ContractError, RepresentationError
 from jointvec.evaluation import (
-    DocVector,
+    BinaryPerceptron,
     EvalReport,
     EvalRow,
     PerceptronModel,
@@ -36,18 +36,18 @@ def _two_word_table():
 def test_represent_documents_hand_values():
     _, table = _two_word_table()
     doc = LabeledDocument("d", "x", {"l"}, [Sentence((0,)), Sentence((1,))])
-    avg = represent_documents([doc], table, ADD, "sentence-average")[0]
-    assert np.array_equal(avg.vector, [2.0, 2.0])
-    assert avg.doc_id == "d" and avg.labels == {"l"}
-    cvm = represent_documents([doc], table, ADD, "doc-cvm")[0]
-    assert np.array_equal(cvm.vector, [4.0, 4.0])
+    avg = represent_documents([doc], table, ADD, "sentence-average")
+    assert np.array_equal(avg, [[2.0, 2.0]])
+    assert avg.dtype == np.float64
+    cvm = represent_documents([doc], table, ADD, "doc-cvm")
+    assert np.array_equal(cvm, [[4.0, 4.0]])
 
 
 def test_represent_documents_single_sentence_modes_agree():
     _, table = _two_word_table()
     doc = LabeledDocument("d", "x", set(), [Sentence((0, 1))])
-    avg = represent_documents([doc], table, ADD, "sentence-average")[0].vector
-    cvm = represent_documents([doc], table, ADD, "doc-cvm")[0].vector
+    avg = represent_documents([doc], table, ADD, "sentence-average")[0]
+    cvm = represent_documents([doc], table, ADD, "doc-cvm")[0]
     assert np.array_equal(avg, cvm)
 
 
@@ -67,13 +67,13 @@ def test_sentence_average_order_invariant_bi_doc_cvm_not():
     fwd = LabeledDocument("d", "x", set(), sents)
     rev = LabeledDocument("d", "x", set(), sents[::-1])
     assert np.allclose(
-        represent_documents([fwd], table, CompositionKind.BI, "sentence-average")[0].vector,
-        represent_documents([rev], table, CompositionKind.BI, "sentence-average")[0].vector,
+        represent_documents([fwd], table, CompositionKind.BI, "sentence-average")[0],
+        represent_documents([rev], table, CompositionKind.BI, "sentence-average")[0],
         atol=1e-12,
     )
     assert not np.allclose(
-        represent_documents([fwd], table, CompositionKind.BI, "doc-cvm")[0].vector,
-        represent_documents([rev], table, CompositionKind.BI, "doc-cvm")[0].vector,
+        represent_documents([fwd], table, CompositionKind.BI, "doc-cvm")[0],
+        represent_documents([rev], table, CompositionKind.BI, "doc-cvm")[0],
     )
 
 
@@ -112,14 +112,13 @@ def test_represent_documents_row_does_not_depend_on_other_documents(kind, level)
     table = EmbeddingTable("x", rng.normal(size=(40, 16)))
     docs = _random_documents(rng, 60, 40)
     together = represent_documents(docs, table, kind, level)
-    assert [dv.doc_id for dv in together] == [doc.doc_id for doc in docs]
-    assert [dv.labels for dv in together] == [doc.labels for doc in docs]
-    for doc, dv in zip(docs, together):
+    assert together.shape == (len(docs), 16)
+    for doc, vec in zip(docs, together):
         alone = represent_documents([doc], table, kind, level)[0]
-        assert np.array_equal(alone.vector, dv.vector)
+        assert np.array_equal(alone, vec)
     reversed_rows = represent_documents(docs[::-1], table, kind, level)[::-1]
     for a, b in zip(together, reversed_rows):
-        assert np.array_equal(a.vector, b.vector)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind", list(CompositionKind))
@@ -128,9 +127,9 @@ def test_represent_documents_matches_per_sentence_loop(kind, level):
     rng = np.random.default_rng(17)
     table = EmbeddingTable("x", rng.normal(size=(40, 16)))
     docs = _random_documents(rng, 60, 40)
-    for doc, dv in zip(docs, represent_documents(docs, table, kind, level)):
+    for doc, vec in zip(docs, represent_documents(docs, table, kind, level)):
         want = _loop_representation(doc, table, kind, level)
-        assert np.allclose(dv.vector, want, rtol=0, atol=1e-12)
+        assert np.allclose(vec, want, rtol=0, atol=1e-12)
 
 
 def test_represent_documents_names_first_faulty_document():
@@ -148,21 +147,16 @@ def test_represent_documents_names_first_faulty_document():
     for level in ("sentence-average", "doc-cvm"):
         with pytest.raises(RepresentationError, match="'inf1' produced non-finite"):
             represent_documents(docs, table, ADD, level)
-    assert represent_documents([], table, ADD) == []
+    assert represent_documents([], table, ADD).shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
 # averaged perceptron
 
-def _dv(vec, labels=frozenset()):
-    return DocVector(np.asarray(vec, dtype=float), "d", set(labels))
-
-
 def test_multiclass_hand_trace_two_examples_one_epoch():
     # seed 0 visits the examples in given order; the trace below is manual
     assert list(np.random.default_rng(0).permutation(2)) == [0, 1]
-    examples = [(_dv([1.0, 0.0]), 1), (_dv([0.0, 1.0]), 0)]
-    model = train_multiclass(examples, epochs=1, seed=0)
+    model = train_multiclass(np.array([[1.0, 0.0], [0.0, 1.0]]), [1, 0], epochs=1, seed=0)
     # e0 x=(1,0,1) y=1: scores 0, pred 0, update -> w = [[-1,0,-1],[1,0,1]]
     # e1 x=(0,1,1) y=0: scores (-1, 1), pred 1, update -> w = [[-1,1,0],[1,-1,0]]
     assert model.updates == 2
@@ -174,77 +168,118 @@ def test_multiclass_hand_trace_two_examples_one_epoch():
 
 def test_multiclass_separable_reaches_perfect_training_accuracy():
     rng = np.random.default_rng(8)
-    examples = []
+    xs, ys = [], []
     for c in range(4):
         center = np.zeros(4)
         center[c] = 5.0
         for _ in range(10):
-            examples.append((_dv(center + rng.normal(scale=0.1, size=4)), c))
-    model = train_multiclass(examples, epochs=10, seed=0)
-    assert all(model.predict(dv.vector) == c for dv, c in examples)
+            xs.append(center + rng.normal(scale=0.1, size=4))
+            ys.append(c)
+    model = train_multiclass(np.array(xs), ys, epochs=10, seed=0)
+    assert all(model.predict(np.array(xs)) == ys)
 
 
 def test_multiclass_tie_breaks_to_lowest_class():
     model = PerceptronModel(np.zeros((3, 3)), np.zeros((3, 3)), 0)
-    assert model.predict(np.array([1.0, -2.0])) == 0
+    assert model.predict(np.array([[1.0, -2.0]]))[0] == 0
 
 
 def test_multiclass_prediction_invariant_to_positive_scaling():
     rng = np.random.default_rng(9)
-    examples = [(_dv(rng.normal(size=3)), int(rng.integers(0, 3))) for _ in range(30)]
-    model = train_multiclass(examples, epochs=3, seed=1)
+    xs, ys = [], []
+    for _ in range(30):
+        xs.append(rng.normal(size=3))
+        ys.append(int(rng.integers(0, 3)))
+    model = train_multiclass(np.array(xs), ys, epochs=3, seed=1)
     scaled = PerceptronModel(model.weights, 7.25 * model.averaged, model.updates)
     probes = rng.normal(size=(50, 3))
-    assert [model.predict(x) for x in probes] == [scaled.predict(x) for x in probes]
+    assert list(model.predict(probes)) == list(scaled.predict(probes))
 
 
 def test_multiclass_degenerate_inputs():
     with pytest.raises(ConfigError):
-        train_multiclass([])
+        train_multiclass(np.empty((0, 1)), [])
     with pytest.raises(ConfigError):
-        train_multiclass([(_dv([1.0]), 0), (_dv([2.0]), 0)])
+        train_multiclass(np.array([[1.0], [2.0]]), [0, 0])
+
+
+def _per_row_multiclass(averaged, xs):
+    return [int(np.argmax(averaged @ np.append(x, 1.0))) for x in xs]
+
+
+def _per_row_binary(averaged, xs):
+    return [float(averaged @ np.append(x, 1.0)) > 0.0 for x in xs]
+
+
+@pytest.mark.parametrize("d", [2, 16, 128])
+def test_batched_predict_matches_per_row_products(d):
+    rng = np.random.default_rng(d)
+    random_xs = rng.normal(size=(200, d))
+    random_w = rng.normal(size=(5, d + 1))
+    # integer rows and weights: classes 0-2 and 3-5 score exactly alike
+    tie_xs = rng.integers(-2, 3, size=(200, d)).astype(float)
+    tie_w = np.repeat(rng.integers(-1, 2, size=(2, d + 1)).astype(float), 3, axis=0)
+    # rows whose score is 0 in exact arithmetic, so its sign is the rounding
+    # of the sum: any other summation order flips some predictions
+    half = rng.normal(size=(200, d // 2)) * 10.0 ** rng.uniform(-3, 3, size=(200, d // 2))
+    cancel_xs = np.hstack([half, half[:, rng.permutation(d // 2)]])
+    cancel_w = np.vstack([np.r_[np.ones(d // 2), -np.ones(d // 2), 0.0], np.zeros(d + 1)])
+    for xs, averaged in ((random_xs, random_w), (tie_xs, tie_w), (cancel_xs, cancel_w)):
+        multi = PerceptronModel(np.zeros_like(averaged), averaged, 0).predict(xs)
+        assert multi.tolist() == _per_row_multiclass(averaged, xs)
+        for w in averaged:
+            binary = BinaryPerceptron(w, 0, False).predict(xs)
+            assert binary.tolist() == _per_row_binary(w, xs)
+    # every tie row scores classes 0-2 alike and 3-5 alike: the lowest id wins
+    assert set(PerceptronModel(tie_w, tie_w, 0).predict(tie_xs)) <= {0, 3}
 
 
 def test_multilabel_models_are_label_independent():
     rng = np.random.default_rng(10)
-    examples = []
+    xs, label_sets = [], []
     for i in range(12):
         labels = {"p"} if i % 2 else {"q"}
-        examples.append((_dv(rng.normal(size=3), labels), labels))
-    both = train_multilabel(examples, {"p", "q"}, epochs=5, seed=3)
-    only_p = train_multilabel(examples, {"p"}, epochs=5, seed=3)
+        xs.append(rng.normal(size=3))
+        label_sets.append(labels)
+    xs = np.array(xs)
+    both = train_multilabel(xs, label_sets, {"p", "q"}, epochs=5, seed=3)
+    only_p = train_multilabel(xs, label_sets, {"p"}, epochs=5, seed=3)
     assert np.array_equal(both["p"].averaged, only_p["p"].averaged)
 
-    flipped = [(dv, labels | {"q"}) for dv, labels in examples]
-    both2 = train_multilabel(flipped, {"p", "q"}, epochs=5, seed=3)
+    flipped = [labels | {"q"} for labels in label_sets]
+    both2 = train_multilabel(xs, flipped, {"p", "q"}, epochs=5, seed=3)
     assert np.array_equal(both["p"].averaged, both2["p"].averaged)
     assert not np.array_equal(both["q"].averaged, both2["q"].averaged)
 
 
 def test_multilabel_no_positives_flag():
-    examples = [(_dv([1.0, 0.0], {"seen"}), {"seen"}) for _ in range(4)]
-    models = train_multilabel(examples, {"seen", "ghost"}, epochs=3, seed=0)
+    xs = np.array([[1.0, 0.0]] * 4)
+    label_sets = [{"seen"}] * 4
+    models = train_multilabel(xs, label_sets, {"seen", "ghost"}, epochs=3, seed=0)
     assert not models["seen"].no_positives
     assert models["ghost"].no_positives
     assert np.all(models["ghost"].averaged == 0.0)
-    assert not models["ghost"].predict(np.array([100.0, 100.0]))
+    assert not models["ghost"].predict(np.array([[100.0, 100.0]]))[0]
     with pytest.raises(ConfigError):
-        train_multilabel(examples, set(), epochs=3, seed=0)
+        train_multilabel(xs, label_sets, set(), epochs=3, seed=0)
     with pytest.raises(ConfigError):
-        train_multilabel([], {"seen"}, epochs=3, seed=0)
+        train_multilabel(np.empty((0, 2)), [], {"seen"}, epochs=3, seed=0)
 
 
 def test_multilabel_separable_training_micro_f1():
     rng = np.random.default_rng(11)
-    examples = []
+    xs, label_sets = [], []
     for i in range(20):
         positive = i % 2 == 0
         vec = np.array([3.0, 0.0]) if positive else np.array([-3.0, 0.0])
         labels = {"on"} if positive else set()
-        examples.append((_dv(vec + rng.normal(scale=0.05, size=2), labels), labels))
-    models = train_multilabel(examples, {"on"}, epochs=10, seed=0)
-    preds = [{l for l, m in models.items() if m.predict(dv.vector)} for dv, _ in examples]
-    assert micro_f1(preds, [labels for _, labels in examples]) == 1.0
+        xs.append(vec + rng.normal(scale=0.05, size=2))
+        label_sets.append(labels)
+    xs = np.array(xs)
+    models = train_multilabel(xs, label_sets, {"on"}, epochs=10, seed=0)
+    positive = {l: m.predict(xs) for l, m in models.items()}
+    preds = [{l for l, pos in positive.items() if pos[i]} for i in range(len(xs))]
+    assert micro_f1(preds, label_sets) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -447,3 +482,25 @@ def test_transfer_matrix_validation(monkeypatch):
             transfer_matrix(["x", "y"], docs, bundle, **{name: bad})
         with pytest.raises(ConfigError, match=name):
             cldc_run("x", docs["x"], "y", docs["y"], bundle, **{name: bad})
+
+
+def test_transfer_matrix_resolves_auto_task_once_over_all_languages():
+    langs = ["x", "y", "z"]
+    bundle = _topic_bundle(langs)
+    docs = {lang: _topic_docs(lang) for lang in ("x", "y")}
+    docs["z"] = _topic_docs("z", labels_fn=lambda c: {f"t{c}", "extra"})
+    report = transfer_matrix(langs, docs, bundle, task="auto", seed=5)
+    headline = {(r.train_lang, r.test_lang): r.metric for r in report.headline().rows}
+    assert headline == {(a, b): "micro_f1" for a in langs for b in langs if a != b}
+    forced = transfer_matrix(langs, docs, bundle, task="multi", seed=5)
+    assert forced.to_tsv() == report.to_tsv()
+
+
+def test_classify_errors_name_the_training_language():
+    bundle = _topic_bundle(["x", "y"])
+    one_label = _topic_docs("x", labels_fn=lambda c: {"only"})
+    with pytest.raises(ConfigError, match="'x'.*'only'"):
+        cldc_run("x", one_label, "y", _topic_docs("y"), bundle, task="single")
+    unlabelled = _topic_docs("x", labels_fn=lambda c: set())
+    with pytest.raises(ConfigError, match="training documents in 'x' carry no labels"):
+        cldc_run("x", unlabelled, "y", _topic_docs("y"), bundle, task="multi")
