@@ -1,12 +1,12 @@
 """Command-line entry point for reproducible training, evaluation, and queries.
 
 Every run resolves its flags against built-in defaults and an optional
-key=value config file (flags win). Once the work has succeeded, a run with
-an output directory creates it and echoes the resolved settings to a
-manifest there, just before writing its other outputs, so a failed run
-leaves no output directory behind; re-running that manifest reproduces all
-outputs byte for byte. Exit codes: 0 success, 1 user or configuration
-error, 2 internal error.
+key=value config file (flags win). --out must be absent or an empty
+directory. Once the work has succeeded, the run creates it and echoes the
+resolved settings to a manifest there, so a failed run leaves no --out
+behind; re-running that manifest into a fresh --out reproduces all outputs
+byte for byte. train runs jointly when given more than one --pair. Exit
+codes: 0 success, 1 user or configuration error, 2 internal error.
 """
 
 import argparse
@@ -35,7 +35,6 @@ from .embeddings import (
 from .errors import ConfigError, JointvecError, UserError
 from .evaluation import LEVELS, cldc_run, resolve_task, transfer_matrix
 from .training import (
-    MODES,
     AdaGradState,
     TrainConfig,
     checkpoint,
@@ -102,13 +101,12 @@ def _train_flag(name, field, help, type, tag, **kw) -> Flag:
 
 
 _MODEL = Flag("model", "checkpoint directory", metavar="DIR", required=True)
-_FORCE = Flag("force", "write into a non-empty output directory", bool, False)
 _CONFIG = Flag("config", "key=value file supplying defaults; explicit flags win", tag=TOOLING,
                metavar="FILE")
 
 _TRAIN = (
-    Flag("pair", "aligned corpus files for a language pair; repeatable, first code is the pivot",
-         metavar="L1:L2:FILE1:FILE2", repeat=True, required=True),
+    Flag("pair", "aligned corpus files for a language pair; repeat to train jointly, first "
+         "code the pivot", metavar="L1:L2:FILE1:FILE2", repeat=True, required=True),
     _train_flag("dim", "d", "embedding dimensionality d", int, REGIME),
     _train_flag("margin", "margin", "hinge margin m (default: equal to --dim)", float, REGIME),
     _train_flag("noise", "k", "noise samples k per pair", int, REGIME),
@@ -121,11 +119,8 @@ _TRAIN = (
     _train_flag("doc_signal", "doc_signal",
                 "inputs are document files; train at document level plus sentence signal",
                 bool, REGIME),
-    _train_flag("mode", "mode", "one pair, or several sharing a pivot", str, TOOLING,
-                choices=MODES),
     _train_flag("seed", "seed", "master seed for all randomness", int, TOOLING),
     Flag("out", "output directory (checkpoint, manifest, loss log)", metavar="DIR", required=True),
-    _FORCE,
 )
 
 _EVAL = (
@@ -167,7 +162,6 @@ _EXPORT = (
     _MODEL,
     Flag("lang", "export only these languages; repeatable", metavar="LANG", repeat=True),
     Flag("out", "output directory", metavar="DIR", required=True),
-    _FORCE,
 )
 
 
@@ -204,8 +198,8 @@ def load_config_file(path, flags) -> dict:
 def _resolve(args) -> None:
     """Fill unset settings from the config file, then from built-in defaults.
 
-    Every subcommand's --out names a directory, so an existing file there
-    fails here, before any work.
+    --out must be absent or an empty directory, so no run replaces or sits
+    beside another's files; anything else fails here, before any work.
     """
     cfg = load_config_file(args.config, args.settings) if args.config else {}
     for flag in args.settings:
@@ -213,8 +207,11 @@ def _resolve(args) -> None:
             setattr(args, flag.name, cfg.get(flag.name, flag.default))
         if flag.required and getattr(args, flag.name) is None:
             raise ConfigError(f"--{flag.name.replace('_', '-')} is required")
-    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ConfigError(f"{args.out} exists and is not a directory")
+    if args.out and os.path.exists(args.out):
+        if not os.path.isdir(args.out):
+            raise ConfigError(f"{args.out} exists and is not a directory")
+        if os.listdir(args.out):
+            raise ConfigError(f"{args.out} exists and is not empty")
 
 
 def _write_manifest(args) -> None:
@@ -246,25 +243,16 @@ def _split_lang_file(flag: str, value: str) -> tuple:
     return lang, path
 
 
-def _check_out(path, force: bool) -> None:
-    """train and export write a directory of their own: an existing one must be empty."""
-    if os.path.isdir(path) and os.listdir(path) and not force:
-        raise ConfigError(f"{path} exists and is not empty; pass --force to write anyway")
-
-
 # ---------------------------------------------------------------------------
 # train
 
 def cmd_train(args) -> int:
     pairs = [_split_pair_flag(p) for p in args.pair]
     fields = [f for f in _TRAIN if f.field]
-    config = TrainConfig(**{f.field: getattr(args, f.name) for f in fields})
-    if config.mode == "single" and len(pairs) != 1:
-        raise ConfigError("--mode single takes exactly one --pair; use --mode joint")
+    config = TrainConfig(mode="single" if len(pairs) == 1 else "joint",
+                         **{f.field: getattr(args, f.name) for f in fields})
     for f in fields:  # the manifest echoes the config as resolved, margin included
         setattr(args, f.name, getattr(config, f.field))
-
-    _check_out(args.out, args.force)
 
     if config.doc_signal:
         load, make_corpus = load_document_pairs, DocumentCorpus
@@ -391,7 +379,6 @@ def cmd_export(args) -> int:
     args.lang = args.lang or list(bundle.languages)
     for lang in args.lang:
         bundle.table(lang)  # unknown language fails before any file is written
-    _check_out(args.out, args.force)
     _write_manifest(args)
     for lang in args.lang:
         export_table(bundle.table(lang), bundle.vocab(lang), os.path.join(args.out, f"{lang}.emb"))

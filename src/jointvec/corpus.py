@@ -188,7 +188,7 @@ def load_document_pairs(path_a, path_b, vocab_a, vocab_b) -> list[DocumentPair]:
     Every token of `path_a`, then of `path_b`, goes through `Vocabulary.add`,
     documents later dropped included. Alignment is positional over raw
     lines; a blank line is a document without sentences. A pair is dropped
-    only when one side has no sentences, keeping the two sides in lockstep.
+    when one side has no sentences; a kept pair must be sentence-aligned.
     """
     lines_a, lines_b = _read_aligned(path_a, path_b, "document")
 
@@ -202,8 +202,13 @@ def load_document_pairs(path_a, path_b, vocab_a, vocab_b) -> list[DocumentPair]:
         ]
 
     docs = zip(read(path_a, lines_a, vocab_a), read(path_b, lines_b, vocab_b))
-    kept = [(a, b) for a, b in docs if a and b and a.sentences and b.sentences]
-    return [DocumentPair(a, b, i) for i, (a, b) in enumerate(kept)]
+    kept = [(n, a, b) for n, (a, b) in enumerate(docs, start=1)
+            if a and b and a.sentences and b.sentences]
+    for n, a, b in kept:
+        if len(a.sentences) != len(b.sentences):
+            raise AlignmentError(f"{path_a}:{n} and {path_b}:{n} differ in sentence count "
+                                 f"({len(a.sentences)} vs {len(b.sentences)})")
+    return [DocumentPair(a, b, i) for i, (_, a, b) in enumerate(kept)]
 
 
 def select_top_labels(docs: list[LabeledDocument], n: int) -> set[str]:

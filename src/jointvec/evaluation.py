@@ -245,8 +245,12 @@ class EvalReport:
             fh.write(self.to_tsv())
 
 
-def _single_label(doc) -> str:
-    return min(doc.labels)
+def _single_labels(lang: str, docs) -> list:
+    """Each document's label on a single-label task: the smallest of its labels."""
+    for doc in docs:
+        if not doc.labels:
+            raise ConfigError(f"document {doc.doc_id!r} in {lang!r} has no label to classify")
+    return [min(doc.labels) for doc in docs]
 
 
 def resolve_task(task: str, *doc_groups) -> str:
@@ -288,8 +292,9 @@ def cldc_run(
     With task="auto", documents that all carry exactly one label run as a
     single-label problem (accuracy); anything else runs one-vs-rest
     multi-label (micro-F1, with macro-F1 and the fraction of labels lacking
-    positive examples reported alongside). The majority baseline predicts
-    the most document-frequent training label everywhere.
+    positive examples reported alongside). A single-label document's label
+    is the smallest of its set; the majority baseline predicts the most
+    frequent training label everywhere.
     """
     given = ((train_lang, train_docs), (test_lang, test_docs))
     for lang, docs in given:
@@ -311,16 +316,18 @@ def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
         return EvalRow(train_lang, test_lang, metric, value, support)
 
     if task == "single":
-        labels = sorted({_single_label(doc) for doc in train_docs})
+        train_y = _single_labels(train_lang, train_docs)
+        test_y = _single_labels(test_lang, test_docs)
+        labels = sorted(set(train_y))
         if len(labels) < 2:
             raise ConfigError(f"all training documents in {train_lang!r} carry the one label "
                               f"{labels[0]!r}; a single-label task needs at least 2")
         label_id = {lab: i for i, lab in enumerate(labels)}
-        ys = [label_id[_single_label(doc)] for doc in train_docs]
+        ys = [label_id[y] for y in train_y]
         predicted = train_multiclass(train_x, ys, clf_epochs, seed).predict(test_x)
-        correct = sum(labels[c] == _single_label(doc) for c, doc in zip(predicted, test_docs))
-        majority = _majority_label(train_docs)
-        base = sum(_single_label(doc) == majority for doc in test_docs) / n_test
+        correct = sum(labels[c] == y for c, y in zip(predicted, test_y))
+        majority = _majority_label(train_y)
+        base = sum(y == majority for y in test_y) / n_test
         return [row("accuracy", correct / n_test), row("majority_baseline", base)]
 
     if top_labels is not None:
@@ -333,7 +340,8 @@ def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
     positive = {lab: m.predict(test_x) for lab, m in models.items()}
     predictions = [{lab for lab, pos in positive.items() if pos[i]} for i in range(n_test)]
     gold = [doc.labels & universe for doc in test_docs]
-    base_preds = [{_majority_label(train_docs)} & universe for _ in test_docs]
+    majority = _majority_label(lab for doc in train_docs for lab in doc.labels)
+    base_preds = [{majority} & universe for _ in test_docs]
     flagged = sum(1 for m in models.values() if m.no_positives)
     return [
         row("micro_f1", micro_f1(predictions, gold)),
@@ -343,9 +351,9 @@ def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
     ]
 
 
-def _majority_label(docs) -> str:
-    freq = Counter(lab for d in docs for lab in d.labels)
-    # ties favor the lexicographically smaller label
+def _majority_label(labels) -> str:
+    """The most frequent entry of `labels`; ties favor the lexicographically smaller."""
+    freq = Counter(labels)
     return min(freq, key=lambda lab: (-freq[lab], lab))
 
 

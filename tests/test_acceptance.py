@@ -424,7 +424,7 @@ def test_reproducibility_and_persistence(criterion, tmp_path):
         key, _, value = line.partition("=")
         if key in ("subcommand", "out"):
             continue
-        if key in ("doc_signal", "force"):
+        if key == "doc_signal":
             if value == "true":
                 replay.append(f"--{key.replace('_', '-')}")
             continue

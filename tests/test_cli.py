@@ -90,37 +90,23 @@ def test_train_rejects_bad_margin(fast_corpus, tmp_path, capsys):
     assert "error" in err
 
 
-def test_train_refuses_nonempty_out_without_force(fast_corpus, tmp_path, capsys):
-    out = tmp_path / "run"
-    out.mkdir()
-    (out / "stale.txt").write_text("old", encoding="utf-8")
-    rc, _, err = run_cli(train_args(fast_corpus, out), capsys)
-    assert rc == 1 and "--force" in err
-    rc, _, _ = run_cli(train_args(fast_corpus, out, extra=["--force"]), capsys)
-    assert rc == 0
-
-
 def test_train_refuses_out_that_is_a_file(fast_corpus, tmp_path, capsys):
     out = tmp_path / "run"
     out.write_text("old", encoding="utf-8")
-    rc, _, err = run_cli(train_args(fast_corpus, out, extra=["--force"]), capsys)
+    rc, _, err = run_cli(train_args(fast_corpus, out), capsys)
     assert rc == 1 and "not a directory" in err
     assert out.read_text(encoding="utf-8") == "old"
 
 
-def test_train_single_mode_takes_one_pair(fast_corpus, tmp_path, capsys):
-    args = train_args(fast_corpus, tmp_path / "x")
-    args += ["--pair", f"la:lb:{fast_corpus / 'la.txt'}:{fast_corpus / 'lb.txt'}"]
-    rc, _, err = run_cli(args, capsys)
-    assert rc == 1 and "single" in err
-
-
-def test_train_joint_mode_single_pair_matches_single(fast_corpus, trained, tmp_path, capsys):
-    out = tmp_path / "joint"
-    rc, _, _ = run_cli(train_args(fast_corpus, out, extra=["--mode", "joint"]), capsys)
-    assert rc == 0
-    for name in ("la.npy", "lb.npy", "la.vocab", "lb.vocab"):
-        assert (out / name).read_bytes() == (trained / name).read_bytes()
+def test_pair_count_sets_training_mode(fast_corpus, tmp_path, capsys):
+    """One --pair trains in single mode, more than one jointly; no flag selects it."""
+    second = ["--pair", f"la:lc:{fast_corpus / 'la.txt'}:{fast_corpus / 'lb.txt'}"]
+    for extra, mode in (([], "single"), (second, "joint")):
+        out = tmp_path / mode
+        rc, _, err = run_cli(train_args(fast_corpus, out, extra=extra), capsys)
+        assert rc == 0, err
+        assert f"mode={mode}\n" in (out / "meta.txt").read_text(encoding="utf-8")
+        assert "mode=" not in (out / "manifest.txt").read_text(encoding="utf-8")
 
 
 def test_train_bad_pair_spec(fast_corpus, tmp_path, capsys):
@@ -248,8 +234,9 @@ def _relabel(src, dst, label_field):
 @pytest.mark.parametrize(
     "label_field, task, message",
     [("only", "auto", "training documents in 'la' carry the one label 'only'"),
-     ("", "multi", "training documents in 'la' carry no labels")],
-    ids=["one_label", "no_labels"],
+     ("", "multi", "training documents in 'la' carry no labels"),
+     ("", "single", "document 'la-doc0000' in 'la' has no label")],
+    ids=["one_label", "no_labels", "single_no_label"],
 )
 def test_eval_training_labels_error_names_language(fast_corpus, trained, tmp_path, label_field,
                                                    task, message, capsys):
@@ -281,6 +268,14 @@ def test_out_that_is_a_file_is_user_error_before_any_work(fast_corpus, trained, 
     assert rc == 1 and f"{out} exists and is not a directory" in err
     assert "Traceback" not in err and stdout == ""
     assert out.read_text(encoding="utf-8") == "old"
+    used = tmp_path / "used"  # say, a training run's directory
+    used.mkdir()
+    (used / "manifest.txt").write_text("old", encoding="utf-8")
+    rc, stdout, err = run_cli([*argv, "--out", used], capsys)
+    assert rc == 1 and f"{used} exists and is not empty" in err
+    assert "Traceback" not in err and stdout == ""
+    assert [p.name for p in used.iterdir()] == ["manifest.txt"]
+    assert (used / "manifest.txt").read_text(encoding="utf-8") == "old"
 
 
 def _vocab_tokens(path):
@@ -316,7 +311,7 @@ def test_train_ids_are_first_sight_over_each_languages_files(tmp_path, files, pa
         (tmp_path / name).write_text(text, encoding="utf-8")
     specs = [p.split(":") for p in pairs]
     argv = ["train", "--dim", 4, "--noise", 1, "--batch", 2, "--epochs", 1, "--seed", 1,
-            "--mode", "joint", "--out", tmp_path / "run"]
+            "--out", tmp_path / "run"]
     for l1, l2, f1, f2 in specs:
         argv += ["--pair", f"{l1}:{l2}:{tmp_path / f1}:{tmp_path / f2}"]
     rc, _, err = run_cli(argv, capsys)
@@ -449,9 +444,7 @@ def test_export_all_and_selected(trained, tmp_path, capsys):
     assert not (only / "lb.emb").exists()
 
     rc, _, err = run_cli(["export", "--model", trained, "--out", out], capsys)
-    assert rc == 1 and "--force" in err
-    rc, _, _ = run_cli(["export", "--model", trained, "--out", out, "--force"], capsys)
-    assert rc == 0
+    assert rc == 1 and f"{out} exists and is not empty" in err
     rc, _, _ = run_cli(
         ["export", "--model", trained, "--lang", "zz", "--out", tmp_path / "zz"], capsys
     )
@@ -486,13 +479,13 @@ def test_explicit_flags_beat_config(fast_corpus, tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, line",
     [
-        (["train"], "force=maybe"),
+        (["train"], "doc_signal=maybe"),
         (["train"], "dim=abc"),
         (["train"], "cvm=tri"),
         (["eval", "cldc"], "level=bogus"),
         (["query"], "metric=bogus"),
     ],
-    ids=["force", "dim", "cvm", "level", "metric"],
+    ids=["doc_signal", "dim", "cvm", "level", "metric"],
 )
 def test_bad_config_value_names_file_and_key(command, line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -512,7 +505,7 @@ def test_every_subcommand_replays_its_manifest(fast_corpus, trained, tmp_path, c
          "--docs", lb_docs, "--task", "multi", "--top-labels", 2, "--epochs", 3],
         ["query", "--model", trained, "--word", f"la:{token}", "--target", "lb",
          "--metric", "euclidean"],
-        ["export", "--model", trained, "--lang", "lb", "--lang", "la", "--force"],
+        ["export", "--model", trained, "--lang", "lb", "--lang", "la"],
     ]
     for i, argv in enumerate(runs):
         first, replay = tmp_path / f"first{i}", tmp_path / f"replay{i}"
@@ -754,3 +747,25 @@ def test_doc_signal_training_skips_blank_document_lines(fast_corpus, tmp_path, b
     for lang, path in zip(("la", "lb"), paths):
         expected = build_vocab(iter_document_token_sentences(path))
         assert _vocab_tokens(out / f"{lang}.vocab") == expected.tokens
+
+
+def test_doc_signal_training_rejects_sentence_misaligned_pair(fast_corpus, tmp_path, capsys):
+    """A kept document pair must have as many sentences on each side; the error names the line."""
+    paths = []
+    for lang in ("la", "lb"):
+        paths.append(tmp_path / f"{lang}.docs")
+        shutil.copy(fast_corpus / f"{lang}.docs", paths[-1])
+    docs = paths[1].read_text(encoding="utf-8").splitlines()
+    doc_id, lang, labels, body = docs[2].split("\t")
+    blanked = " ||| ".join(["", *body.split(" ||| ")[1:]])  # its first sentence blank
+    docs[2] = "\t".join([doc_id, lang, labels, blanked])
+    paths[1].write_text("".join(f"{d}\n" for d in docs), encoding="utf-8")
+    out = tmp_path / "run"
+    rc, stdout, err = run_cli(
+        ["train", "--pair", f"la:lb:{paths[0]}:{paths[1]}", "--doc-signal", "--dim", 8,
+         "--noise", 2, "--batch", 4, "--epochs", 1, "--seed", 2, "--out", out],
+        capsys,
+    )
+    assert rc == 1 and "Traceback" not in err and stdout == ""
+    assert f"{paths[0]}:3" in err and f"{paths[1]}:3" in err
+    assert not out.exists()

@@ -504,3 +504,21 @@ def test_classify_errors_name_the_training_language():
     unlabelled = _topic_docs("x", labels_fn=lambda c: set())
     with pytest.raises(ConfigError, match="training documents in 'x' carry no labels"):
         cldc_run("x", unlabelled, "y", _topic_docs("y"), bundle, task="multi")
+
+
+def test_cldc_single_label_task_uses_each_documents_one_label():
+    """Single-label documents take their smallest label; the majority baseline counts those."""
+    bundle = _topic_bundle(["x", "y"])
+
+    def docs(lang, label_sets):
+        return [LabeledDocument(f"{lang}{i}", lang, labels, [Sentence((i,))])
+                for i, labels in enumerate(label_sets)]
+
+    train = docs("x", [{"a", "z"}, {"a", "z"}, {"z", "b"}, {"b"}])
+    test = docs("y", [{"a"}, {"a", "y"}, {"b"}])
+    report = cldc_run("x", train, "y", test, bundle, task="single", seed=0)
+    base = {r.metric: r.value for r in report.rows}["majority_baseline"]
+    assert base == pytest.approx(2 / 3)  # "a"; "z" is no document's single label
+    unlabelled = docs("y", [{"a"}, set(), {"b"}])
+    with pytest.raises(ConfigError, match="document 'y1' in 'y' has no label"):
+        cldc_run("x", train, "y", unlabelled, bundle, task="single")
