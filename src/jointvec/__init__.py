@@ -23,7 +23,6 @@ from .embeddings import (
     EmbeddingTable,
     ModelBundle,
     Vocabulary,
-    build_vocab,
     export_table,
     import_table,
     init_table,
@@ -40,7 +39,7 @@ from .evaluation import (
     train_multilabel,
     transfer_matrix,
 )
-from .objective import LossBreakdown, doc_loss_and_grads, energy, pair_loss_and_grads
+from .objective import LossBreakdown, energy
 from .training import (
     AdaGradState,
     TrainConfig,

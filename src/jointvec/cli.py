@@ -207,6 +207,8 @@ def _resolve(args) -> None:
             setattr(args, flag.name, cfg.get(flag.name, flag.default))
         if flag.required and getattr(args, flag.name) is None:
             raise ConfigError(f"--{flag.name.replace('_', '-')} is required")
+    if args.out == "":
+        raise ConfigError("--out is empty; give a directory")
     if args.out and os.path.exists(args.out):
         if not os.path.isdir(args.out):
             raise ConfigError(f"{args.out} exists and is not a directory")

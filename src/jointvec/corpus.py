@@ -44,7 +44,6 @@ class Sentence:
 class ParallelPair:
     source: Sentence
     target: Sentence
-    index: int
 
 
 @dataclass
@@ -61,7 +60,6 @@ class DocumentPair:
 
     source: LabeledDocument
     target: LabeledDocument
-    index: int
 
 
 @dataclass
@@ -96,13 +94,19 @@ def tokenize(text: str) -> list[str]:
 def read_lines(path, error=FileFormatError) -> list[str]:
     """The lines of the UTF-8 text file at `path`; every input file is read here.
 
-    A file that cannot be opened or decoded raises `error` naming the path.
+    Lines end at LF, CRLF or CR only, as in text-mode iteration; form
+    feeds, U+0085, U+2028 and the like stay inside their line, so files
+    that `wc -l` counts as aligned read as aligned. A file that cannot be
+    opened or decoded raises `error` naming the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+    if not lines[-1]:
+        lines.pop()  # the empty text after the last line end
+    return lines
 
 
 def iter_token_sentences(path):
@@ -136,13 +140,12 @@ def load_parallel(path_a, path_b, vocab_a, vocab_b) -> list[ParallelPair]:
 
     Every token of `path_a`, then of `path_b`, goes through `Vocabulary.add`,
     lines later dropped included. Pairs in which either side tokenizes to
-    nothing are dropped; survivors are re-indexed 0..n-1.
+    nothing are dropped.
     """
     lines_a, lines_b = _read_aligned(path_a, path_b, "line")
     ids_a = [tuple(map(vocab_a.add, tokenize(line))) for line in lines_a]
     ids_b = [tuple(map(vocab_b.add, tokenize(line))) for line in lines_b]
-    kept = [(a, b) for a, b in zip(ids_a, ids_b) if a and b]
-    return [ParallelPair(Sentence(a), Sentence(b), i) for i, (a, b) in enumerate(kept)]
+    return [ParallelPair(Sentence(a), Sentence(b)) for a, b in zip(ids_a, ids_b) if a and b]
 
 
 def _parse_document_line(path, lineno: int, line: str) -> tuple:
@@ -208,7 +211,7 @@ def load_document_pairs(path_a, path_b, vocab_a, vocab_b) -> list[DocumentPair]:
         if len(a.sentences) != len(b.sentences):
             raise AlignmentError(f"{path_a}:{n} and {path_b}:{n} differ in sentence count "
                                  f"({len(a.sentences)} vs {len(b.sentences)})")
-    return [DocumentPair(a, b, i) for i, (_, a, b) in enumerate(kept)]
+    return [DocumentPair(a, b) for _, a, b in kept]
 
 
 def select_top_labels(docs: list[LabeledDocument], n: int) -> set[str]:

@@ -60,15 +60,6 @@ class Vocabulary:
         return list(self._tokens)
 
 
-def build_vocab(token_sentences) -> Vocabulary:
-    """Vocabulary over an iterable of token sequences, first-seen order."""
-    vocab = Vocabulary()
-    for sent in token_sentences:
-        for tok in sent:
-            vocab.add(tok)
-    return vocab
-
-
 @dataclass
 class EmbeddingTable:
     """Dense (V, d) float64 matrix for one language; rows align with vocab ids."""

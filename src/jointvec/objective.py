@@ -14,8 +14,7 @@ so every distinct sentence it needs is composed once, the (B, k) hinge
 matrix is formed at once, and gradients are summed per distinct sentence
 before one scatter into word rows. Gradients cover exactly the
 words of every sentence that takes part in at least one active hinge
-term; a batch with no active term touches no row. The one-pair losses
-pack their Sentences and take the same path.
+term; a batch with no active term touches no row.
 
 Document-level training composes twice (words -> sentence vectors ->
 document vector) and applies the same hinge between aligned documents,
@@ -24,23 +23,13 @@ sentences.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .composition import CompositionKind, backprop, compose
-from .corpus import (
-    DocumentPair,
-    PackedSide,
-    ParallelPair,
-    gather_ranges,
-    pack_documents,
-    pack_sentences,
-)
+from .corpus import PackedSide, gather_ranges
 from .embeddings import ModelBundle
-from .errors import AlignmentError, ContractError
-
-_FIRST = np.zeros(1, dtype=np.intp)
+from .errors import ContractError
 
 
 @dataclass
@@ -213,81 +202,3 @@ def batch_loss_and_grads(
         sents.grad += grad
         sents.touched |= touched
     return breakdown, sents.word_grads(languages, tables.table(languages[0]).vocab_size)
-
-
-def _as_row_map(grads: dict) -> dict:
-    return {
-        (lang, w): row for lang, (ids, rows) in grads.items() for w, row in zip(ids.tolist(), rows)
-    }
-
-
-def pair_loss_and_grads(
-    pair: ParallelPair,
-    noise: list,
-    tables: ModelBundle,
-    kind: CompositionKind,
-    margin: float,
-    languages: tuple,
-) -> tuple:
-    """Hinge terms of one sentence pair against its noise set.
-
-    `languages` is (source language, target language); `noise` holds
-    target-side Sentences. Returns (LossBreakdown, gradient map from
-    (language, word id) to a d-vector); the one-pair case of
-    batch_loss_and_grads.
-    """
-    breakdown, grads = batch_loss_and_grads(
-        pack_sentences([pair.source]),
-        pack_sentences([pair.target, *noise]),
-        _FIRST, np.arange(1, len(noise) + 1)[None, :],
-        tables, kind, margin, languages,
-    )
-    return breakdown, _as_row_map(grads)
-
-
-def doc_loss_and_grads(
-    doc_pair: DocumentPair,
-    noise_docs: list,
-    tables: ModelBundle,
-    kind: CompositionKind,
-    margin: float,
-    combine_sentence_signal: bool,
-    languages: tuple,
-    sentence_noise: list | None = None,
-) -> tuple:
-    """Document-level hinge terms, optionally combined with the sentence signal.
-
-    `noise_docs` are target-language documents standing in for noise. With
-    combine_sentence_signal set, the two sides must have equal sentence
-    counts and `sentence_noise` must hold one target-side noise list per
-    aligned sentence position, all of one length; those pair losses add
-    into the same gradients. The one-pair case of batch_loss_and_grads.
-    """
-    n = len(doc_pair.source.sentences)
-    noise_sents, noise_at = [], None
-    if combine_sentence_signal:
-        if n != len(doc_pair.target.sentences):
-            raise AlignmentError(
-                f"combined signal needs sentence-aligned documents, got "
-                f"{n} vs {len(doc_pair.target.sentences)} sentences"
-            )
-        if sentence_noise is None or len(sentence_noise) != n:
-            raise ContractError("combined signal needs one noise list per aligned sentence")
-        k = len(sentence_noise[0])
-        if any(len(s) != k for s in sentence_noise):
-            raise ContractError("combined signal needs equally long sentence noise lists")
-        noise_sents = list(chain.from_iterable(sentence_noise))
-        noise_at = np.arange(n * k).reshape(n, k)
-    # the sentence noise is packed as one more document, then cut loose
-    tgt = pack_documents(
-        [doc_pair.target.sentences, *(d.sentences for d in noise_docs), noise_sents]
-    )
-    tgt = tgt._replace(doc_starts=tgt.doc_starts[:-1])
-    breakdown, grads = batch_loss_and_grads(
-        pack_documents([doc_pair.source.sentences]),
-        tgt,
-        _FIRST, np.arange(1, len(noise_docs) + 1)[None, :],
-        tables, kind, margin, languages,
-        None if noise_at is None else tgt.doc_starts[-1] + noise_at,
-    )
-    return breakdown, _as_row_map(grads)

@@ -5,8 +5,16 @@ import pytest
 
 import reference_model as ref
 from jointvec.composition import CompositionKind
-from jointvec.corpus import DocumentPair, LabeledDocument, ParallelPair, Sentence
+from jointvec.corpus import (
+    DocumentPair,
+    LabeledDocument,
+    ParallelPair,
+    Sentence,
+    pack_documents,
+    pack_sentences,
+)
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
+from jointvec.objective import batch_loss_and_grads
 
 CRITERION_LINES = []
 
@@ -99,7 +107,7 @@ def random_pair_instance(rng, kind, va=4, vb=5, d=None, k=None, max_tries=200):
         d_i = d or int(rng.integers(2, 6))
         k_i = k or int(rng.integers(1, 4))
         bundle = make_bundle({"a": va, "b": vb}, d_i, int(rng.integers(1 << 30)), kind)
-        pair = ParallelPair(rand_sentence(rng, va), rand_sentence(rng, vb), 0)
+        pair = ParallelPair(rand_sentence(rng, va), rand_sentence(rng, vb))
         noise = [rand_sentence(rng, vb) for _ in range(k_i)]
         margin = float(rng.uniform(0.5, 3.0))
         if min(abs(h) for h in pair_hinges(bundle, pair, noise, margin, kind)) > 1e-3:
@@ -117,7 +125,7 @@ def random_doc_instance(rng, kind, va=4, vb=4, d=3, n_sents=2, k_docs=2, k_sents
 
     for _ in range(max_tries):
         bundle = make_bundle({"a": va, "b": vb}, d, int(rng.integers(1 << 30)), kind)
-        doc_pair = DocumentPair(_doc("a", va, 0), _doc("b", vb, 0), 0)
+        doc_pair = DocumentPair(_doc("a", va, 0), _doc("b", vb, 0))
         noise_docs = [_doc("b", vb, i + 1) for i in range(k_docs)]
         sentence_noise = [
             [rand_sentence(rng, vb, 3) for _ in range(k_sents)] for _ in range(n_sents)
@@ -127,6 +135,30 @@ def random_doc_instance(rng, kind, va=4, vb=4, d=3, n_sents=2, k_docs=2, k_sents
         if min(abs(h) for h in hs) > 1e-3:
             return bundle, doc_pair, noise_docs, sentence_noise, margin
     raise AssertionError("could not draw a kink-free document instance")
+
+
+def one_pair_loss(pair, noise, bundle, kind, margin, sentence_noise=None) -> tuple:
+    """One aligned pair of languages ("a", "b") against its noise, through batch_loss_and_grads.
+
+    `pair` is a ParallelPair with noise Sentences, or a DocumentPair with
+    noise documents and, for the sentence signal, `sentence_noise`: one
+    equally long list of target Sentences per aligned sentence position,
+    packed after the documents as sentences of no document.
+    """
+    first, noise_at = np.zeros(1, dtype=np.intp), np.arange(1, len(noise) + 1)[None, :]
+    if isinstance(pair, ParallelPair):
+        src, tgt = pack_sentences([pair.source]), pack_sentences([pair.target, *noise])
+        return batch_loss_and_grads(src, tgt, first, noise_at, bundle, kind, margin, ("a", "b"))
+    extra = [s for row in sentence_noise or () for s in row]
+    tgt = pack_documents([pair.target.sentences, *(d.sentences for d in noise), extra])
+    sent_noise = None
+    if sentence_noise is not None:
+        k = len(sentence_noise[0])
+        sent_noise = tgt.doc_starts[-2] + np.arange(len(extra)).reshape(-1, k)
+    return batch_loss_and_grads(
+        pack_documents([pair.source.sentences]), tgt._replace(doc_starts=tgt.doc_starts[:-1]),
+        first, noise_at, bundle, kind, margin, ("a", "b"), sent_noise,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +184,10 @@ def numerical_grads(loss_fn, bundle, step=1e-5) -> dict:
 
 
 def densify_grads(grads: dict, bundle) -> dict:
+    """Full-table gradients from the engine's {lang: (word ids, rows)} result."""
     out = {lang: np.zeros_like(bundle.table(lang).matrix) for lang in bundle.languages}
-    for (lang, wid), g in grads.items():
-        out[lang][wid] += g
+    for lang, (ids, rows) in grads.items():
+        out[lang][ids] = rows
     return out
 
 

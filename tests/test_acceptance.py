@@ -15,6 +15,7 @@ from conftest import (
     make_bundle,
     max_rel_err,
     numerical_grads,
+    one_pair_loss,
     rand_sentence,
     random_doc_instance,
     random_pair_instance,
@@ -35,14 +36,13 @@ from jointvec.corpus import (
 from jointvec.embeddings import (
     ModelBundle,
     Vocabulary,
-    build_vocab,
     derive_seed,
     export_table,
     import_table,
     init_table,
 )
 from jointvec.evaluation import cldc_run, micro_f1, train_multiclass, transfer_matrix
-from jointvec.objective import doc_loss_and_grads, energy, pair_loss_and_grads
+from jointvec.objective import energy
 from jointvec.training import (
     AdaGradState,
     TrainConfig,
@@ -82,24 +82,22 @@ def test_gradients_match_finite_differences(criterion):
     for kind in (ADD, BI):
         for _ in range(per_case):
             bundle, pair, noise, margin = random_pair_instance(rng, kind)
-            _, grads = pair_loss_and_grads(pair, noise, bundle, kind, margin, ("a", "b"))
+            _, grads = one_pair_loss(pair, noise, bundle, kind, margin)
 
             def loss():
-                b, _ = pair_loss_and_grads(pair, noise, bundle, kind, margin, ("a", "b"))
+                b, _ = one_pair_loss(pair, noise, bundle, kind, margin)
                 return b.hinge_total
 
             worst = max(worst, max_rel_err(densify_grads(grads, bundle), numerical_grads(loss, bundle)))
         for _ in range(per_case):
             bundle, doc_pair, noise_docs, sent_noise, margin = random_doc_instance(rng, kind)
-            _, grads = doc_loss_and_grads(
-                doc_pair, noise_docs, bundle, kind, margin, True, ("a", "b"),
-                sentence_noise=sent_noise,
+            _, grads = one_pair_loss(
+                doc_pair, noise_docs, bundle, kind, margin, sentence_noise=sent_noise
             )
 
             def loss():
-                b, _ = doc_loss_and_grads(
-                    doc_pair, noise_docs, bundle, kind, margin, True, ("a", "b"),
-                    sentence_noise=sent_noise,
+                b, _ = one_pair_loss(
+                    doc_pair, noise_docs, bundle, kind, margin, sentence_noise=sent_noise
                 )
                 return b.hinge_total
 
@@ -125,10 +123,10 @@ def test_objective_and_optimizer_invariants(criterion):
         kind = ADD if rng.random() < 0.5 else BI
         d = int(rng.integers(2, 5))
         bundle = make_bundle({"a": 4, "b": 5}, d, int(rng.integers(1 << 30)), kind)
-        pair = ParallelPair(rand_sentence(rng, 4), rand_sentence(rng, 5), 0)
+        pair = ParallelPair(rand_sentence(rng, 4), rand_sentence(rng, 5))
         noise = [rand_sentence(rng, 5) for _ in range(int(rng.integers(1, 4)))]
         margin = float(rng.uniform(0.01, 1.0))
-        breakdown, grads = pair_loss_and_grads(pair, noise, bundle, kind, margin, ("a", "b"))
+        breakdown, grads = one_pair_loss(pair, noise, bundle, kind, margin)
         assert breakdown.hinge_total >= 0.0
         assert (breakdown.hinge_total == 0.0) == (grads == {})
         assert (breakdown.active_noise_count == 0) == (grads == {})
@@ -170,7 +168,7 @@ def test_bilingual_synthetic_cldc_accuracy(criterion, tmp_path):
     tw = synth.make_twin_corpus("la", "lb", 500, seed=11)
     synth.write_parallel_files(tw, tmp_path / "la.txt", tmp_path / "lb.txt")
     vocabs = {
-        lang: build_vocab(iter_token_sentences(tmp_path / f"{lang}.txt"))
+        lang: Vocabulary(t for s in iter_token_sentences(tmp_path / f"{lang}.txt") for t in s)
         for lang in ("la", "lb")
     }
     pairs = load_parallel(tmp_path / "la.txt", tmp_path / "lb.txt", vocabs["la"], vocabs["lb"])
@@ -214,7 +212,9 @@ def test_pivot_aligns_unpaired_languages(criterion, tmp_path):
         for sent in iter_token_sentences(tmp_path / f"en_{lang}.src"):
             for tok in sent:
                 vocabs["en"].add(tok)
-        vocabs[lang] = build_vocab(iter_token_sentences(tmp_path / f"{lang}.tgt"))
+        vocabs[lang] = Vocabulary(
+            t for s in iter_token_sentences(tmp_path / f"{lang}.tgt") for t in s
+        )
     corpora = [
         ParallelCorpus(
             "en", lang,
@@ -284,9 +284,8 @@ def _pairs_from_twin(tw, vocab_a, vocab_b):
         ParallelPair(
             Sentence(tuple(vocab_a.add(t) for t in sa)),
             Sentence(tuple(vocab_b.add(t) for t in sb)),
-            i,
         )
-        for i, (sa, sb) in enumerate(zip(tw.sents_a, tw.sents_b))
+        for sa, sb in zip(tw.sents_a, tw.sents_b)
     ]
 
 
@@ -372,26 +371,22 @@ def test_single_sentence_documents_reduce_to_pairs(criterion):
         noise = [rand_sentence(rng, 5) for _ in range(k)]
         margin = float(rng.uniform(0.1, 3.0))
 
-        lb_pair, g_pair = pair_loss_and_grads(
-            ParallelPair(sa, sb, 0), noise, bundle, ADD, margin, ("a", "b")
-        )
+        lb_pair, g_pair = one_pair_loss(ParallelPair(sa, sb), noise, bundle, ADD, margin)
         doc_pair = DocumentPair(
             LabeledDocument("a0", "a", set(), [sa]),
             LabeledDocument("b0", "b", set(), [sb]),
-            0,
         )
         noise_docs = [
             LabeledDocument(f"n{i}", "b", set(), [ns]) for i, ns in enumerate(noise)
         ]
-        lb_doc, g_doc = doc_loss_and_grads(
-            doc_pair, noise_docs, bundle, ADD, margin, False, ("a", "b")
-        )
+        lb_doc, g_doc = one_pair_loss(doc_pair, noise_docs, bundle, ADD, margin)
 
         worst = max(worst, abs(lb_doc.hinge_total - lb_pair.hinge_total))
         assert lb_doc.active_noise_count == lb_pair.active_noise_count
-        assert set(g_doc) == set(g_pair)
-        for key, g in g_pair.items():
-            worst = max(worst, float(np.abs(g_doc[key] - g).max()))
+        assert g_doc.keys() == g_pair.keys()
+        for lang, (ids, g) in g_pair.items():
+            assert np.array_equal(g_doc[lang][0], ids)
+            worst = max(worst, float(np.abs(g_doc[lang][1] - g).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 5.0
     criterion(6, ok, f"doc vs pair max abs deviation {worst:.1e} over {cases} cases ({elapsed:.1f}s)")
@@ -463,9 +458,8 @@ def test_reproducibility_and_persistence(criterion, tmp_path):
         ParallelPair(
             Sentence(tuple(res_bundle.vocab("la")[t] for t in sa)),
             Sentence(tuple(res_bundle.vocab("lb")[t] for t in sb)),
-            i,
         )
-        for i, (sa, sb) in enumerate(zip(tw.sents_a, tw.sents_b))
+        for sa, sb in zip(tw.sents_a, tw.sents_b)
     ]
     train_joint(
         [ParallelCorpus("la", "lb", res_pairs)], res_bundle, res_config, res_state,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jointvec import synth
 from jointvec.cli import _TRAIN, load_config_file, main
 from jointvec.corpus import iter_document_token_sentences, iter_token_sentences
-from jointvec.embeddings import build_vocab, export_table, import_table
+from jointvec.embeddings import Vocabulary, export_table, import_table
 from jointvec.errors import CheckpointError, ConfigError
 from jointvec.training import load_model, resume
 
@@ -276,6 +276,9 @@ def test_out_that_is_a_file_is_user_error_before_any_work(fast_corpus, trained, 
     assert "Traceback" not in err and stdout == ""
     assert [p.name for p in used.iterdir()] == ["manifest.txt"]
     assert (used / "manifest.txt").read_text(encoding="utf-8") == "old"
+    rc, stdout, err = run_cli([*argv, "--out", ""], capsys)
+    assert rc == 1 and "--out is empty" in err
+    assert "Traceback" not in err and stdout == ""
 
 
 def _vocab_tokens(path):
@@ -306,7 +309,7 @@ def _vocab_tokens(path):
 )
 def test_train_ids_are_first_sight_over_each_languages_files(tmp_path, files, pairs, dropped,
                                                              capsys):
-    """Each language's rows follow build_vocab over its files in --pair order, dropped lines too."""
+    """Each language's rows follow first sight over its files in --pair order, dropped lines too."""
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     specs = [p.split(":") for p in pairs]
@@ -321,7 +324,8 @@ def test_train_ids_are_first_sight_over_each_languages_files(tmp_path, files, pa
         paths.setdefault(l1, []).append(tmp_path / f1)
         paths.setdefault(l2, []).append(tmp_path / f2)
     for lang, lang_paths in paths.items():
-        expected = build_vocab(chain.from_iterable(map(iter_token_sentences, lang_paths)))
+        sentences = chain.from_iterable(map(iter_token_sentences, lang_paths))
+        expected = Vocabulary(t for s in sentences for t in s)
         assert _vocab_tokens(tmp_path / "run" / f"{lang}.vocab") == expected.tokens
     lang, tokens = dropped  # tokens only on lines whose counterpart is blank
     assert tokens <= set(_vocab_tokens(tmp_path / "run" / f"{lang}.vocab"))
@@ -745,7 +749,7 @@ def test_doc_signal_training_skips_blank_document_lines(fast_corpus, tmp_path, b
     )
     assert rc == 0, err
     for lang, path in zip(("la", "lb"), paths):
-        expected = build_vocab(iter_document_token_sentences(path))
+        expected = Vocabulary(t for s in iter_document_token_sentences(path) for t in s)
         assert _vocab_tokens(out / f"{lang}.vocab") == expected.tokens
 
 

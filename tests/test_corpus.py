@@ -21,7 +21,7 @@ from jointvec.corpus import (
     select_top_labels,
     tokenize,
 )
-from jointvec.embeddings import Vocabulary, build_vocab
+from jointvec.embeddings import Vocabulary
 from jointvec.errors import (
     AlignmentError,
     ContractError,
@@ -54,17 +54,30 @@ def test_sentence_requires_tokens():
         Sentence(())
 
 
-def test_load_parallel_maps_ids_and_reindexes(tmp_path):
+def test_load_parallel_maps_ids_and_drops_empty_pairs(tmp_path):
     a = _write(tmp_path / "a.txt", "Big cat\n\nsmall dog\n")
     b = _write(tmp_path / "b.txt", "le chat\nvide\nle chien\n")
-    va = build_vocab(iter_token_sentences(a))
-    vb = build_vocab(iter_token_sentences(b))
+    va = Vocabulary(t for s in iter_token_sentences(a) for t in s)
+    vb = Vocabulary(t for s in iter_token_sentences(b) for t in s)
     pairs = load_parallel(a, b, va, vb)
-    # the pair with the empty English side is dropped, survivors reindexed
-    assert [p.index for p in pairs] == [0, 1]
+    # the pair with the empty English side is dropped
+    assert len(pairs) == 2
     assert pairs[0].source.ids == (va["big"], va["cat"])
     assert pairs[0].target.ids == (vb["le"], vb["chat"])
     assert pairs[1].target.ids == (vb["le"], vb["chien"])
+
+
+def test_load_parallel_splits_only_at_line_ends(tmp_path):
+    # two lines each by `wc -l`; a form feed and U+2028 are whitespace within a line
+    a = _write(tmp_path / "a.txt", "alpha\x0cbeta\ngamma\n")
+    b = _write(tmp_path / "b.txt", "one\ntwo\u2028three\n")
+    va, vb = Vocabulary(), Vocabulary()
+    pairs = load_parallel(a, b, va, vb)
+    assert [([va.token(i) for i in p.source.ids], [vb.token(i) for i in p.target.ids])
+            for p in pairs] == [(["alpha", "beta"], ["one"]), (["gamma"], ["two", "three"])]
+    # CRLF and a lone CR end lines too
+    c = _write(tmp_path / "c.txt", "x\r\ny\rz")
+    assert list(iter_token_sentences(c)) == [["x"], ["y"], ["z"]]
 
 
 def test_load_parallel_line_count_mismatch(tmp_path):
@@ -87,12 +100,20 @@ def test_load_documents_parses_fields(tmp_path):
         "d1\ten\tart,science\thello world ||| good day\n"
         "d2\tde\t\tguten tag\n",
     )
-    vocab = build_vocab(iter_document_token_sentences(path))
+    vocab = Vocabulary(t for s in iter_document_token_sentences(path) for t in s)
     docs = load_documents(path, vocab)
     assert [d.doc_id for d in docs] == ["d1", "d2"]
     assert docs[0].labels == {"art", "science"}
     assert len(docs[0].sentences) == 2
     assert docs[1].labels == set()
+
+
+def test_document_body_keeps_unicode_line_breaks(tmp_path):
+    path = _write(tmp_path / "x.docs", "d1\tla\tA\tfoo\x85bar\nd2\tla\tB\tbaz\n")
+    vocab = Vocabulary()
+    pairs = load_document_pairs(path, path, vocab, vocab)
+    assert [p.source.doc_id for p in pairs] == ["d1", "d2"]
+    assert [vocab.token(i) for i in pairs[0].source.sentences[0].ids] == ["foo", "bar"]
 
 
 def test_load_documents_bad_field_count_names_line(tmp_path):
@@ -148,9 +169,7 @@ def test_load_document_pairs_blank_line_is_document_without_sentences(tmp_path):
     va, vb = Vocabulary(), Vocabulary()
     pairs = load_document_pairs(a, b, va, vb)
     # each blank line drops its pair; the dropped b2 still assigns its ids
-    assert [(p.source.doc_id, p.target.doc_id, p.index) for p in pairs] == [
-        ("a1", "b1", 0), ("a3", "b3", 1)
-    ]
+    assert [(p.source.doc_id, p.target.doc_id) for p in pairs] == [("a1", "b1"), ("a3", "b3")]
     assert va.tokens == ["cat", "dog"] and vb.tokens == ["katze", "maus", "hund"]
 
 
@@ -212,8 +231,8 @@ def test_pack_corpus_flat_sentence_indexing():
         )
 
     pairs = [
-        DocumentPair(doc("a", 2, 0), doc("b", 2, 10), 0),
-        DocumentPair(doc("a", 3, 1), doc("b", 3, 20), 1),
+        DocumentPair(doc("a", 2, 0), doc("b", 2, 10)),
+        DocumentPair(doc("a", 3, 1), doc("b", 3, 20)),
     ]
     _, tgt = pack_corpus(DocumentCorpus("a", "b", pairs))
     assert tgt.n_sentences == 5

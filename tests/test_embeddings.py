@@ -8,7 +8,6 @@ from jointvec.embeddings import (
     EmbeddingTable,
     ModelBundle,
     Vocabulary,
-    build_vocab,
     derive_seed,
     export_table,
     import_table,
@@ -21,13 +20,13 @@ from conftest import make_bundle
 
 
 def test_vocabulary_first_seen_order():
-    vocab = build_vocab([["a", "b"], ["b", "c"]])
+    vocab = Vocabulary(t for s in [["a", "b"], ["b", "c"]] for t in s)
     assert [vocab[t] for t in ("a", "b", "c")] == [0, 1, 2]
     assert len(vocab) == 3
     assert vocab.token(1) == "b"
     assert "a" in vocab and "z" not in vocab
-    assert build_vocab([["x", "x", "x"]]).tokens == ["x"]
-    assert len(build_vocab([])) == 0
+    assert Vocabulary(["x", "x", "x"]).tokens == ["x"]
+    assert len(Vocabulary()) == 0
 
 
 def test_vocabulary_lookup_errors():

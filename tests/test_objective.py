@@ -1,6 +1,8 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_model as ref
@@ -14,13 +16,8 @@ from jointvec.corpus import (
     pack_sentences,
 )
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
-from jointvec.errors import AlignmentError, ContractError
-from jointvec.objective import (
-    batch_loss_and_grads,
-    doc_loss_and_grads,
-    energy,
-    pair_loss_and_grads,
-)
+from jointvec.errors import ContractError
+from jointvec.objective import batch_loss_and_grads, energy
 
 from conftest import (
     densify_grads,
@@ -28,6 +25,7 @@ from conftest import (
     make_bundle,
     max_rel_err,
     numerical_grads,
+    one_pair_loss,
     pair_hinges,
     rand_sentence,
     random_doc_instance,
@@ -65,11 +63,9 @@ def _zero_source_hinges(margin, target, noise):
         {"a": EmbeddingTable("a", np.zeros((1, rows.shape[1]))), "b": EmbeddingTable("b", rows)},
         CompositionKind.ADD,
     )
-    pair = ParallelPair(Sentence((0,)), Sentence((0,)), 0)
+    pair = ParallelPair(Sentence((0,)), Sentence((0,)))
     noise_sents = [Sentence((i,)) for i in range(1, len(rows))]
-    breakdown, _ = pair_loss_and_grads(
-        pair, noise_sents, bundle, CompositionKind.ADD, margin, ("a", "b")
-    )
+    breakdown, _ = one_pair_loss(pair, noise_sents, bundle, CompositionKind.ADD, margin)
     return breakdown
 
 
@@ -105,17 +101,15 @@ def _hand_bundle():
 def test_pair_loss_hand_example():
     # one-word sentences, d=1: x=0, y=1, noise z=0, margin 1
     bundle = _hand_bundle()
-    pair = ParallelPair(Sentence((0,)), Sentence((0,)), 0)
+    pair = ParallelPair(Sentence((0,)), Sentence((0,)))
     noise = [Sentence((1,))]
-    breakdown, grads = pair_loss_and_grads(
-        pair, noise, bundle, CompositionKind.ADD, 1.0, ("a", "b")
-    )
+    breakdown, grads = one_pair_loss(pair, noise, bundle, CompositionKind.ADD, 1.0)
     assert breakdown.hinge_total == pytest.approx(2.0)
     assert breakdown.active_noise_count == 1
-    assert set(grads) == {("a", 0), ("b", 0), ("b", 1)}
-    assert grads[("a", 0)][0] == pytest.approx(-2.0)
-    assert grads[("b", 0)][0] == pytest.approx(2.0)
-    assert grads[("b", 1)][0] == pytest.approx(0.0)
+    assert {lang: ids.tolist() for lang, (ids, _) in grads.items()} == {"a": [0], "b": [0, 1]}
+    assert grads["a"][1][0, 0] == pytest.approx(-2.0)
+    assert grads["b"][1][0, 0] == pytest.approx(2.0)
+    assert grads["b"][1][1, 0] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -123,7 +117,7 @@ def test_pair_loss_matches_reference_model(kind):
     rng = np.random.default_rng(101)
     for _ in range(30):
         bundle, pair, noise, margin = random_pair_instance(rng, kind)
-        breakdown, _ = pair_loss_and_grads(pair, noise, bundle, kind, margin, ("a", "b"))
+        breakdown, _ = one_pair_loss(pair, noise, bundle, kind, margin)
         want_total, want_active = ref.pair_loss(
             bundle.table("a").matrix,
             bundle.table("b").matrix,
@@ -142,12 +136,9 @@ def test_pair_grads_match_finite_differences(kind):
     rng = np.random.default_rng(55)
     for _ in range(5):
         bundle, pair, noise, margin = random_pair_instance(rng, kind)
-        _, grads = pair_loss_and_grads(pair, noise, bundle, kind, margin, ("a", "b"))
+        _, grads = one_pair_loss(pair, noise, bundle, kind, margin)
         numeric = numerical_grads(
-            lambda: pair_loss_and_grads(pair, noise, bundle, kind, margin, ("a", "b"))[
-                0
-            ].hinge_total,
-            bundle,
+            lambda: one_pair_loss(pair, noise, bundle, kind, margin)[0].hinge_total, bundle
         )
         assert max_rel_err(densify_grads(grads, bundle), numeric) < 1e-6
 
@@ -167,7 +158,7 @@ def test_all_hinges_inactive_gives_empty_map(kind):
     rng = np.random.default_rng(77)
     for _ in range(20):
         bundle, pair, noise, margin = _inactive_instance(rng, kind)
-        breakdown, grads = pair_loss_and_grads(pair, noise, bundle, kind, margin, ("a", "b"))
+        breakdown, grads = one_pair_loss(pair, noise, bundle, kind, margin)
         assert breakdown.hinge_total == 0.0
         assert breakdown.active_noise_count == 0
         assert grads == {}
@@ -178,7 +169,7 @@ def test_empty_map_iff_no_active_terms():
     for _ in range(100):
         kind = KINDS[int(rng.integers(0, 2))]
         bundle, pair, noise, margin = random_pair_instance(rng, kind)
-        breakdown, grads = pair_loss_and_grads(pair, noise, bundle, kind, margin, ("a", "b"))
+        breakdown, grads = one_pair_loss(pair, noise, bundle, kind, margin)
         assert (breakdown.active_noise_count == 0) == (grads == {})
 
 
@@ -197,9 +188,7 @@ def test_scaling_within_slack_keeps_inactive_pair_at_zero():
                 },
                 bundle.kind,
             )
-            breakdown, grads = pair_loss_and_grads(
-                pair, noise, scaled, CompositionKind.ADD, margin, ("a", "b")
-            )
+            breakdown, grads = one_pair_loss(pair, noise, scaled, CompositionKind.ADD, margin)
             assert breakdown.hinge_total == 0.0
             assert grads == {}
 
@@ -219,17 +208,16 @@ def test_doc_reduces_to_pair_on_single_sentences():
     rng = np.random.default_rng(42)
     bundle, pair, noise, margin = random_pair_instance(rng, CompositionKind.ADD)
     doc_pair = DocumentPair(
-        _single_sentence_doc("a", pair.source), _single_sentence_doc("b", pair.target), 0
+        _single_sentence_doc("a", pair.source), _single_sentence_doc("b", pair.target)
     )
     noise_docs = [_single_sentence_doc("b", s, i + 1) for i, s in enumerate(noise)]
-    b_doc, g_doc = doc_loss_and_grads(
-        doc_pair, noise_docs, bundle, CompositionKind.ADD, margin, False, ("a", "b")
-    )
-    b_pair, g_pair = pair_loss_and_grads(pair, noise, bundle, CompositionKind.ADD, margin, ("a", "b"))
+    b_doc, g_doc = one_pair_loss(doc_pair, noise_docs, bundle, CompositionKind.ADD, margin)
+    b_pair, g_pair = one_pair_loss(pair, noise, bundle, CompositionKind.ADD, margin)
     assert b_doc.hinge_total == pytest.approx(b_pair.hinge_total, abs=1e-12)
-    assert set(g_doc) == set(g_pair)
-    for key in g_pair:
-        assert np.allclose(g_doc[key], g_pair[key], atol=1e-12)
+    assert g_doc.keys() == g_pair.keys()
+    for lang, (ids, rows) in g_pair.items():
+        assert np.array_equal(g_doc[lang][0], ids)
+        assert np.allclose(g_doc[lang][1], rows, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -237,12 +225,10 @@ def test_doc_grads_match_finite_differences(kind):
     rng = np.random.default_rng(66)
     for _ in range(3):
         bundle, doc_pair, noise_docs, sentence_noise, margin = random_doc_instance(rng, kind)
-        _, grads = doc_loss_and_grads(
-            doc_pair, noise_docs, bundle, kind, margin, True, ("a", "b"), sentence_noise
-        )
+        _, grads = one_pair_loss(doc_pair, noise_docs, bundle, kind, margin, sentence_noise)
         numeric = numerical_grads(
-            lambda: doc_loss_and_grads(
-                doc_pair, noise_docs, bundle, kind, margin, True, ("a", "b"), sentence_noise
+            lambda: one_pair_loss(
+                doc_pair, noise_docs, bundle, kind, margin, sentence_noise
             )[0].hinge_total,
             bundle,
         )
@@ -252,9 +238,7 @@ def test_doc_grads_match_finite_differences(kind):
 def test_doc_loss_matches_reference_at_doc_level():
     rng = np.random.default_rng(13)
     bundle, doc_pair, noise_docs, _, margin = random_doc_instance(rng, CompositionKind.ADD)
-    breakdown, _ = doc_loss_and_grads(
-        doc_pair, noise_docs, bundle, CompositionKind.ADD, margin, False, ("a", "b")
-    )
+    breakdown, _ = one_pair_loss(doc_pair, noise_docs, bundle, CompositionKind.ADD, margin)
     want = ref.doc_loss(
         bundle.table("a").matrix,
         bundle.table("b").matrix,
@@ -267,36 +251,14 @@ def test_doc_loss_matches_reference_at_doc_level():
     assert breakdown.hinge_total == pytest.approx(want, rel=1e-12)
 
 
-def test_combine_requires_aligned_sentence_counts():
+def test_doc_signal_alone_takes_unaligned_sentence_counts():
     rng = np.random.default_rng(7)
-    bundle, doc_pair, noise_docs, sentence_noise, margin = random_doc_instance(
-        rng, CompositionKind.ADD
-    )
+    bundle, doc_pair, noise_docs, _, margin = random_doc_instance(rng, CompositionKind.ADD)
     lopsided = DocumentPair(
         doc_pair.source,
-        LabeledDocument(
-            "b-short", "b", set(), doc_pair.target.sentences[:1]
-        ),
-        0,
+        LabeledDocument("b-short", "b", set(), doc_pair.target.sentences[:1]),
     )
-    with pytest.raises(AlignmentError):
-        doc_loss_and_grads(
-            lopsided, noise_docs, bundle, CompositionKind.ADD, margin, True,
-            ("a", "b"), sentence_noise,
-        )
-    with pytest.raises(ContractError):
-        doc_loss_and_grads(
-            doc_pair, noise_docs, bundle, CompositionKind.ADD, margin, True, ("a", "b"), None
-        )
-    with pytest.raises(ContractError):
-        doc_loss_and_grads(
-            doc_pair, noise_docs, bundle, CompositionKind.ADD, margin, True,
-            ("a", "b"), sentence_noise[:1],
-        )
-    # combine off ignores sentence noise entirely
-    breakdown, _ = doc_loss_and_grads(
-        lopsided, noise_docs, bundle, CompositionKind.ADD, margin, False, ("a", "b")
-    )
+    breakdown, _ = one_pair_loss(lopsided, noise_docs, bundle, CompositionKind.ADD, margin)
     assert breakdown.hinge_total >= 0.0
 
 
@@ -305,11 +267,9 @@ def test_combine_adds_sentence_terms():
     bundle, doc_pair, noise_docs, sentence_noise, margin = random_doc_instance(
         rng, CompositionKind.ADD
     )
-    doc_only, _ = doc_loss_and_grads(
-        doc_pair, noise_docs, bundle, CompositionKind.ADD, margin, False, ("a", "b")
-    )
-    combined, _ = doc_loss_and_grads(
-        doc_pair, noise_docs, bundle, CompositionKind.ADD, margin, True, ("a", "b"), sentence_noise
+    doc_only, _ = one_pair_loss(doc_pair, noise_docs, bundle, CompositionKind.ADD, margin)
+    combined, _ = one_pair_loss(
+        doc_pair, noise_docs, bundle, CompositionKind.ADD, margin, sentence_noise
     )
     sentence_total = 0.0
     for s_src, s_tgt, noise_i in zip(
@@ -331,102 +291,174 @@ def test_combine_adds_sentence_terms():
 
 
 # ---------------------------------------------------------------------------
-# one whole minibatch against the reference model
-
-# pairs 0-2 of a 5-pair corpus; noise repeats picks and names other pairs'
-# aligned targets, never a pair's own
-BATCH = np.array([0, 1, 2])
-BATCH_NOISE = np.array([[1, 1, 3, 2], [0, 4, 4, 2], [3, 0, 1, 1]])
-# target sentence j of document i is flat sentence 2i + j; one row per
-# aligned sentence position of the batch, never naming that position
-SENTENCE_NOISE = np.array([[1, 1, 2], [0, 3, 3], [3, 9, 0], [2, 2, 4], [5, 1, 5], [4, 0, 8]])
+# whole minibatches against the reference model
 
 
-def _ids(sentences):
-    return [list(s.ids) for s in sentences]
+class _Batch(NamedTuple):
+    """A minibatch over a corpus of len(sentences) aligned items.
 
-
-def _batch_instance(rng, kind, docs, max_tries=200):
-    """(bundle, source items, target items, margin, hinge values), kink-guarded.
-
-    Every hinge sits at least 1e-3 from its kink, and some are active and
-    some not. Vocabularies of 4 and 5 words make the pairs share words; an
-    item is a sentence, or a two-sentence document.
+    Item i is a document of sentences[i] sentences on both sides, or in
+    sentence mode its first sentence alone. Each pair b aligns item
+    pairs[b] against the target items noise[b], and for documents
+    sentence_noise holds one row of flat target sentence indices per
+    aligned sentence position of the batch, in order. Word ids, sentence
+    lengths (1 to max_len) and tables follow from seed.
     """
 
-    def item(lang, v, i):
-        if not docs:
-            return rand_sentence(rng, v, 3)
-        sents = [rand_sentence(rng, v, 3) for _ in range(2)]
-        return LabeledDocument(f"{lang}{i}", lang, set(), sents)
-
-    for _ in range(max_tries):
-        bundle = make_bundle({"a": 4, "b": 5}, 3, int(rng.integers(1 << 30)), kind)
-        src = [item("a", 4, i) for i in range(5)]
-        tgt = [item("b", 5, i) for i in range(5)]
-        margin = float(rng.uniform(0.5, 3.0))
-        hs = np.concatenate([_batch_hinges(bundle, src, tgt, margin, kind, docs, b) for b in BATCH])
-        if np.abs(hs).min() > 1e-3 and (hs > 0).any() and (hs < 0).any():
-            return bundle, src, tgt, margin, hs
-    raise AssertionError("could not draw a kink-free batch instance")
+    languages: tuple
+    vocab_sizes: tuple
+    d: int
+    max_len: int
+    sentences: tuple
+    pairs: tuple
+    noise: tuple
+    sentence_noise: tuple | None
+    margin: float
+    seed: int
 
 
-def _batch_hinges(bundle, src, tgt, margin, kind, docs, b):
-    noise = [tgt[n] for n in BATCH_NOISE[b]]
-    if not docs:
-        return pair_hinges(bundle, ParallelPair(src[b], tgt[b], b), noise, margin, kind)
-    pool = [s for d in tgt for s in d.sentences]
-    sentence_noise = [[pool[n] for n in row] for row in SENTENCE_NOISE[2 * b : 2 * b + 2]]
-    return doc_hinges(bundle, DocumentPair(src[b], tgt[b], b), noise, sentence_noise, margin, kind)
+def _excluding(draw, n: int, own: list, k: int) -> tuple:
+    """One row of k draws from range(n) per entry of own, none naming that entry."""
+    rows = st.lists(st.lists(st.integers(0, n - 2), min_size=k, max_size=k),
+                    min_size=len(own), max_size=len(own))
+    return tuple(tuple(x + (x >= o) for x in row) for o, row in zip(own, draw(rows)))
 
 
-def _reference_total(bundle, src, tgt, margin, kind, docs) -> float:
-    emb_a, emb_b = bundle.table("a").matrix, bundle.table("b").matrix
-    total = 0.0
-    for b in BATCH:
-        noise = [tgt[n] for n in BATCH_NOISE[b]]
-        if not docs:
-            total += ref.pair_loss(
-                emb_a, emb_b, list(src[b].ids), list(tgt[b].ids), _ids(noise), margin, kind.value
-            )[0]
-            continue
-        total += ref.doc_loss(
-            emb_a, emb_b, _ids(src[b].sentences), _ids(tgt[b].sentences),
-            [_ids(d.sentences) for d in noise], margin, kind.value,
-        )
-        pool = [s for d in tgt for s in d.sentences]
-        for j, (s_src, s_tgt) in enumerate(zip(src[b].sentences, tgt[b].sentences)):
-            total += ref.pair_loss(
-                emb_a, emb_b, list(s_src.ids), list(s_tgt.ids),
-                _ids(pool[n] for n in SENTENCE_NOISE[2 * b + j]), margin, kind.value,
-            )[0]
-    return total
+@st.composite
+def _batches(draw):
+    """B 1-8 and k 1-6, over corpora small enough that noise repeats and hits other pairs."""
+    n_b = draw(st.integers(1, 8))
+    n = draw(st.integers(max(2, n_b), n_b + 3))
+    pairs = tuple(draw(st.permutations(range(n)))[:n_b])
+    sentences = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    sentence_noise = None
+    if draw(st.booleans()):
+        starts = np.cumsum([0, *sentences])
+        own = [starts[p] + j for p in pairs for j in range(sentences[p])]
+        sentence_noise = _excluding(draw, starts[-1], own, draw(st.integers(1, 6)))
+    return _Batch(
+        draw(st.sampled_from([("a", "b"), ("a", "a")])),
+        tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=2))),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 12)),
+        sentences,
+        pairs,
+        _excluding(draw, n, pairs, draw(st.integers(1, 6))),
+        sentence_noise,
+        draw(st.floats(0.1, 3.0)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _batch_items(batch: _Batch, kind, docs) -> tuple:
+    """(bundle, source items, target items): items are word-id lists, or lists of them."""
+    languages = dict.fromkeys(batch.languages)
+    sizes = dict(zip(languages, batch.vocab_sizes))
+    bundle = make_bundle(sizes, batch.d, batch.seed, kind)
+    rng = np.random.default_rng(batch.seed)
+
+    def item(lang, n_sents):
+        sents = [
+            rng.integers(0, sizes[lang], rng.integers(1, batch.max_len + 1)).tolist()
+            for _ in range(n_sents)
+        ]
+        return sents if docs else sents[0]
+
+    src, tgt = ([item(lang, n) for n in batch.sentences] for lang in batch.languages)
+    return bundle, src, tgt
+
+
+def _pack(items, docs):
+    if docs:
+        return pack_documents([[Sentence(tuple(s)) for s in d] for d in items])
+    return pack_sentences([Sentence(tuple(s)) for s in items])
+
+
+def _hinges(emb_s, emb_t, anchors, cands, pos, noise, margin, rep, words) -> list:
+    """(value, source words, target words) of each hinge term, by reference arithmetic.
+
+    Anchor b aligns with cands[pos[b]] against cands[n] for each n in noise[b].
+    """
+    vecs = [rep(emb_t, c) for c in cands]
+    terms = []
+    for a, g, row in zip(anchors, pos, noise):
+        fa = rep(emb_s, a)
+        e_pos = ref.energy(fa, vecs[g])
+        for n in row:
+            value = margin + e_pos - ref.energy(fa, vecs[n])
+            terms.append((value, words(a), words(cands[g]) | words(cands[n])))
+    return terms
+
+
+def _reference_terms(bundle, batch: _Batch, src, tgt, kind, docs) -> list:
+    """Every hinge term of the batch, document terms first."""
+    emb_s, emb_t = (bundle.table(lang).matrix for lang in batch.languages)
+
+    def sentence(emb, s):
+        return ref.compose(emb, s, kind.value)
+
+    def document(emb, d):
+        return ref.compose_doc(emb, d, kind.value)
+
+    rep, words = (document, lambda d: {w for s in d for w in s}) if docs else (sentence, set)
+    anchors = [src[p] for p in batch.pairs]
+    terms = _hinges(emb_s, emb_t, anchors, tgt, batch.pairs, batch.noise, batch.margin, rep, words)
+    if docs and batch.sentence_noise is not None:
+        starts = np.cumsum([0, *batch.sentences])
+        pos = [starts[p] + j for p in batch.pairs for j in range(batch.sentences[p])]
+        pool = [s for d in tgt for s in d]
+        terms += _hinges(emb_s, emb_t, [s for d in anchors for s in d], pool, pos,
+                         batch.sentence_noise, batch.margin, sentence, set)
+    return terms
+
+
+# a fixed batch: pairs 0-2 of a 5-pair corpus of two-sentence documents;
+# noise repeats picks and names other pairs' aligned targets. With the
+# examples' margins and seeds, some terms are active and some not, each at
+# least 1e-2 from its kink, under ADD and BI, for sentences and documents
+_FIXED = dict(
+    languages=("a", "b"), vocab_sizes=(4, 5), d=3, max_len=3, sentences=(2,) * 5,
+    pairs=(0, 1, 2), noise=((1, 1, 3, 2), (0, 4, 4, 2), (3, 0, 1, 1)),
+    sentence_noise=((1, 1, 2), (0, 3, 3), (3, 9, 0), (2, 2, 4), (5, 1, 5), (4, 0, 8)),
+)
 
 
 @pytest.mark.parametrize("docs", [False, True], ids=["sentences", "documents"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_batch_matches_reference_model(kind, docs):
-    rng = np.random.default_rng(404)
-    for _ in range(3):
-        bundle, src, tgt, margin, hs = _batch_instance(rng, kind, docs)
-        if docs:
-            packed = (
-                pack_documents([d.sentences for d in src]),
-                pack_documents([d.sentences for d in tgt]),
-            )
-        else:
-            packed = pack_sentences(src), pack_sentences(tgt)
-        breakdown, grads = batch_loss_and_grads(
-            *packed, BATCH, BATCH_NOISE, bundle, kind, margin, ("a", "b"),
-            SENTENCE_NOISE if docs else None,
-        )
-        want = _reference_total(bundle, src, tgt, margin, kind, docs)
-        assert breakdown.hinge_total == pytest.approx(want, rel=1e-12)
-        assert breakdown.active_noise_count == int((hs > 0).sum())
-        analytic = {lang: np.zeros_like(bundle.table(lang).matrix) for lang in bundle.languages}
-        for lang, (ids, rows) in grads.items():
-            analytic[lang][ids] = rows
-        numeric = numerical_grads(
-            lambda: _reference_total(bundle, src, tgt, margin, kind, docs), bundle
-        )
-        assert max_rel_err(analytic, numeric) < 1e-6
+@given(batch=_batches())
+@example(batch=_Batch(**_FIXED, margin=1.0, seed=2))
+@example(batch=_Batch(**_FIXED, margin=1.5, seed=1))
+@example(batch=_Batch(**_FIXED, margin=2.0, seed=4))
+@settings(max_examples=40, deadline=None)
+def test_batch_matches_reference_model(kind, docs, batch):
+    bundle, src, tgt = _batch_items(batch, kind, docs)
+    terms = _reference_terms(bundle, batch, src, tgt, kind, docs)
+    hs = np.array([h for h, _, _ in terms])
+    assume(np.abs(hs).min() > 1e-9)  # the active set is not decided by rounding
+    sentence_noise = batch.sentence_noise if docs else None
+    breakdown, grads = batch_loss_and_grads(
+        _pack(src, docs), _pack(tgt, docs), np.array(batch.pairs), np.array(batch.noise),
+        bundle, kind, batch.margin, batch.languages,
+        None if sentence_noise is None else np.array(sentence_noise),
+    )
+    assert breakdown.hinge_total == pytest.approx(sum(hs[hs > 0]), rel=1e-12)
+    assert breakdown.active_noise_count == int((hs > 0).sum())
+    want = {}
+    for h, src_words, tgt_words in terms:
+        if h > 0:
+            want.setdefault(batch.languages[0], set()).update(src_words)
+            want.setdefault(batch.languages[1], set()).update(tgt_words)
+    assert {lang: ids.tolist() for lang, (ids, _) in grads.items()} == {
+        lang: sorted(words) for lang, words in want.items()
+    }
+
+    patterns = set()
+
+    def loss():
+        hs = np.array([h for h, _, _ in _reference_terms(bundle, batch, src, tgt, kind, docs)])
+        patterns.add((hs > 0).tobytes())
+        return sum(hs[hs > 0])
+
+    numeric = numerical_grads(loss, bundle)
+    assume(len(patterns) == 1)  # no finite-difference step crossed a kink
+    assert max_rel_err(densify_grads(grads, bundle), numeric) < 1e-6

@@ -23,7 +23,6 @@ from jointvec.corpus import (
 from jointvec.embeddings import (
     ModelBundle,
     Vocabulary,
-    build_vocab,
     derive_seed,
     export_table,
     init_table,
@@ -173,15 +172,11 @@ def test_adagrad_state_requires_source():
 # corpus helpers
 
 def corpus_from_twin(tw):
-    va = build_vocab(tw.sents_a)
-    vb = build_vocab(tw.sents_b)
+    va = Vocabulary(t for s in tw.sents_a for t in s)
+    vb = Vocabulary(t for s in tw.sents_b for t in s)
     pairs = [
-        ParallelPair(
-            Sentence(tuple(va[t] for t in sa)),
-            Sentence(tuple(vb[t] for t in sb)),
-            i,
-        )
-        for i, (sa, sb) in enumerate(zip(tw.sents_a, tw.sents_b))
+        ParallelPair(Sentence(tuple(va[t] for t in sa)), Sentence(tuple(vb[t] for t in sb)))
+        for sa, sb in zip(tw.sents_a, tw.sents_b)
     ]
     return va, vb, ParallelCorpus(tw.lang_a, tw.lang_b, pairs)
 
@@ -222,11 +217,11 @@ def test_toy_training_drives_loss_down():
     emb_b = bundle.table("lb").matrix
     kind = config.kind
     ranked = 0
-    for pair in corpus.pairs:
+    for i, pair in enumerate(corpus.pairs):
         fa = compose(emb_a[list(pair.source.ids)], kind).output
         gb = compose(emb_b[list(pair.target.ids)], kind).output
         e_pos = energy(fa, gb)
-        draws = sample_indices_excluding(len(corpus.pairs), pair.index, 10, rng)
+        draws = sample_indices_excluding(len(corpus.pairs), i, 10, rng)
         e_neg = min(
             energy(fa, compose(emb_b[list(corpus.pairs[i].target.ids)], kind).output)
             for i in draws
@@ -318,7 +313,7 @@ def _doc_corpus(vocab_size=10, n_pairs=6, n_sents=2, seed=0):
         return LabeledDocument(f"{lang}{idx}", lang, set(), sents)
 
     pairs = [
-        DocumentPair(doc("a", i, n_sents), doc("b", i, n_sents), i) for i in range(n_pairs)
+        DocumentPair(doc("a", i, n_sents), doc("b", i, n_sents)) for i in range(n_pairs)
     ]
     return DocumentCorpus("a", "b", pairs)
 
@@ -338,7 +333,7 @@ def test_doc_signal_rejects_unaligned_pair():
     bad = _doc_corpus(n_sents=2)
     src = bad.pairs[0].source
     tgt = LabeledDocument("b0", "b", set(), bad.pairs[0].target.sentences[:1])
-    bad.pairs[0] = DocumentPair(src, tgt, 0)
+    bad.pairs[0] = DocumentPair(src, tgt)
     config = TrainConfig(d=4, margin=4.0, k=2, batch=3, epochs=1, doc_signal=True, seed=3)
     bundle = make_bundle({"a": 10, "b": 10}, 4, seed=1)
     with pytest.raises(AlignmentError, match="pair 0"):
@@ -353,14 +348,14 @@ def test_joint_run_checks_every_sub_corpus_before_first_update(case):
     if case == "unaligned":
         p = pairs[1]
         short = LabeledDocument("c1", "c", set(), p.target.sentences[:1])
-        pairs[1] = DocumentPair(p.source, short, 1)
+        pairs[1] = DocumentPair(p.source, short)
         error, match = AlignmentError, "document pair 1 has 2 vs 1"
     elif case == "one_pair":
         del pairs[1:]
         error, match = SamplingError, "need at least 2"
     else:
         empty = LabeledDocument("e", "a", set(), [])
-        pairs[1] = DocumentPair(empty, empty, 1)
+        pairs[1] = DocumentPair(empty, empty)
         error, match = ContractError, "document pair 1 has no sentences"
     corpora = [_doc_corpus(), DocumentCorpus("a", "c", pairs)]
     config = TrainConfig(
@@ -381,15 +376,16 @@ _PAGE_FAULT_PROBE = """
 import resource
 from jointvec import synth
 from jointvec.corpus import ParallelCorpus, ParallelPair, Sentence
-from jointvec.embeddings import ModelBundle, build_vocab, init_table
+from jointvec.embeddings import ModelBundle, Vocabulary, init_table
 from jointvec.training import TrainConfig, train_joint
 
 tw = synth.make_twin_corpus("la", "lb", 300, seed=3)
-vocabs = {"la": build_vocab(tw.sents_a), "lb": build_vocab(tw.sents_b)}
+vocabs = {"la": Vocabulary(t for s in tw.sents_a for t in s),
+          "lb": Vocabulary(t for s in tw.sents_b for t in s)}
 pairs = [
     ParallelPair(Sentence(tuple(vocabs["la"][t] for t in a)),
-                 Sentence(tuple(vocabs["lb"][t] for t in b)), i)
-    for i, (a, b) in enumerate(zip(tw.sents_a, tw.sents_b))
+                 Sentence(tuple(vocabs["lb"][t] for t in b)))
+    for a, b in zip(tw.sents_a, tw.sents_b)
 ]
 config = TrainConfig(d=128, k=50, batch=50, epochs=1, seed=1)
 for run in range(4):
