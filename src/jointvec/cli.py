@@ -68,8 +68,9 @@ class Flag(typing.NamedTuple):
     """One setting of a subcommand: its --flag, config-file key and manifest key.
 
     A bool type makes a switch. A repeatable setting collects a list; a
-    required one must be set by a flag or the config file. For train,
-    `field` names the TrainConfig field the setting fills.
+    required one must be set by a flag or the config file. `field` names
+    the TrainConfig field a train setting fills, or the library keyword
+    an eval setting fills where it is not `name`.
     """
 
     name: str
@@ -82,6 +83,10 @@ class Flag(typing.NamedTuple):
     repeat: bool = False
     required: bool = False
     field: str | None = None
+
+    @property
+    def option(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
 
 def _help(flag: Flag) -> str:
@@ -128,7 +133,7 @@ _EVAL = (
          choices=("auto", *LEVELS)),
     Flag("task", "single-label accuracy or multi-label micro-F1", default="auto", tag=TOOLING,
          choices=("auto", "single", "multi")),
-    Flag("epochs", "perceptron epochs", int, 10, TOOLING),
+    Flag("epochs", "perceptron epochs", int, 10, TOOLING, field="clf_epochs"),
     Flag("seed", "classifier shuffle seed", int, 1, TOOLING),
     Flag("top_labels", "keep only the N most document-frequent training labels", int,
          tag=TOOLING),
@@ -165,14 +170,15 @@ _EXPORT = (
 )
 
 
-def load_config_file(path, flags) -> dict:
+def load_config_file(path, flags) -> tuple:
     """key=value lines, converted and checked as the flags are.
 
+    Returns ({key: value}, {key: number of the line that set it last}).
     Repeatable settings may repeat. The keys `subcommand` and `config` are
     skipped, so a manifest loads as a config file.
     """
     by_name = {f.name: f for f in flags}
-    values = {}
+    values, lines = {}, {}
     for lineno, key, text in read_settings(path, ConfigError):
         if key in ("subcommand", "config"):
             continue
@@ -192,7 +198,8 @@ def load_config_file(path, flags) -> dict:
             values.setdefault(key, []).append(value)
         else:
             values[key] = value
-    return values
+        lines[key] = lineno
+    return values, lines
 
 
 def _resolve(args) -> None:
@@ -201,12 +208,14 @@ def _resolve(args) -> None:
     --out must be absent or an empty directory, so no run replaces or sits
     beside another's files; anything else fails here, before any work.
     """
-    cfg = load_config_file(args.config, args.settings) if args.config else {}
+    cfg, lines = load_config_file(args.config, args.settings) if args.config else ({}, {})
+    # the config-file line of each setting that no flag overrides
+    args.config_lines = {key: n for key, n in lines.items() if getattr(args, key) is None}
     for flag in args.settings:
         if getattr(args, flag.name) is None:
             setattr(args, flag.name, cfg.get(flag.name, flag.default))
         if flag.required and getattr(args, flag.name) is None:
-            raise ConfigError(f"--{flag.name.replace('_', '-')} is required")
+            raise ConfigError(f"{flag.option} is required")
     if args.out == "":
         raise ConfigError("--out is empty; give a directory")
     if args.out and os.path.exists(args.out):
@@ -363,7 +372,8 @@ def cmd_eval_transfer(args) -> int:
 
 def cmd_query(args) -> int:
     if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+        rule = f"must be >= 1, got {args.n}"
+        raise ConfigError(f"n {rule}", "n", rule)
     lang, token = _split_lang_file("word", args.word)
     bundle, _, _ = load_model(args.model)
     neighbors = nearest_neighbors(bundle, (lang, token), args.n, args.target, args.metric)
@@ -401,9 +411,7 @@ def _add_command(subparsers, command: str, settings: tuple, func, **parser_kw) -
             kw = {"type": flag.type, "metavar": flag.metavar, "choices": flag.choices}
             if flag.repeat:
                 kw["action"] = "append"
-        parser.add_argument(
-            "--" + flag.name.replace("_", "-"), dest=flag.name, help=_help(flag), **kw
-        )
+        parser.add_argument(flag.option, dest=flag.name, help=_help(flag), **kw)
     parser.set_defaults(func=func, command=command, settings=settings)
 
 
@@ -424,12 +432,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _run(args) -> int:
+    """args.func(args), naming a setting out of range by its --flag or config-file line."""
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        flag = next((f for f in args.settings if (f.field or f.name) == exc.setting), None)
+        if flag is None:
+            raise
+        line = args.config_lines.get(flag.name)
+        where = f"{args.config}:{line}: config key {flag.name}" if line else flag.option
+        raise ConfigError(f"{where} {exc.rule}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         _resolve(args)
-        return args.func(args)
+        return _run(args)
     except UserError as exc:
         print(f"jointvec: error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,16 @@ class ContractError(JointvecError):
 
 
 class ConfigError(UserError):
-    """Invalid configuration or incompatible model/request combination."""
+    """Invalid configuration or incompatible model/request combination.
+
+    A value outside its setting's range also names the setting, as the
+    library calls it, and the rule it broke, so the CLI can name the flag
+    or config-file line that gave the value instead.
+    """
+
+    def __init__(self, message: str, setting: str | None = None, rule: str = ""):
+        super().__init__(message)
+        self.setting, self.rule = setting, rule
 
 
 class RepresentationError(UserError):
@@ -46,4 +55,4 @@ class CheckpointError(UserError):
 
 
 class DivergenceError(UserError):
-    """Training drove parameters to non-finite values (step or lambda too large)."""
+    """A training batch's loss or update is not finite (step or lambda too large)."""

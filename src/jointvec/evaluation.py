@@ -267,12 +267,15 @@ def resolve_task(task: str, *doc_groups) -> str:
 
 
 def _check_classifier_settings(clf_epochs: int, seed: int, top_labels) -> None:
-    if clf_epochs < 1:
-        raise ConfigError(f"clf_epochs (classifier epochs) must be >= 1, got {clf_epochs}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if top_labels is not None and top_labels < 1:
-        raise ConfigError(f"top_labels must be >= 1, got {top_labels}")
+    checks = [
+        ("clf_epochs", clf_epochs >= 1, f"must be >= 1, got {clf_epochs}"),
+        ("seed", seed >= 0, f"must be >= 0, got {seed}"),
+        ("top_labels", top_labels is None or top_labels >= 1, f"must be >= 1, got {top_labels}"),
+    ]
+    for name, ok, rule in checks:
+        if not ok:
+            label = "clf_epochs (classifier epochs)" if name == "clf_epochs" else name
+            raise ConfigError(f"{label} {rule}", name, rule)
 
 
 def cldc_run(

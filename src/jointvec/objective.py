@@ -5,7 +5,8 @@ For an aligned pair (a, b) and k sampled noise sentences n_i, the loss is
     sum_i max(margin + E(a, b) - E(a, n_i), 0),   E(u, v) = ||f(u) - g(v)||^2
 
 which pulls the aligned pair's distance below every noise distance by at
-least the margin. Hinge terms at exactly zero are inactive. The L2
+least the margin. Hinge terms at exactly zero are inactive; NaN terms,
+left by overflow, are active, so they make the hinge total NaN. The L2
 regularizer is owned by the optimizer, which applies it to touched rows
 per update, so the loss here is the hinge total alone.
 
@@ -118,7 +119,7 @@ def _hinge_matrix(reps, n_b, pos, neg, margin, breakdown):
     # summation order (and so the last bits) changes with its thread count
     q = np.einsum("ij,ij->i", cands, cands) - 2.0 * np.einsum("bi,ci->bc", anchors, cands)
     h = (margin + q[rows, pos])[:, None] - q[col, neg]
-    active = h > 0.0
+    active = ~(h <= 0.0)  # h > 0, but NaN counts too
     h_active = h[active]
     breakdown.hinge_total += float(np.add.reduce(h_active))
     breakdown.active_noise_count += len(h_active)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import SENTENCE_SEP
+
 DEFAULT_LATENT_VOCAB = 200
 DEFAULT_TOPICS = 4
 
@@ -139,5 +141,5 @@ def write_parallel_files(corpus: TwinCorpus, path_a, path_b) -> None:
 def write_document_file(docs: list[SynthDocument], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for d in docs:
-            body = " ||| ".join(" ".join(s) for s in d.sentences)
+            body = SENTENCE_SEP.join(" ".join(s) for s in d.sentences)
             fh.write(f"{d.doc_id}\t{d.lang}\t{d.label}\t{body}\n")

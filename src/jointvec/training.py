@@ -64,20 +64,21 @@ class TrainConfig:
             self.kind = CompositionKind(self.kind)
         except ValueError:
             raise ConfigError(f"kind must be add or bi, got {self.kind!r}") from None
+        names = {"k": "k (noise count)", "lam": "lambda"}  # where messages differ from fields
         checks = [
-            (self.d >= 1, f"d must be >= 1, got {self.d}"),
-            (self.margin > 0, f"margin must be > 0, got {self.margin}"),
-            (self.k >= 1, f"k (noise count) must be >= 1, got {self.k}"),
-            (self.lam >= 0, f"lambda must be >= 0, got {self.lam}"),
-            (self.step > 0, f"step must be > 0, got {self.step}"),
-            (self.batch >= 1, f"batch must be >= 1, got {self.batch}"),
-            (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
-            (self.mode in MODES, f"mode must be {' or '.join(MODES)}, got {self.mode!r}"),
-            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            ("d", self.d >= 1, f"must be >= 1, got {self.d}"),
+            ("margin", self.margin > 0, f"must be > 0, got {self.margin}"),
+            ("k", self.k >= 1, f"must be >= 1, got {self.k}"),
+            ("lam", self.lam >= 0, f"must be >= 0, got {self.lam}"),
+            ("step", self.step > 0, f"must be > 0, got {self.step}"),
+            ("batch", self.batch >= 1, f"must be >= 1, got {self.batch}"),
+            ("epochs", self.epochs >= 1, f"must be >= 1, got {self.epochs}"),
+            ("mode", self.mode in MODES, f"must be {' or '.join(MODES)}, got {self.mode!r}"),
+            ("seed", self.seed >= 0, f"must be >= 0, got {self.seed}"),
         ]
-        for ok, msg in checks:
+        for name, ok, rule in checks:
             if not ok:
-                raise ConfigError(msg)
+                raise ConfigError(f"{names.get(name, name)} {rule}", name, rule)
 
 
 class AdaGradState:
@@ -110,32 +111,28 @@ def adagrad_apply(tables: ModelBundle, grads: dict, state: AdaGradState, config:
     `grads` maps a language to (unique row ids, gradient rows). For each
     touched row w with raw gradient g: g += lambda * w, then G += g^2 and
     w -= step * g / sqrt(G + EPSILON). Untouched rows see neither update
-    nor regularizer. A non-finite gradient rejects the whole update before
-    anything mutates. Returns whether every updated row, in the tables and
-    the accumulators, is still finite.
+    nor regularizer. All new rows and accumulators are computed first and
+    written only if every one is finite; else, as after any NaN or infinite
+    gradient, nothing changes and the result is False. Overflow warnings
+    are the caller's to silence (train_joint does).
     """
+    updates = []
     for lang, (ids, g) in grads.items():
-        bad = ~np.isfinite(g).all(axis=1)
-        if bad.any():
-            raise ContractError(f"non-finite gradient for ({lang!r}, {int(ids[bad][0])})")
-    finite = True
-    for lang, (ids, g) in grads.items():
-        w = tables.table(lang).matrix
-        acc = state.acc[lang]
-        w_rows, acc_rows = w[ids], acc[ids]
-        # overflow shows up as non-finite rows, which the caller reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            g_eff = config.lam * w_rows
-            g_eff += g
-            scratch = np.multiply(g_eff, g_eff)
-            acc_rows += scratch
-            g_eff *= config.step
-            g_eff /= np.sqrt(np.add(acc_rows, EPSILON, out=scratch), out=scratch)
-            w_rows -= g_eff
-        acc[ids] = acc_rows
-        w[ids] = w_rows
-        finite = finite and bool(np.isfinite(acc_rows).all() and np.isfinite(w_rows).all())
-    return finite
+        w_rows, acc_rows = tables.table(lang).matrix[ids], state.acc[lang][ids]
+        g_eff = config.lam * w_rows
+        g_eff += g
+        scratch = np.multiply(g_eff, g_eff)
+        acc_rows += scratch
+        g_eff *= config.step
+        g_eff /= np.sqrt(np.add(acc_rows, EPSILON, out=scratch), out=scratch)
+        w_rows -= g_eff
+        updates.append((lang, ids, w_rows, acc_rows))
+    if not all(np.isfinite(w).all() and np.isfinite(acc).all() for _, _, w, acc in updates):
+        return False
+    for lang, ids, w_rows, acc_rows in updates:
+        state.acc[lang][ids] = acc_rows
+        tables.table(lang).matrix[ids] = w_rows
+    return True
 
 
 def _epoch_schedule(corpora: list, config: TrainConfig, epoch: int):
@@ -200,10 +197,10 @@ def train_joint(
     table is one shared object, so an update triggered by any sub-corpus is
     visible to every later batch. `on_epoch(epoch, report)` fires after each
     completed epoch, e.g. for checkpointing. Every sub-corpus is packed and
-    checked before the first update (see corpus.pack_corpus). An update
-    that leaves a row non-finite raises DivergenceError; the tables are
-    then unusable. The first call pins the process's glibc malloc
-    thresholds (see _keep_freed_pages).
+    checked before the first update (see corpus.pack_corpus). A batch whose
+    loss or update is not finite raises DivergenceError and writes nothing:
+    tables and accumulators stay as the last good batch left them. The
+    first call pins the process's glibc malloc thresholds (see _keep_freed_pages).
     """
     if not corpora:
         raise ConfigError("need at least one sub-corpus")
@@ -240,19 +237,21 @@ def train_joint(
                     tgt.n_sentences, positions, config.k, rngs[ci]
                 )
                 total_terms += sentence_noise.size
-            breakdown, grads = batch_loss_and_grads(
-                src, tgt, chunk, noise, tables, config.kind, config.margin,
-                (corpus.src_lang, corpus.tgt_lang), sentence_noise,
-            )
-            epoch_loss += breakdown.hinge_total
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+                breakdown, grads = batch_loss_and_grads(
+                    src, tgt, chunk, noise, tables, config.kind, config.margin,
+                    (corpus.src_lang, corpus.tgt_lang), sentence_noise,
+                )
+                loss = breakdown.hinge_total
+                if not (np.isfinite(loss) and adagrad_apply(tables, grads, state, config)):
+                    raise DivergenceError(
+                        f"training diverged in epoch {epoch}, batch {batch_no}: loss {loss!r}, "
+                        f"step={config.step!r}, lambda={config.lam!r}; the loss, embeddings or "
+                        f"AdaGrad accumulators are not finite; lower the step size or lambda"
+                    )
+            epoch_loss += loss
             active_terms += breakdown.active_noise_count
             total_terms += noise.size
-            if not adagrad_apply(tables, grads, state, config):
-                raise DivergenceError(
-                    f"training diverged in epoch {epoch}, batch {batch_no}: embeddings "
-                    f"or AdaGrad accumulators became non-finite with step={config.step!r} "
-                    f"and lambda={config.lam!r}; lower the step size or lambda"
-                )
         report.log_epoch(
             epoch_loss, active_terms / max(total_terms, 1), time.perf_counter() - t0
         )

@@ -421,10 +421,10 @@ def test_query_unknown_word_fails(trained, la_token, capsys):
         ["query", "--model", trained, "--word", "la:nonexistent"], capsys
     )
     assert rc == 1 and "error" in err
-    rc, _, _ = run_cli(
+    rc, _, err = run_cli(
         ["query", "--model", trained, "--word", f"la:{la_token}", "--n", 0], capsys
     )
-    assert rc == 1
+    assert rc == 1 and "--n must be >= 1, got 0" in err
 
 
 def test_export_all_and_selected(trained, tmp_path, capsys):
@@ -488,12 +488,22 @@ def test_explicit_flags_beat_config(fast_corpus, tmp_path, capsys):
         (["train"], "cvm=tri"),
         (["eval", "cldc"], "level=bogus"),
         (["query"], "metric=bogus"),
+        (["train", "--pair", "la:lb:{data}/la.txt:{data}/lb.txt"], "dim=0"),
+        (["train", "--pair", "la:lb:{data}/la.txt:{data}/lb.txt"], "noise=0"),
+        (["eval", "cldc", "--model", "{model}", "--train", "la:{data}/la.docs",
+          "--test", "lb:{data}/lb.docs"], "epochs=0"),
+        (["eval", "cldc", "--model", "{model}", "--train", "la:{data}/la.docs",
+          "--test", "lb:{data}/lb.docs"], "top_labels=0"),
+        (["query", "--model", "{model}", "--word", "la:la001"], "n=0"),
     ],
-    ids=["doc_signal", "dim", "cvm", "level", "metric"],
+    ids=["doc_signal", "dim", "cvm", "level", "metric", "dim_range", "noise_range",
+         "epochs_range", "top_labels_range", "n_range"],
 )
-def test_bad_config_value_names_file_and_key(command, line, tmp_path, capsys):
+def test_bad_config_value_names_file_and_key(command, line, fast_corpus, trained, tmp_path,
+                                             capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# settings\n{line}\n", encoding="utf-8")
+    command = [arg.format(data=fast_corpus, model=trained) for arg in command]
     rc, _, err = run_cli([*command, "--config", cfg, "--out", tmp_path / "x"], capsys)
     assert rc == 1
     assert f"{cfg}:2:" in err and line.split("=")[0] in err
@@ -543,12 +553,16 @@ def test_unknown_config_key_rejected(fast_corpus, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_is_user_error_and_writes_no_checkpoint(fast_corpus, tmp_path, capsys):
-    out = tmp_path / "run"
-    extra = ["--step", "1e300", "--lambda", "1e300"]
-    rc, _, err = run_cli(train_args(fast_corpus, out, extra=extra), capsys)
-    assert rc == 1
-    assert "diverged in epoch 0, batch 0" in err and "step=1e+300" in err
-    assert not out.exists()
+    # an overflowing update, then an update that is finite but makes the next hinges overflow
+    for extra, where, step in [
+        (["--step", "1e300", "--lambda", "1e300"], "batch 0", "step=1e+300"),
+        (["--step", "1e200"], "batch 1", "step=1e+200"),
+    ]:
+        out = tmp_path / "run"
+        rc, _, err = run_cli(train_args(fast_corpus, out, extra=extra), capsys)
+        assert rc == 1
+        assert f"diverged in epoch 0, {where}" in err and step in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("lines", [None, 1, 0], ids=["missing_file", "one_pair", "empty_file"])
@@ -573,16 +587,23 @@ def test_failed_train_leaves_no_out_and_rerun_needs_no_force(fast_corpus, tmp_pa
 
 def test_train_negative_seed_is_user_error_and_writes_nothing(fast_corpus, tmp_path, capsys):
     out = tmp_path / "run"
-    args = train_args(fast_corpus, out)
-    args[args.index("--seed") + 1] = -1
-    rc, _, err = run_cli(args, capsys)
-    assert rc == 1 and "seed must be >= 0" in err
-    assert not out.exists()
+    for flag, value, text in [
+        ("--seed", -1, "seed must be >= 0"),
+        ("--dim", 0, "--dim must be >= 1, got 0"),
+        ("--noise", 0, "--noise must be >= 1, got 0"),
+    ]:
+        args = train_args(fast_corpus, out)
+        args[args.index(flag) + 1] = value
+        rc, _, err = run_cli(args, capsys)
+        assert rc == 1 and text in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "extra, setting",
-    [(["--epochs", 0], "epochs"), (["--top-labels", 0], "top_labels"), (["--seed", -1], "seed")],
+    [(["--epochs", 0], "--epochs must be >= 1, got 0"),
+     (["--top-labels", 0], "--top-labels must be >= 1, got 0"),
+     (["--seed", -1], "--seed must be >= 0, got -1")],
     ids=["epochs", "top_labels", "seed"],
 )
 def test_eval_bad_classifier_setting_is_user_error(fast_corpus, trained, tmp_path, extra,

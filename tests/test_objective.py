@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -303,6 +306,13 @@ class _Batch(NamedTuple):
     sentence_noise holds one row of flat target sentence indices per
     aligned sentence position of the batch, in order. Word ids, sentence
     lengths (1 to max_len) and tables follow from seed.
+
+    With at_zero set, tables are rounded to integers and the margin is
+    moved, to 0 or below if need be, so that the hinge term of rank
+    at_zero (mod the term count, largest first) is 0: rank 0 leaves no
+    term active. Under ADD every term is then an exact integer and that
+    term exactly 0.0; under BI, whose tanh rounds, the margin moves 0.5
+    further, below the kink.
     """
 
     languages: tuple
@@ -315,6 +325,7 @@ class _Batch(NamedTuple):
     sentence_noise: tuple | None
     margin: float
     seed: int
+    at_zero: int | None = None
 
 
 def _excluding(draw, n: int, own: list, k: int) -> tuple:
@@ -347,6 +358,7 @@ def _batches(draw):
         sentence_noise,
         draw(st.floats(0.1, 3.0)),
         draw(st.integers(0, 2**32 - 1)),
+        draw(st.none() | st.integers(0, 30)),
     )
 
 
@@ -355,6 +367,9 @@ def _batch_items(batch: _Batch, kind, docs) -> tuple:
     languages = dict.fromkeys(batch.languages)
     sizes = dict(zip(languages, batch.vocab_sizes))
     bundle = make_bundle(sizes, batch.d, batch.seed, kind)
+    if batch.at_zero is not None:
+        for table in bundle.tables.values():
+            np.rint(2.0 * table.matrix, out=table.matrix)
     rng = np.random.default_rng(batch.seed)
 
     def item(lang, n_sents):
@@ -429,12 +444,23 @@ _FIXED = dict(
 @example(batch=_Batch(**_FIXED, margin=1.0, seed=2))
 @example(batch=_Batch(**_FIXED, margin=1.5, seed=1))
 @example(batch=_Batch(**_FIXED, margin=2.0, seed=4))
+@example(batch=_Batch(**_FIXED, margin=1.0, seed=2, at_zero=0))
+@example(batch=_Batch(**_FIXED, margin=1.0, seed=2, at_zero=5))
 @settings(max_examples=40, deadline=None)
 def test_batch_matches_reference_model(kind, docs, batch):
     bundle, src, tgt = _batch_items(batch, kind, docs)
     terms = _reference_terms(bundle, batch, src, tgt, kind, docs)
     hs = np.array([h for h, _, _ in terms])
-    assume(np.abs(hs).min() > 1e-9)  # the active set is not decided by rounding
+    exact = batch.at_zero is not None and kind is CompositionKind.ADD
+    if batch.at_zero is not None:
+        top = np.sort(hs)[::-1][batch.at_zero % len(hs)]
+        margin = np.rint(batch.margin - top) if exact else batch.margin - top - 0.5
+        batch = batch._replace(margin=float(margin))
+        terms = _reference_terms(bundle, batch, src, tgt, kind, docs)
+        hs = np.array([h for h, _, _ in terms])
+    at_kink = hs == 0.0 if exact else np.zeros(len(hs), dtype=bool)
+    # the active set is not decided by rounding: terms are 0.0 exactly or far from it
+    assume(np.abs(hs[~at_kink]).min(initial=np.inf) > 1e-9)
     sentence_noise = batch.sentence_noise if docs else None
     breakdown, grads = batch_loss_and_grads(
         _pack(src, docs), _pack(tgt, docs), np.array(batch.pairs), np.array(batch.noise),
@@ -455,10 +481,56 @@ def test_batch_matches_reference_model(kind, docs, batch):
     patterns = set()
 
     def loss():
+        # a term at exactly 0.0 is inactive, so it adds no slope on either side
         hs = np.array([h for h, _, _ in _reference_terms(bundle, batch, src, tgt, kind, docs)])
-        patterns.add((hs > 0).tobytes())
-        return sum(hs[hs > 0])
+        patterns.add((hs > 0)[~at_kink].tobytes())
+        return sum(hs[(hs > 0) & ~at_kink])
 
     numeric = numerical_grads(loss, bundle)
     assume(len(patterns) == 1)  # no finite-difference step crossed a kink
     assert max_rel_err(densify_grads(grads, bundle), numeric) < 1e-6
+
+
+_ONE_BATCH = """
+import hashlib
+import numpy as np
+from jointvec import synth
+from jointvec.composition import CompositionKind
+from jointvec.corpus import Sentence, pack_sentences, sample_indices_excluding
+from jointvec.embeddings import ModelBundle, Vocabulary, init_table
+from jointvec.objective import batch_loss_and_grads
+
+tw = synth.make_twin_corpus("la", "lb", 200, seed=3)
+sides, tables, vocabs = [], {}, {}
+for seed, (lang, sents) in enumerate([("la", tw.sents_a), ("lb", tw.sents_b)]):
+    vocabs[lang] = Vocabulary(t for s in sents for t in s)
+    tables[lang] = init_table(len(vocabs[lang]), 128, seed, lang)
+    sides.append(pack_sentences([Sentence(tuple(vocabs[lang][t] for t in s)) for s in sents]))
+rng = np.random.default_rng(5)
+pairs = rng.permutation(200)[:50]
+noise = sample_indices_excluding(200, pairs, 50, rng)
+for kind in CompositionKind:
+    bundle = ModelBundle(vocabs, tables, kind)
+    loss, grads = batch_loss_and_grads(*sides, pairs, noise, bundle, kind, 128.0, ("la", "lb"))
+    print(kind.value, repr(loss.hinge_total), loss.active_noise_count)
+    for lang, (ids, rows) in grads.items():
+        print(lang, len(ids), hashlib.sha256(ids.tobytes() + rows.tobytes()).hexdigest())
+"""
+
+
+def test_batch_bytes_do_not_depend_on_blas_threads():
+    """One reference-sized batch (d=128, B=50, k=50) under one BLAS thread and the default."""
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _ONE_BATCH], env=env, capture_output=True,
+                              text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    # both kinds give rows for both languages, so the batch has active terms
+    assert [line.split()[0] for line in outputs[0].splitlines()] == [
+        "add", "la", "lb", "bi", "la", "lb"]
+

@@ -32,6 +32,7 @@ from jointvec.errors import (
     CheckpointError,
     ConfigError,
     ContractError,
+    DivergenceError,
     SamplingError,
 )
 from jointvec.objective import energy
@@ -135,10 +136,30 @@ def test_adagrad_rejects_non_finite_without_mutating():
     state2 = AdaGradState(bundle2)
     before = bundle2.table("a").matrix.copy()
     grads = {"a": (np.array([0, 1]), np.array([[1.0], [np.nan]]))}
-    with pytest.raises(ContractError):
-        adagrad_apply(bundle2, grads, state2, config)
+    assert adagrad_apply(bundle2, grads, state2, config) is False
     assert np.array_equal(bundle2.table("a").matrix, before)
     assert np.all(state2.acc["a"] == 0.0)
+
+
+def test_adagrad_overflow_in_one_language_writes_no_language():
+    """Language a's update is finite, b's overflows from finite gradients: neither is written."""
+    bundle = make_bundle({"a": 3, "b": 3}, 2, seed=4)
+    state = AdaGradState(bundle)
+    state.acc["b"][:] = 1.0
+    config = TrainConfig(d=2, margin=1.0, lam=1.0)
+    before = {lang: (bundle.table(lang).matrix.copy(), state.acc[lang].copy()) for lang in "ab"}
+    grads = {
+        "a": (np.array([0, 2]), np.full((2, 2), 0.5)),
+        "b": (np.array([1]), np.array([[1e200, -1e200]])),  # its square overflows b's G
+    }
+    with np.errstate(over="ignore", invalid="ignore"):  # as train_joint runs it
+        assert adagrad_apply(bundle, grads, state, config) is False
+    for lang, (table, acc) in before.items():
+        assert np.array_equal(bundle.table(lang).matrix, table)
+        assert np.array_equal(state.acc[lang], acc)
+    # language a alone updates: its rows were finite all along
+    assert adagrad_apply(bundle, {"a": grads["a"]}, state, config) is True
+    assert not np.array_equal(bundle.table("a").matrix, before["a"][0])
 
 
 def test_adagrad_fixed_point_with_zero_lambda_and_grads():
@@ -253,6 +274,28 @@ def test_update_count_follows_batching(monkeypatch):
     )
     train_joint([corpus], bundle, config)
     assert len(calls) == 2 * 3  # ceil(12 / 5) batches per epoch
+
+
+def test_overflowing_hinge_ends_training_before_its_update(monkeypatch):
+    """A NaN hinge total raises DivergenceError; tables stay as the last update left them."""
+    corpus, bundle, config = _toy_setup(step=1e200)
+    state = AdaGradState(bundle)
+    snapshots = []
+    real = adagrad_apply
+
+    def recording(*args):
+        assert real(*args)
+        snapshots.append({lang: (bundle.table(lang).matrix.copy(), state.acc[lang].copy())
+                          for lang in ("la", "lb")})
+        return True
+
+    monkeypatch.setattr("jointvec.training.adagrad_apply", recording)
+    with pytest.raises(DivergenceError, match=r"epoch 0, batch (\d+): loss nan") as exc:
+        train_joint([corpus], bundle, config, state)
+    assert re.search(r"batch (\d+)", str(exc.value)).group(1) == str(len(snapshots))
+    for lang, (table, acc) in snapshots[-1].items():
+        assert np.array_equal(bundle.table(lang).matrix, table)
+        assert np.array_equal(state.acc[lang], acc)
 
 
 def test_training_bitwise_deterministic():
