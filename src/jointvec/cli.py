@@ -23,6 +23,7 @@ from .corpus import (
     load_document_pairs,
     load_documents,
     load_parallel,
+    tokenize,
 )
 from .embeddings import (
     ModelBundle,
@@ -33,7 +34,7 @@ from .embeddings import (
     nearest_neighbors,
 )
 from .errors import ConfigError, JointvecError, UserError
-from .evaluation import LEVELS, cldc_run, resolve_task, transfer_matrix
+from .evaluation import LEVELS, check_classifier_settings, cldc_run, resolve_task, transfer_matrix
 from .training import (
     AdaGradState,
     TrainConfig,
@@ -340,6 +341,7 @@ def _load_documents(path, vocab) -> list:
 
 
 def cmd_eval_cldc(args) -> int:
+    check_classifier_settings(args.epochs, args.seed, args.top_labels)
     train_lang, train_path = _split_lang_file("train", args.train)
     test_lang, test_path = _split_lang_file("test", args.test)
     bundle, ckpt_config, _ = load_model(args.model)
@@ -352,6 +354,7 @@ def cmd_eval_cldc(args) -> int:
 
 
 def cmd_eval_transfer(args) -> int:
+    check_classifier_settings(args.epochs, args.seed, args.top_labels)
     langs = [l for l in args.langs.split(",") if l]
     if len(langs) < 2:
         raise ConfigError(f"--langs needs at least 2 comma-separated codes, got {args.langs!r}")
@@ -374,9 +377,12 @@ def cmd_query(args) -> int:
     if args.n < 1:
         rule = f"must be >= 1, got {args.n}"
         raise ConfigError(f"n {rule}", "n", rule)
-    lang, token = _split_lang_file("word", args.word)
+    lang, text = _split_lang_file("word", args.word)
+    tokens = tokenize(text)  # the corpus readers' case folding
+    if len(tokens) != 1:
+        raise ConfigError(f"--word takes LANG:TOKEN with one token, got {args.word!r}")
     bundle, _, _ = load_model(args.model)
-    neighbors = nearest_neighbors(bundle, (lang, token), args.n, args.target, args.metric)
+    neighbors = nearest_neighbors(bundle, (lang, tokens[0]), args.n, args.target, args.metric)
     lines = "".join(f"{nl}\t{nt}\t{score:.6f}\n" for nl, nt, score in neighbors)
     sys.stdout.write(lines)
     if args.out:
@@ -387,6 +393,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_export(args) -> int:
+    repeated = [lang for lang in args.lang or () if args.lang.count(lang) > 1]
+    if repeated:
+        raise ConfigError(f"--lang {repeated[0]!r} is listed more than once")
     bundle, _, _ = load_model(args.model)
     args.lang = args.lang or list(bundle.languages)
     for lang in args.lang:

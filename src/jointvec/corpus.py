@@ -36,9 +36,6 @@ class Sentence:
         if not self.ids:
             raise ContractError("sentence must contain at least one token")
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
 
 @dataclass(frozen=True)
 class ParallelPair:
@@ -70,9 +67,6 @@ class ParallelCorpus:
     tgt_lang: str
     pairs: list[ParallelPair]
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 @dataclass
 class DocumentCorpus:
@@ -81,9 +75,6 @@ class DocumentCorpus:
     src_lang: str
     tgt_lang: str
     pairs: list[DocumentPair]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 def tokenize(text: str) -> list[str]:

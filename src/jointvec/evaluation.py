@@ -266,7 +266,7 @@ def resolve_task(task: str, *doc_groups) -> str:
     return "single" if single else "multi"
 
 
-def _check_classifier_settings(clf_epochs: int, seed: int, top_labels) -> None:
+def check_classifier_settings(clf_epochs: int, seed: int, top_labels) -> None:
     checks = [
         ("clf_epochs", clf_epochs >= 1, f"must be >= 1, got {clf_epochs}"),
         ("seed", seed >= 0, f"must be >= 0, got {seed}"),
@@ -303,7 +303,7 @@ def cldc_run(
     for lang, docs in given:
         if not docs:
             raise ConfigError(f"no documents supplied for {lang!r}")
-    _check_classifier_settings(clf_epochs, seed, top_labels)
+    check_classifier_settings(clf_epochs, seed, top_labels)
     task = resolve_task(task, train_docs, test_docs)
     train, test = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))
                    for lang, docs in given]
@@ -387,7 +387,7 @@ def transfer_matrix(
     missing = [l for l in langs if not docs_by_lang.get(l)]
     if missing:
         raise ConfigError(f"no documents supplied for {missing}")
-    _check_classifier_settings(clf_epochs, seed, top_labels)
+    check_classifier_settings(clf_epochs, seed, top_labels)
     given = [(lang, docs_by_lang[lang]) for lang in langs]
     task = resolve_task(task, *(docs for _, docs in given))
     groups = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))

@@ -425,6 +425,16 @@ def test_query_unknown_word_fails(trained, la_token, capsys):
         ["query", "--model", trained, "--word", f"la:{la_token}", "--n", 0], capsys
     )
     assert rc == 1 and "--n must be >= 1, got 0" in err
+    for word in ("la: ", f"la:{la_token} {la_token}"):
+        rc, stdout, err = run_cli(["query", "--model", trained, "--word", word], capsys)
+        assert rc == 1 and "--word takes LANG:TOKEN with one token" in err and stdout == ""
+
+
+def test_query_word_is_case_folded_like_the_corpora(trained, la_token, capsys):
+    lower = run_cli(["query", "--model", trained, "--word", f"la:{la_token}"], capsys)
+    assert lower[0] == 0 and lower[1]
+    upper = run_cli(["query", "--model", trained, "--word", f"la:{la_token.upper()}"], capsys)
+    assert upper == lower
 
 
 def test_export_all_and_selected(trained, tmp_path, capsys):
@@ -453,6 +463,12 @@ def test_export_all_and_selected(trained, tmp_path, capsys):
         ["export", "--model", trained, "--lang", "zz", "--out", tmp_path / "zz"], capsys
     )
     assert rc == 1
+    rc, _, err = run_cli(
+        ["export", "--model", trained, "--lang", "lb", "--lang", "lb", "--out", tmp_path / "lb"],
+        capsys,
+    )
+    assert rc == 1 and "--lang 'lb' is listed more than once" in err
+    assert "Traceback" not in err and not (tmp_path / "lb").exists()
 
 
 def test_config_file_supplies_flags(fast_corpus, trained, tmp_path, capsys):
@@ -608,19 +624,22 @@ def test_train_negative_seed_is_user_error_and_writes_nothing(fast_corpus, tmp_p
 )
 def test_eval_bad_classifier_setting_is_user_error(fast_corpus, trained, tmp_path, extra,
                                                   setting, capsys):
-    out = tmp_path / "eval"
-    rc, stdout, err = run_cli(
-        [
-            "eval", "cldc", "--model", trained,
-            "--train", f"la:{fast_corpus / 'la.docs'}",
-            "--test", f"lb:{fast_corpus / 'lb.docs'}",
-            "--task", "multi", "--out", out, *extra,
-        ],
-        capsys,
+    """The setting is refused before any file is read, so a missing model goes unnoticed."""
+    la, lb = f"la:{fast_corpus / 'la.docs'}", f"lb:{fast_corpus / 'lb.docs'}"
+    commands = (
+        ["cldc", "--train", la, "--test", lb],
+        ["transfer", "--langs", "la,lb", "--docs", la, "--docs", lb],
     )
-    assert rc == 1
-    assert setting in err and "Traceback" not in err
-    assert stdout == "" and not out.exists()
+    out = tmp_path / "eval"
+    for command in commands:
+        for model in (trained, tmp_path / "missing"):
+            rc, stdout, err = run_cli(
+                ["eval", *command, "--model", model, "--task", "multi", "--out", out, *extra],
+                capsys,
+            )
+            assert rc == 1
+            assert setting in err and "meta.txt" not in err and "Traceback" not in err
+            assert stdout == "" and not out.exists()
 
 
 # what each reader finds in place of its file when the fault is "malformed"
@@ -740,6 +759,18 @@ def test_help_marks_default_provenance():
     assert proc.returncode == 0
     assert "[reference regime]" in proc.stdout
     assert "[tooling choice]" in proc.stdout
+
+
+def test_package_root_exports_only_submodules():
+    """Each name has one import path: the module that defines it."""
+    probe = (
+        "import types, jointvec\n"
+        "print(sorted(n for n, v in vars(jointvec).items()\n"
+        "             if not n.startswith('_') and not isinstance(v, types.ModuleType)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_subprocess_exit_code_propagates(tmp_path):
