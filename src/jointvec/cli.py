@@ -15,6 +15,7 @@ import os
 import sys
 import traceback
 import typing
+import warnings
 
 from .composition import CompositionKind
 from .corpus import (
@@ -33,7 +34,7 @@ from .embeddings import (
     init_table,
     nearest_neighbors,
 )
-from .errors import ConfigError, JointvecError, UserError
+from .errors import ContractError, UserError
 from .evaluation import LEVELS, check_classifier_settings, cldc_run, resolve_task, transfer_matrix
 from .training import (
     AdaGradState,
@@ -180,18 +181,18 @@ def load_config_file(path, flags) -> tuple:
     """
     by_name = {f.name: f for f in flags}
     values, lines = {}, {}
-    for lineno, key, text in read_settings(path, ConfigError):
+    for lineno, key, text in read_settings(path):
         if key in ("subcommand", "config"):
             continue
         flag = by_name.get(key)
         if flag is None:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r} for this subcommand")
+            raise UserError(f"{path}:{lineno}: unknown config key {key!r} for this subcommand")
         try:
             value = parse_setting(flag.type, text)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: config key {key}: {exc}") from None
+            raise UserError(f"{path}:{lineno}: config key {key}: {exc}") from None
         if flag.choices and value not in flag.choices:
-            raise ConfigError(
+            raise UserError(
                 f"{path}:{lineno}: config key {key} must be one of "
                 f"{', '.join(flag.choices)}, got {value!r}"
             )
@@ -216,14 +217,14 @@ def _resolve(args) -> None:
         if getattr(args, flag.name) is None:
             setattr(args, flag.name, cfg.get(flag.name, flag.default))
         if flag.required and getattr(args, flag.name) is None:
-            raise ConfigError(f"{flag.option} is required")
+            raise UserError(f"{flag.option} is required")
     if args.out == "":
-        raise ConfigError("--out is empty; give a directory")
+        raise UserError("--out is empty; give a directory")
     if args.out and os.path.exists(args.out):
         if not os.path.isdir(args.out):
-            raise ConfigError(f"{args.out} exists and is not a directory")
+            raise UserError(f"{args.out} exists and is not a directory")
         if os.listdir(args.out):
-            raise ConfigError(f"{args.out} exists and is not empty")
+            raise UserError(f"{args.out} exists and is not empty")
 
 
 def _write_manifest(args) -> None:
@@ -242,7 +243,7 @@ def _write_manifest(args) -> None:
 def _split_pair_flag(value: str) -> tuple:
     parts = value.split(":")
     if len(parts) != 4 or not all(parts):
-        raise ConfigError(
+        raise UserError(
             f"--pair takes LANG1:LANG2:FILE1:FILE2 (paths without colons), got {value!r}"
         )
     return tuple(parts)
@@ -251,7 +252,7 @@ def _split_pair_flag(value: str) -> tuple:
 def _split_lang_file(flag: str, value: str) -> tuple:
     lang, sep, path = value.partition(":")
     if not sep or not lang or not path:
-        raise ConfigError(f"--{flag} takes LANG:FILE, got {value!r}")
+        raise UserError(f"--{flag} takes LANG:FILE, got {value!r}")
     return lang, path
 
 
@@ -275,16 +276,19 @@ def cmd_train(args) -> int:
         vocab_1, vocab_2 = (vocabs.setdefault(lang, Vocabulary()) for lang in (l1, l2))
         loaded = load(f1, f2, vocab_1, vocab_2)
         if len(loaded) < 2:
-            raise ConfigError(f"{f1}/{f2}: fewer than 2 usable pairs, cannot sample noise")
+            raise UserError(f"{f1}/{f2}: fewer than 2 usable pairs, cannot sample noise")
         corpora.append(make_corpus(l1, l2, loaded))
 
-    langs = sorted(vocabs)
-    tables = {
-        lang: init_table(len(vocabs[lang]), config.d, derive_seed(config.seed, li), lang)
-        for li, lang in enumerate(langs)
-    }
-    bundle = ModelBundle(vocabs, tables, config.kind)
-    state = AdaGradState(bundle)
+    try:
+        tables = {
+            lang: init_table(len(vocabs[lang]), config.d, derive_seed(config.seed, li), lang)
+            for li, lang in enumerate(sorted(vocabs))
+        }
+        bundle = ModelBundle(vocabs, tables, config.kind)
+        state = AdaGradState(bundle)
+    except (MemoryError, ValueError):  # numpy refuses an array beyond memory or its size limit
+        rule = f"must let the tables and their accumulators fit in memory, got {config.d}"
+        raise UserError(f"d {rule}", "d", rule) from None
 
     report = train_joint(corpora, bundle, config, state)
 
@@ -336,7 +340,7 @@ def _write_eval_outputs(args, report) -> None:
 def _load_documents(path, vocab) -> list:
     docs = load_documents(path, vocab)
     if not docs:
-        raise ConfigError(f"{path}: no document has a token in the model's vocabulary")
+        raise UserError(f"{path}: no document has a token in the model's vocabulary")
     return docs
 
 
@@ -357,11 +361,11 @@ def cmd_eval_transfer(args) -> int:
     check_classifier_settings(args.epochs, args.seed, args.top_labels)
     langs = [l for l in args.langs.split(",") if l]
     if len(langs) < 2:
-        raise ConfigError(f"--langs needs at least 2 comma-separated codes, got {args.langs!r}")
+        raise UserError(f"--langs needs at least 2 comma-separated codes, got {args.langs!r}")
     doc_paths = dict(_split_lang_file("docs", d) for d in args.docs)
     missing = [l for l in langs if l not in doc_paths]
     if missing:
-        raise ConfigError(f"--docs missing for languages: {','.join(missing)}")
+        raise UserError(f"--docs missing for languages: {','.join(missing)}")
     bundle, ckpt_config, _ = load_model(args.model)
     docs_by_lang = {l: _load_documents(doc_paths[l], bundle.vocab(l)) for l in langs}
     settings = _classifier_settings(args, ckpt_config, *docs_by_lang.values())
@@ -376,11 +380,11 @@ def cmd_eval_transfer(args) -> int:
 def cmd_query(args) -> int:
     if args.n < 1:
         rule = f"must be >= 1, got {args.n}"
-        raise ConfigError(f"n {rule}", "n", rule)
+        raise UserError(f"n {rule}", "n", rule)
     lang, text = _split_lang_file("word", args.word)
     tokens = tokenize(text)  # the corpus readers' case folding
     if len(tokens) != 1:
-        raise ConfigError(f"--word takes LANG:TOKEN with one token, got {args.word!r}")
+        raise UserError(f"--word takes LANG:TOKEN with one token, got {args.word!r}")
     bundle, _, _ = load_model(args.model)
     neighbors = nearest_neighbors(bundle, (lang, tokens[0]), args.n, args.target, args.metric)
     lines = "".join(f"{nl}\t{nt}\t{score:.6f}\n" for nl, nt, score in neighbors)
@@ -395,7 +399,7 @@ def cmd_query(args) -> int:
 def cmd_export(args) -> int:
     repeated = [lang for lang in args.lang or () if args.lang.count(lang) > 1]
     if repeated:
-        raise ConfigError(f"--lang {repeated[0]!r} is listed more than once")
+        raise UserError(f"--lang {repeated[0]!r} is listed more than once")
     bundle, _, _ = load_model(args.model)
     args.lang = args.lang or list(bundle.languages)
     for lang in args.lang:
@@ -445,25 +449,31 @@ def _run(args) -> int:
     """args.func(args), naming a setting out of range by its --flag or config-file line."""
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except UserError as exc:
         flag = next((f for f in args.settings if (f.field or f.name) == exc.setting), None)
         if flag is None:
             raise
         line = args.config_lines.get(flag.name)
         where = f"{args.config}:{line}: config key {flag.name}" if line else flag.option
-        raise ConfigError(f"{where} {exc.rule}") from None
+        raise UserError(f"{where} {exc.rule}") from None
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"jointvec: warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _resolve(args)
-        return _run(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning  # one line, without the library's source
+            args = parser.parse_args(argv)
+            _resolve(args)
+            return _run(args)
     except UserError as exc:
         print(f"jointvec: error: {exc}", file=sys.stderr)
         return 1
-    except JointvecError as exc:
+    except ContractError as exc:
         print(f"jointvec: internal error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:

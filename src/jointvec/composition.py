@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CompositionError
+from .errors import ContractError
 
 
 class CompositionKind(Enum):
@@ -39,9 +39,9 @@ def _as_matrix(inputs) -> np.ndarray:
     try:
         arr = np.asarray(inputs, dtype=np.float64)
     except ValueError as exc:
-        raise CompositionError(f"inputs do not form a matrix: {exc}") from None
+        raise ContractError(f"inputs do not form a matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] == 0:
-        raise CompositionError(
+        raise ContractError(
             f"expected a non-empty sequence of equal-length vectors, got shape {arr.shape}"
         )
     return arr

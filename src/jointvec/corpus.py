@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AlignmentError, ContractError, FileFormatError, SamplingError
+from .errors import ContractError, UserError
 
 SENTENCE_SEP = " ||| "
 
@@ -82,19 +82,19 @@ def tokenize(text: str) -> list[str]:
     return text.casefold().split()
 
 
-def read_lines(path, error=FileFormatError) -> list[str]:
+def read_lines(path) -> list[str]:
     """The lines of the UTF-8 text file at `path`; every input file is read here.
 
     Lines end at LF, CRLF or CR only, as in text-mode iteration; form
     feeds, U+0085, U+2028 and the like stay inside their line, so files
     that `wc -l` counts as aligned read as aligned. A file that cannot be
-    opened or decoded raises `error` naming the path.
+    opened or decoded raises UserError naming the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
+        raise UserError(f"cannot read {path}: {exc}") from exc
     if not lines[-1]:
         lines.pop()  # the empty text after the last line end
     return lines
@@ -120,7 +120,7 @@ def _read_aligned(path_a, path_b, what: str) -> tuple:
     lines_a = read_lines(path_a)
     lines_b = read_lines(path_b)
     if len(lines_a) != len(lines_b):
-        raise AlignmentError(
+        raise UserError(
             f"{what} count mismatch: {path_a} has {len(lines_a)}, {path_b} has {len(lines_b)}"
         )
     return lines_a, lines_b
@@ -143,7 +143,7 @@ def _parse_document_line(path, lineno: int, line: str) -> tuple:
     """(doc_id, lang, labels, token lists) of one document line."""
     fields = line.split("\t")
     if len(fields) != 4:
-        raise FileFormatError(
+        raise UserError(
             f"{path}:{lineno}: expected 4 TAB-separated fields, got {len(fields)}"
         )
     doc_id, lang, label_field, body = fields
@@ -200,8 +200,8 @@ def load_document_pairs(path_a, path_b, vocab_a, vocab_b) -> list[DocumentPair]:
             if a and b and a.sentences and b.sentences]
     for n, a, b in kept:
         if len(a.sentences) != len(b.sentences):
-            raise AlignmentError(f"{path_a}:{n} and {path_b}:{n} differ in sentence count "
-                                 f"({len(a.sentences)} vs {len(b.sentences)})")
+            raise UserError(f"{path_a}:{n} and {path_b}:{n} differ in sentence count "
+                            f"({len(a.sentences)} vs {len(b.sentences)})")
     return [DocumentPair(a, b) for _, a, b in kept]
 
 
@@ -230,7 +230,7 @@ def sample_indices_excluding(n: int, exclude, k: int, rng: np.random.Generator) 
     up by one, which is exactly uniform over the other n - 1 indices.
     """
     if n < 2:
-        raise SamplingError(f"need at least 2 candidates to sample noise, have {n}")
+        raise UserError(f"need at least 2 candidates to sample noise, have {n}")
     exclude = np.asarray(exclude)
     draws = rng.integers(0, n - 1, size=exclude.shape + (k,))
     draws += draws >= exclude[..., None]
@@ -298,7 +298,7 @@ def pack_corpus(corpus) -> tuple[PackedSide, PackedSide]:
     """
     name = f"{corpus.src_lang}-{corpus.tgt_lang}"
     if len(corpus.pairs) < 2:
-        raise SamplingError(
+        raise UserError(
             f"{name}: need at least 2 pairs to sample noise, have {len(corpus.pairs)}"
         )
     if not isinstance(corpus, DocumentCorpus):
@@ -309,7 +309,7 @@ def pack_corpus(corpus) -> tuple[PackedSide, PackedSide]:
     for idx, p in enumerate(corpus.pairs):
         n_src, n_tgt = len(p.source.sentences), len(p.target.sentences)
         if n_src != n_tgt:
-            raise AlignmentError(
+            raise UserError(
                 f"{name} document pair {idx} has {n_src} vs {n_tgt} sentences; "
                 "the combined signal needs sentence-aligned documents"
             )

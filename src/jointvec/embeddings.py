@@ -13,7 +13,7 @@ import numpy as np
 
 from .composition import CompositionKind
 from .corpus import read_lines
-from .errors import ConfigError, ContractError, FileFormatError, TokenLookupError
+from .errors import ContractError, UserError
 
 
 def derive_seed(*parts) -> int:
@@ -42,7 +42,7 @@ class Vocabulary:
         try:
             return self._index[token]
         except KeyError:
-            raise TokenLookupError(f"unknown token {token!r}") from None
+            raise UserError(f"unknown token {token!r}") from None
 
     def __contains__(self, token: str) -> bool:
         return token in self._index
@@ -52,7 +52,7 @@ class Vocabulary:
 
     def token(self, idx: int) -> str:
         if not 0 <= idx < len(self._tokens):
-            raise TokenLookupError(f"token id {idx} out of range [0, {len(self._tokens)})")
+            raise UserError(f"token id {idx} out of range [0, {len(self._tokens)})")
         return self._tokens[idx]
 
     @property
@@ -90,7 +90,7 @@ def init_table(vocab_size: int, d: int, seed: int, language: str = "") -> Embedd
     (vocab_size, d, seed) always produces bit-identical values.
     """
     if vocab_size < 0 or d < 1:
-        raise ConfigError(f"need vocab_size >= 0 and d >= 1, got ({vocab_size}, {d})")
+        raise UserError(f"need vocab_size >= 0 and d >= 1, got ({vocab_size}, {d})")
     rng = np.random.default_rng(seed)
     return EmbeddingTable(language, rng.normal(0.0, math.sqrt(0.1), size=(vocab_size, d)))
 
@@ -100,17 +100,17 @@ class ModelBundle:
 
     def __init__(self, vocabs: dict, tables: dict, kind: CompositionKind):
         if set(vocabs) != set(tables):
-            raise ConfigError(
+            raise UserError(
                 f"vocab languages {sorted(vocabs)} != table languages {sorted(tables)}"
             )
         if not tables:
-            raise ConfigError("a model needs at least one language")
+            raise UserError("a model needs at least one language")
         dims = {t.d for t in tables.values()}
         if len(dims) != 1:
-            raise ConfigError(f"all tables must share one dimension, got {sorted(dims)}")
+            raise UserError(f"all tables must share one dimension, got {sorted(dims)}")
         for lang, table in tables.items():
             if table.vocab_size != len(vocabs[lang]):
-                raise ConfigError(
+                raise UserError(
                     f"{lang}: table has {table.vocab_size} rows for {len(vocabs[lang])} tokens"
                 )
         self.vocabs = vocabs
@@ -129,13 +129,13 @@ class ModelBundle:
         try:
             return self.vocabs[lang]
         except KeyError:
-            raise ConfigError(f"model has no language {lang!r}") from None
+            raise UserError(f"model has no language {lang!r}") from None
 
     def table(self, lang: str) -> EmbeddingTable:
         try:
             return self.tables[lang]
         except KeyError:
-            raise ConfigError(f"model has no language {lang!r}") from None
+            raise UserError(f"model has no language {lang!r}") from None
 
 
 def export_table(table: EmbeddingTable, vocab: Vocabulary, path) -> None:
@@ -155,36 +155,36 @@ def import_table(path, language: str = "") -> tuple[Vocabulary, EmbeddingTable]:
     """Parse the text format back into a (Vocabulary, EmbeddingTable) pair."""
     lines = read_lines(path)
     if not lines:
-        raise FileFormatError(f"{path}: empty embedding file")
+        raise UserError(f"{path}: empty embedding file")
     header = lines[0].split()
     if len(header) != 2:
-        raise FileFormatError(f"{path}: header must be 'V d', got {lines[0]!r}")
+        raise UserError(f"{path}: header must be 'V d', got {lines[0]!r}")
     try:
         v, d = int(header[0]), int(header[1])
     except ValueError:
-        raise FileFormatError(f"{path}: non-integer header {lines[0]!r}") from None
+        raise UserError(f"{path}: non-integer header {lines[0]!r}") from None
     body = [ln for ln in lines[1:] if ln]
     if len(body) != v:
-        raise FileFormatError(f"{path}: header promises {v} rows, found {len(body)}")
+        raise UserError(f"{path}: header promises {v} rows, found {len(body)}")
     vocab = Vocabulary()
     matrix = np.empty((v, d), dtype=np.float64)
     for row_no, line in enumerate(body):
         parts = line.split()
         if len(parts) != d + 1:
-            raise FileFormatError(
+            raise UserError(
                 f"{path}: row {row_no + 1} has {len(parts) - 1} values, expected {d}"
             )
         word = parts[0]
         if word in vocab:
-            raise FileFormatError(f"{path}: duplicate word {word!r}")
+            raise UserError(f"{path}: duplicate word {word!r}")
         vocab.add(word)
         try:
             matrix[row_no] = [float(x) for x in parts[1:]]
         except ValueError as exc:
-            raise FileFormatError(f"{path}: row {row_no + 1}: {exc}") from None
+            raise UserError(f"{path}: row {row_no + 1}: {exc}") from None
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
-        raise FileFormatError(
+        raise UserError(
             f"{path}: row {bad[0] + 1} ({vocab.token(bad[0])!r}) has non-finite values"
         )
     return vocab, EmbeddingTable(language, matrix)
@@ -209,7 +209,7 @@ def nearest_neighbors(
     tied with that cut competes on (language, token).
     """
     if metric not in ("cosine", "euclidean"):
-        raise ConfigError(f"unknown metric {metric!r}")
+        raise UserError(f"unknown metric {metric!r}")
     lang_q, token_q = query
     row_q = bundle.vocab(lang_q)[token_q]
     vq = bundle.table(lang_q).matrix[row_q]

@@ -20,7 +20,7 @@ import numpy as np
 from .composition import CompositionKind, compose
 from .corpus import pack_documents, select_top_labels
 from .embeddings import EmbeddingTable, ModelBundle, derive_seed
-from .errors import ConfigError, ContractError, RepresentationError
+from .errors import ContractError, UserError
 
 LEVELS = ("sentence-average", "doc-cvm")
 
@@ -46,10 +46,10 @@ def represent_documents(
     with it. Errors name the first faulty document.
     """
     if level not in LEVELS:
-        raise ConfigError(f"unknown representation level {level!r}")
+        raise UserError(f"unknown representation level {level!r}")
     empty = [doc.doc_id for doc in docs if not doc.sentences]
     if empty:
-        raise RepresentationError(f"document {empty[0]!r} has no representable sentence")
+        raise UserError(f"document {empty[0]!r} has no representable sentence")
     packed = pack_documents([doc.sentences for doc in docs])
     doc_starts, sent_starts = packed.doc_starts, packed.sent_starts
     first_token = sent_starts[doc_starts]
@@ -69,7 +69,7 @@ def represent_documents(
     bad = ~np.isfinite(vecs).all(axis=1)
     if bad.any():
         doc_id = docs[int(bad.argmax())].doc_id
-        raise RepresentationError(f"document {doc_id!r} produced non-finite entries")
+        raise UserError(f"document {doc_id!r} produced non-finite entries")
     return vecs
 
 
@@ -104,10 +104,10 @@ def train_multiclass(xs, ys, epochs: int = 10, seed: int = 0) -> PerceptronModel
     """
     xs, ys = _add_bias(xs), np.asarray(ys, dtype=int)
     if not len(xs):
-        raise ConfigError("no training examples")
+        raise UserError("no training examples")
     classes = np.unique(ys)
     if len(classes) < 2:
-        raise ConfigError(f"need at least 2 classes, got {classes.tolist()}")
+        raise UserError(f"need at least 2 classes, got {classes.tolist()}")
     n_classes = int(classes[-1]) + 1
 
     w = np.zeros((n_classes, xs.shape[1]))
@@ -166,10 +166,10 @@ def train_multilabel(xs, label_sets: list, universe: set, epochs: int = 10, seed
     flagged via its model's no_positives field.
     """
     if not universe:
-        raise ConfigError("empty label universe")
+        raise UserError("empty label universe")
     xs = _add_bias(xs)
     if not len(xs):
-        raise ConfigError("no training examples")
+        raise UserError("no training examples")
     models = {}
     for li, label in enumerate(sorted(universe)):
         ys = np.array([label in labels for labels in label_sets])
@@ -249,7 +249,7 @@ def _single_labels(lang: str, docs) -> list:
     """Each document's label on a single-label task: the smallest of its labels."""
     for doc in docs:
         if not doc.labels:
-            raise ConfigError(f"document {doc.doc_id!r} in {lang!r} has no label to classify")
+            raise UserError(f"document {doc.doc_id!r} in {lang!r} has no label to classify")
     return [min(doc.labels) for doc in docs]
 
 
@@ -261,7 +261,7 @@ def resolve_task(task: str, *doc_groups) -> str:
     if task in ("single", "multi"):
         return task
     if task != "auto":
-        raise ConfigError(f"task must be auto, single, or multi, got {task!r}")
+        raise UserError(f"task must be auto, single, or multi, got {task!r}")
     single = all(len(d.labels) == 1 for docs in doc_groups for d in docs)
     return "single" if single else "multi"
 
@@ -275,7 +275,7 @@ def check_classifier_settings(clf_epochs: int, seed: int, top_labels) -> None:
     for name, ok, rule in checks:
         if not ok:
             label = "clf_epochs (classifier epochs)" if name == "clf_epochs" else name
-            raise ConfigError(f"{label} {rule}", name, rule)
+            raise UserError(f"{label} {rule}", name, rule)
 
 
 def cldc_run(
@@ -302,7 +302,7 @@ def cldc_run(
     given = ((train_lang, train_docs), (test_lang, test_docs))
     for lang, docs in given:
         if not docs:
-            raise ConfigError(f"no documents supplied for {lang!r}")
+            raise UserError(f"no documents supplied for {lang!r}")
     check_classifier_settings(clf_epochs, seed, top_labels)
     task = resolve_task(task, train_docs, test_docs)
     train, test = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))
@@ -323,8 +323,8 @@ def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
         test_y = _single_labels(test_lang, test_docs)
         labels = sorted(set(train_y))
         if len(labels) < 2:
-            raise ConfigError(f"all training documents in {train_lang!r} carry the one label "
-                              f"{labels[0]!r}; a single-label task needs at least 2")
+            raise UserError(f"all training documents in {train_lang!r} carry the one label "
+                            f"{labels[0]!r}; a single-label task needs at least 2")
         label_id = {lab: i for i, lab in enumerate(labels)}
         ys = [label_id[y] for y in train_y]
         predicted = train_multiclass(train_x, ys, clf_epochs, seed).predict(test_x)
@@ -338,7 +338,7 @@ def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
     else:
         universe = {lab for doc in train_docs for lab in doc.labels}
     if not universe:
-        raise ConfigError(f"training documents in {train_lang!r} carry no labels")
+        raise UserError(f"training documents in {train_lang!r} carry no labels")
     models = train_multilabel(train_x, [d.labels for d in train_docs], universe, clf_epochs, seed)
     positive = {lab: m.predict(test_x) for lab, m in models.items()}
     predictions = [{lab for lab, pos in positive.items() if pos[i]} for i in range(n_test)]
@@ -381,12 +381,12 @@ def transfer_matrix(
     langs = sorted(languages)
     repeated = [lang for lang, n in Counter(langs).items() if n > 1]
     if repeated:
-        raise ConfigError(f"language {repeated[0]!r} is listed more than once")
+        raise UserError(f"language {repeated[0]!r} is listed more than once")
     if len(langs) < 2:
-        raise ConfigError("transfer matrix needs at least 2 languages")
+        raise UserError("transfer matrix needs at least 2 languages")
     missing = [l for l in langs if not docs_by_lang.get(l)]
     if missing:
-        raise ConfigError(f"no documents supplied for {missing}")
+        raise UserError(f"no documents supplied for {missing}")
     check_classifier_settings(clf_epochs, seed, top_labels)
     given = [(lang, docs_by_lang[lang]) for lang in langs]
     task = resolve_task(task, *(docs for _, docs in given))

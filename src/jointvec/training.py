@@ -15,9 +15,11 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
+import math
 import os
 import time
 import typing
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +33,7 @@ from .corpus import (
     sample_indices_excluding,
 )
 from .embeddings import EmbeddingTable, ModelBundle, Vocabulary
-from .errors import CheckpointError, ConfigError, ContractError, DivergenceError
+from .errors import ContractError, UserError
 from .objective import batch_loss_and_grads
 
 CHECKPOINT_META = "meta.txt"
@@ -63,14 +65,17 @@ class TrainConfig:
         try:
             self.kind = CompositionKind(self.kind)
         except ValueError:
-            raise ConfigError(f"kind must be add or bi, got {self.kind!r}") from None
+            raise UserError(f"kind must be add or bi, got {self.kind!r}") from None
         names = {"k": "k (noise count)", "lam": "lambda"}  # where messages differ from fields
         checks = [
             ("d", self.d >= 1, f"must be >= 1, got {self.d}"),
             ("margin", self.margin > 0, f"must be > 0, got {self.margin}"),
+            ("margin", self.margin < math.inf, f"must be finite and > 0, got {self.margin}"),
             ("k", self.k >= 1, f"must be >= 1, got {self.k}"),
             ("lam", self.lam >= 0, f"must be >= 0, got {self.lam}"),
+            ("lam", self.lam < math.inf, f"must be finite and >= 0, got {self.lam}"),
             ("step", self.step > 0, f"must be > 0, got {self.step}"),
+            ("step", self.step < math.inf, f"must be finite and > 0, got {self.step}"),
             ("batch", self.batch >= 1, f"must be >= 1, got {self.batch}"),
             ("epochs", self.epochs >= 1, f"must be >= 1, got {self.epochs}"),
             ("mode", self.mode in MODES, f"must be {' or '.join(MODES)}, got {self.mode!r}"),
@@ -78,7 +83,7 @@ class TrainConfig:
         ]
         for name, ok, rule in checks:
             if not ok:
-                raise ConfigError(f"{names.get(name, name)} {rule}", name, rule)
+                raise UserError(f"{names.get(name, name)} {rule}", name, rule)
 
 
 class AdaGradState:
@@ -198,20 +203,20 @@ def train_joint(
     visible to every later batch. `on_epoch(epoch, report)` fires after each
     completed epoch, e.g. for checkpointing. Every sub-corpus is packed and
     checked before the first update (see corpus.pack_corpus). A batch whose
-    loss or update is not finite raises DivergenceError and writes nothing:
+    loss or update is not finite raises UserError and writes nothing:
     tables and accumulators stay as the last good batch left them. The
     first call pins the process's glibc malloc thresholds (see _keep_freed_pages).
     """
     if not corpora:
-        raise ConfigError("need at least one sub-corpus")
+        raise UserError("need at least one sub-corpus")
     pivots = {c.src_lang for c in corpora}
     if len(pivots) != 1:
-        raise ConfigError(f"sub-corpora must share one pivot language, got {sorted(pivots)}")
+        raise UserError(f"sub-corpora must share one pivot language, got {sorted(pivots)}")
     if not 0 <= start_epoch <= config.epochs:
-        raise ConfigError(f"start_epoch {start_epoch} outside [0, {config.epochs}]")
+        raise UserError(f"start_epoch {start_epoch} outside [0, {config.epochs}]")
     for c in corpora:
         if config.doc_signal != isinstance(c, DocumentCorpus):
-            raise ConfigError(
+            raise UserError(
                 "doc_signal takes document corpora; plain parallel corpora need it off"
             )
         tables.table(c.src_lang), tables.table(c.tgt_lang)  # fail fast on missing languages
@@ -244,7 +249,7 @@ def train_joint(
                 )
                 loss = breakdown.hinge_total
                 if not (np.isfinite(loss) and adagrad_apply(tables, grads, state, config)):
-                    raise DivergenceError(
+                    raise UserError(
                         f"training diverged in epoch {epoch}, batch {batch_no}: loss {loss!r}, "
                         f"step={config.step!r}, lambda={config.lam!r}; the loss, embeddings or "
                         f"AdaGrad accumulators are not finite; lower the step size or lambda"
@@ -291,19 +296,19 @@ def parse_setting(typ, text: str):
     return typ(text)
 
 
-def read_settings(path, error):
+def read_settings(path):
     """(line number, key, value) for each key=value line of a settings file.
 
     Config files, manifests and meta.txt share this grammar: blank and `#`
     lines are skipped, and key and value are stripped at the first `=`. A
-    line without `=` raises `error` naming path:line.
+    line without `=` raises UserError naming path:line.
     """
-    for lineno, line in enumerate(read_lines(path, error), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise UserError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         yield lineno, key.strip(), value.strip()
 
@@ -367,9 +372,9 @@ def checkpoint(
 def _read_vocab(path) -> Vocabulary:
     """The vocabulary of a .vocab file, one token per line; a repeated token fails."""
     vocab = Vocabulary()
-    for lineno, token in enumerate(read_lines(path, CheckpointError), start=1):
+    for lineno, token in enumerate(read_lines(path), start=1):
         if vocab.add(token) != lineno - 1:
-            raise CheckpointError(f"{path}:{lineno}: duplicate token {token!r}")
+            raise UserError(f"{path}:{lineno}: duplicate token {token!r}")
     return vocab
 
 
@@ -377,27 +382,31 @@ def _reject_rows(path, vocab: Vocabulary, bad: np.ndarray, what: str) -> None:
     """Fail naming the first row flagged in `bad`; rows count from 1, as .vocab lines do."""
     if bad.any():
         row = int(bad.argmax())
-        raise CheckpointError(f"{path}: row {row + 1} ({vocab.token(row)!r}) has {what}")
+        raise UserError(f"{path}: row {row + 1} ({vocab.token(row)!r}) has {what}")
 
 
-def _read_matrix(path, vocab: Vocabulary, reference=None) -> np.ndarray:
+def _read_matrix(path, vocab_path, vocab: Vocabulary, reference=None) -> np.ndarray:
     """The finite 2-D float64 array of the .npy file `path`, one row per token of `vocab`.
 
-    `reference`, if given, is (path, width) of an array whose width this
-    one must share. Pickled data is never loaded.
+    `vocab` was read from `vocab_path`. `reference`, if given, is (path,
+    width) of an array whose width this one must share. Pickled data is
+    never loaded, and numpy's warnings about the file are not shown.
     """
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             matrix = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError, MemoryError) as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+    except Exception as exc:  # a damaged header can fail in numpy's parser with any type
+        raise UserError(f"cannot read {path}: {exc}") from exc
     if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.ndim == 2):
         got = f"{matrix.dtype} {matrix.shape}" if isinstance(matrix, np.ndarray) else "an archive"
-        raise CheckpointError(f"{path}: expected a 2-D float64 array, got {got}")
+        raise UserError(f"{path}: expected a 2-D float64 array, got {got}")
     if len(matrix) != len(vocab):
-        raise CheckpointError(f"{path} has {len(matrix)} rows for {len(vocab)} vocabulary tokens")
+        raise UserError(
+            f"{path} has {len(matrix)} rows for {len(vocab)} vocabulary tokens in {vocab_path}"
+        )
     if reference is not None and matrix.shape[1] != reference[1]:
-        raise CheckpointError(
+        raise UserError(
             f"{path} has width {matrix.shape[1]}, but {reference[0]} has width {reference[1]}"
         )
     _reject_rows(path, vocab, ~np.isfinite(matrix).all(axis=1), "non-finite values")
@@ -408,7 +417,7 @@ def load_model(path):
     """Load a checkpoint directory's model, without its AdaGrad accumulators.
 
     Returns (ModelBundle, TrainConfig, epoch). meta.txt is read first,
-    then each language's .vocab and .npy. Every fault is a CheckpointError
+    then each language's .vocab and .npy. Every fault is a UserError
     naming the file, plus the row or token where one applies: a missing
     or unreadable file, a missing metadata key, a repeated token, an
     array that is not 2-D float64, whose row count is not its vocabulary's
@@ -417,22 +426,25 @@ def load_model(path):
     a checkpoint that still names a since-removed setting loads.
     """
     meta_path = os.path.join(path, CHECKPOINT_META)
-    meta = {key: value for _, key, value in read_settings(meta_path, CheckpointError)}
+    meta = {key: value for _, key, value in read_settings(meta_path)}
     names = [f.name for f in dataclasses.fields(TrainConfig)]
     for key in ["languages", "epoch"] + [_meta_key(n) for n in names]:
         if key not in meta:
-            raise CheckpointError(f"{meta_path}: checkpoint metadata missing {key!r}")
+            raise UserError(f"{meta_path}: checkpoint metadata missing {key!r}")
     try:
         config = TrainConfig(**{n: parse_setting(_FIELD_TYPES[n], meta[_meta_key(n)]) for n in names})
         epoch = int(meta["epoch"])
-    except (ValueError, ConfigError) as exc:
-        raise CheckpointError(f"{meta_path}: invalid checkpoint metadata: {exc}") from exc
+    except (ValueError, UserError) as exc:
+        raise UserError(f"{meta_path}: invalid checkpoint metadata: {exc}") from exc
     vocabs, tables = {}, {}
     reference = None
     for lang in meta["languages"].split(","):
-        vocabs[lang] = _read_vocab(os.path.join(path, f"{lang}.vocab"))
+        vocab_path = os.path.join(path, f"{lang}.vocab")
+        if not os.path.exists(vocab_path):
+            raise UserError(f"{meta_path} lists language {lang!r}, but {vocab_path} does not exist")
+        vocabs[lang] = _read_vocab(vocab_path)
         table_path = os.path.join(path, f"{lang}.npy")
-        matrix = _read_matrix(table_path, vocabs[lang], reference)
+        matrix = _read_matrix(table_path, vocab_path, vocabs[lang], reference)
         reference = reference or (table_path, matrix.shape[1])
         tables[lang] = EmbeddingTable(lang, matrix)
     return ModelBundle(vocabs, tables, config.kind), config, epoch
@@ -444,7 +456,7 @@ def resume(path):
     Returns (ModelBundle, AdaGradState, TrainConfig, epoch). The model
     comes from load_model, with its checks; each <lang>.adagrad.npy must
     then match its table's shape, be finite and have no negative entry.
-    Every fault is a CheckpointError naming the file.
+    Every fault is a UserError naming the file.
     """
     bundle, config, epoch = load_model(path)
     acc = {}
@@ -452,6 +464,6 @@ def resume(path):
         vocab = bundle.vocab(lang)
         acc_path = os.path.join(path, f"{lang}.adagrad.npy")
         reference = (os.path.join(path, f"{lang}.npy"), bundle.d)
-        acc[lang] = _read_matrix(acc_path, vocab, reference)
+        acc[lang] = _read_matrix(acc_path, os.path.join(path, f"{lang}.vocab"), vocab, reference)
         _reject_rows(acc_path, vocab, (acc[lang] < 0).any(axis=1), "negative accumulator entries")
     return bundle, AdaGradState(acc=acc), config, epoch

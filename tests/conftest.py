@@ -223,6 +223,13 @@ def _huge_header(path) -> None:
         np.lib.format.write_array_header_1_0(fh, header)
 
 
+def _quote_header(path) -> None:
+    """Turn the `{` that opens the header's dict into a quote, which numpy's parser chokes on."""
+    data = bytearray(path.read_bytes())
+    data[10] = ord("'")
+    path.write_bytes(bytes(data))
+
+
 def _set_row_2(value):
     def change(matrix):
         matrix[1, 0] = value
@@ -249,6 +256,7 @@ HOSTILE_CHECKPOINTS = {
     "truncated": ("la.npy", _truncate, True, ""),
     "pickled": ("la.npy", _pickled, True, ""),
     "huge_header": ("la.npy", _huge_header, True, ""),
+    "quoted_header": ("la.npy", _quote_header, True, ": "),
     "float32": ("la.npy", lambda p: _rewrite_array(p, lambda m: m.astype(np.float32)), True,
                 ": expected a 2-D float64 array"),
     "row_count": ("la.npy", lambda p: _rewrite_array(p, lambda m: m[:-1]), True, " has "),

@@ -13,7 +13,7 @@ from jointvec import synth
 from jointvec.cli import _TRAIN, load_config_file, main
 from jointvec.corpus import iter_document_token_sentences, iter_token_sentences
 from jointvec.embeddings import Vocabulary, export_table, import_table
-from jointvec.errors import CheckpointError, ConfigError
+from jointvec.errors import UserError
 from jointvec.training import load_model, resume
 
 from conftest import HOSTILE_CHECKPOINTS, damage_checkpoint
@@ -412,7 +412,7 @@ def test_read_only_commands_skip_accumulators(fast_corpus, trained, la_token, tm
     assert run_cli(["export", "--model", trained, "--out", tmp_path / "want"], capsys)[0] == 0
     for name in ("la.emb", "lb.emb"):
         assert (tmp_path / "exp" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
-    with pytest.raises(CheckpointError, match=re.escape(str(model / "la.adagrad.npy"))):
+    with pytest.raises(UserError, match=re.escape(str(model / "la.adagrad.npy"))):
         resume(model)
 
 
@@ -511,9 +511,12 @@ def test_explicit_flags_beat_config(fast_corpus, tmp_path, capsys):
         (["eval", "cldc", "--model", "{model}", "--train", "la:{data}/la.docs",
           "--test", "lb:{data}/lb.docs"], "top_labels=0"),
         (["query", "--model", "{model}", "--word", "la:la001"], "n=0"),
+        (["train", "--pair", "la:lb:{data}/la.txt:{data}/lb.txt"], "margin=inf"),
+        (["train", "--pair", "la:lb:{data}/la.txt:{data}/lb.txt"], "step=inf"),
+        (["train", "--pair", "la:lb:{data}/la.txt:{data}/lb.txt"], "lambda=inf"),
     ],
     ids=["doc_signal", "dim", "cvm", "level", "metric", "dim_range", "noise_range",
-         "epochs_range", "top_labels_range", "n_range"],
+         "epochs_range", "top_labels_range", "n_range", "margin_inf", "step_inf", "lambda_inf"],
 )
 def test_bad_config_value_names_file_and_key(command, line, fast_corpus, trained, tmp_path,
                                              capsys):
@@ -607,12 +610,26 @@ def test_train_negative_seed_is_user_error_and_writes_nothing(fast_corpus, tmp_p
         ("--seed", -1, "seed must be >= 0"),
         ("--dim", 0, "--dim must be >= 1, got 0"),
         ("--noise", 0, "--noise must be >= 1, got 0"),
+        ("--margin", "inf", "--margin must be finite and > 0, got inf"),
+        ("--step", "inf", "--step must be finite and > 0, got inf"),
+        ("--lambda", "inf", "--lambda must be finite and >= 0, got inf"),
+        # numpy refuses a (V, d) table this large at once, without touching memory
+        ("--dim", 10**11, "--dim must let the tables and their accumulators fit in memory"),
     ]:
-        args = train_args(fast_corpus, out)
-        args[args.index(flag) + 1] = value
+        args = train_args(fast_corpus, out, (flag, value))  # the last --flag wins
         rc, _, err = run_cli(args, capsys)
         assert rc == 1 and text in err
         assert not out.exists()
+
+
+def test_library_warning_is_one_cli_line(fast_corpus, trained, capsys):
+    rc, _, err = run_cli(["eval", "cldc", "--model", trained,
+                          "--train", f"la:{fast_corpus / 'la.docs'}",
+                          "--test", f"lb:{fast_corpus / 'lb.docs'}",
+                          "--task", "multi", "--top-labels", 99], capsys)
+    assert rc == 0, err
+    want = r"jointvec: warning: requested 99 labels but only \d+ distinct labels occur\n"
+    assert re.fullmatch(want, err), err
 
 
 @pytest.mark.parametrize(
@@ -704,7 +721,7 @@ def test_config_file_loads_or_names_file_and_line(tmp_path, lines):
     cfg.write_text("\n".join(lines), encoding="utf-8", newline="")
     try:
         load_config_file(cfg, _TRAIN)
-    except ConfigError as exc:
+    except UserError as exc:
         assert re.match(re.escape(f"{cfg}:") + r"\d+: ", str(exc)), str(exc)
 
 

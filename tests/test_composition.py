@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from jointvec.composition import CompositionKind, backprop, compose
-from jointvec.errors import CompositionError
+from jointvec.errors import ContractError
 
 mp.mp.dps = 30
 
@@ -67,10 +67,15 @@ def test_compose_bi_output_strictly_inside_tanh_bounds():
 
 
 def test_compose_rejects_bad_input():
-    for bad in (np.zeros((0, 3)), np.zeros(3), [[1.0], [1.0, 2.0]]):
-        with pytest.raises(CompositionError):
+    cases = (
+        (np.zeros((0, 3)), r"non-empty sequence .* got shape \(0, 3\)"),
+        (np.zeros(3), r"non-empty sequence .* got shape \(3,\)"),
+        ([[1.0], [1.0, 2.0]], "inputs do not form a matrix"),
+    )
+    for bad, match in cases:
+        with pytest.raises(ContractError, match=match):
             compose(bad, ADD)
-        with pytest.raises(CompositionError):
+        with pytest.raises(ContractError, match=match):
             compose(bad, BI)
 
 

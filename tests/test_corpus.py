@@ -22,12 +22,7 @@ from jointvec.corpus import (
     tokenize,
 )
 from jointvec.embeddings import Vocabulary
-from jointvec.errors import (
-    AlignmentError,
-    ContractError,
-    FileFormatError,
-    SamplingError,
-)
+from jointvec.errors import ContractError, UserError
 
 
 def _write(path, text):
@@ -84,13 +79,13 @@ def test_load_parallel_line_count_mismatch(tmp_path):
     a = _write(tmp_path / "a.txt", "x\ny\nz\n")
     b = _write(tmp_path / "b.txt", "x\ny\n")
     v = Vocabulary(["x", "y", "z"])
-    with pytest.raises(AlignmentError):
+    with pytest.raises(UserError, match=re.escape(f"line count mismatch: {a} has 3, {b} has 2")):
         load_parallel(a, b, v, v)
 
 
 def test_load_parallel_missing_file(tmp_path):
     v = Vocabulary(["x"])
-    with pytest.raises(FileFormatError):
+    with pytest.raises(UserError, match=re.escape(f"cannot read {tmp_path / 'nope.txt'}: ")):
         load_parallel(str(tmp_path / "nope.txt"), str(tmp_path / "nope.txt"), v, v)
 
 
@@ -125,7 +120,7 @@ def test_load_documents_bad_field_count_names_line(tmp_path):
         lambda: load_document_pairs(good, path, Vocabulary(), Vocabulary()),
     ]
     for read in readers:
-        with pytest.raises(FileFormatError, match=re.escape(f"{path}:1: expected 4")):
+        with pytest.raises(UserError, match=re.escape(f"{path}:1: expected 4")):
             read()
 
 
@@ -159,7 +154,8 @@ def test_load_document_pairs_alignment(tmp_path):
     assert pairs[0].source.doc_id == "a1"
     assert pairs[0].target.doc_id == "b1"
     short = _write(tmp_path / "c.docs", "c1\tde\tl\thund\n")
-    with pytest.raises(AlignmentError):
+    mismatch = f"document count mismatch: {a} has 2, {short} has 1"
+    with pytest.raises(UserError, match=re.escape(mismatch)):
         load_document_pairs(a, short, va, vb)
 
 
@@ -212,7 +208,7 @@ def test_sample_indices_excluding_bounds_and_exclusion():
         assert np.array_equal(
             sample_indices_excluding(7, excl, 6, a), sample_indices_excluding(7, excl, 6, b)
         )
-    with pytest.raises(SamplingError):
+    with pytest.raises(UserError, match="need at least 2 candidates to sample noise, have 1"):
         sample_indices_excluding(1, 0, 3, rng)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from jointvec.embeddings import (
     init_table,
     nearest_neighbors,
 )
-from jointvec.errors import ConfigError, ContractError, FileFormatError, TokenLookupError
+from jointvec.errors import ContractError, UserError
 
 from conftest import make_bundle
 
@@ -31,9 +33,9 @@ def test_vocabulary_first_seen_order():
 
 def test_vocabulary_lookup_errors():
     vocab = Vocabulary(["a"])
-    with pytest.raises(TokenLookupError):
+    with pytest.raises(UserError, match="unknown token 'missing'"):
         vocab["missing"]
-    with pytest.raises(TokenLookupError):
+    with pytest.raises(UserError, match=re.escape("token id 1 out of range [0, 1)")):
         vocab.token(1)
     vocab.tokens.append("mutated")  # property hands out a copy
     assert len(vocab) == 1
@@ -58,9 +60,9 @@ def test_init_table_determinism_and_bounds():
     assert np.array_equal(one, two)
     assert not np.array_equal(one, init_table(10, 4, seed=10).matrix)
     assert init_table(0, 4, seed=1).matrix.shape == (0, 4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match=re.escape("got (-1, 4)")):
         init_table(-1, 4, seed=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match=re.escape("got (4, 0)")):
         init_table(4, 0, seed=1)
 
 
@@ -113,7 +115,7 @@ def test_export_size_mismatch(tmp_path):
 def test_import_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "bad.emb"
     path.write_text(content, encoding="utf-8")
-    with pytest.raises(FileFormatError):
+    with pytest.raises(UserError, match=re.escape(f"{path}: ")):
         import_table(path)
 
 
@@ -121,21 +123,21 @@ def test_model_bundle_validation():
     vocab = Vocabulary(["w0"])
     t2 = EmbeddingTable("a", np.zeros((1, 2)))
     t3 = EmbeddingTable("b", np.zeros((1, 3)))
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match=re.escape("vocab languages ['a'] != table languages")):
         ModelBundle({"a": vocab}, {"a": t2, "b": t3}, CompositionKind.ADD)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match=re.escape("share one dimension, got [2, 3]")):
         ModelBundle({"a": vocab, "b": vocab}, {"a": t2, "b": t3}, CompositionKind.ADD)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="at least one language"):
         ModelBundle({}, {}, CompositionKind.ADD)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="a: table has 1 rows for 2 tokens"):
         ModelBundle(
             {"a": Vocabulary(["w0", "w1"])}, {"a": t2}, CompositionKind.ADD
         )
     bundle = ModelBundle({"a": vocab}, {"a": t2}, CompositionKind.ADD)
     assert bundle.d == 2 and bundle.languages == ["a"]
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="model has no language 'zz'"):
         bundle.table("zz")
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="model has no language 'zz'"):
         bundle.vocab("zz")
 
 
@@ -192,9 +194,9 @@ def test_nearest_neighbors_euclidean_metric():
     assert out[0][:2] == ("de", "y")
     assert out[0][2] == pytest.approx(-1.0)  # negated distance
     assert out[1][2] == pytest.approx(-np.sqrt(2.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="unknown metric 'dot'"):
         nearest_neighbors(bundle, ("en", "x"), 2, metric="dot")
-    with pytest.raises(TokenLookupError):
+    with pytest.raises(UserError, match="unknown token 'unknown'"):
         nearest_neighbors(bundle, ("en", "unknown"), 2)
 
 
@@ -222,11 +224,11 @@ def test_nearest_neighbors_validates_before_n():
     bundle = _query_bundle()
     assert nearest_neighbors(bundle, ("en", "x"), 0) == []
     assert nearest_neighbors(bundle, ("en", "x"), -3, target_language="de") == []
-    with pytest.raises(ConfigError, match="'zz'"):
+    with pytest.raises(UserError, match="model has no language 'zz'"):
         nearest_neighbors(bundle, ("en", "x"), 0, target_language="zz")
-    with pytest.raises(ConfigError, match="metric"):
+    with pytest.raises(UserError, match="unknown metric 'dot'"):
         nearest_neighbors(bundle, ("en", "unknown"), 0, target_language="zz", metric="dot")
-    with pytest.raises(TokenLookupError):
+    with pytest.raises(UserError, match="unknown token 'unknown'"):
         nearest_neighbors(bundle, ("en", "unknown"), 0, target_language="zz")
 
 

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from jointvec.composition import CompositionKind
 from jointvec.corpus import LabeledDocument, Sentence
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
-from jointvec.errors import ConfigError, ContractError, RepresentationError
+from jointvec.errors import ContractError, UserError
 from jointvec.evaluation import (
     BinaryPerceptron,
     EvalReport,
@@ -54,9 +56,9 @@ def test_represent_documents_single_sentence_modes_agree():
 def test_represent_documents_errors():
     _, table = _two_word_table()
     doc = LabeledDocument("d", "x", set(), [Sentence((0,))])
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="unknown representation level 'paragraph'"):
         represent_documents([doc], table, ADD, "paragraph")
-    with pytest.raises(RepresentationError):
+    with pytest.raises(UserError, match="document 'e' has no representable sentence"):
         represent_documents([LabeledDocument("e", "x", set(), [])], table, ADD)
 
 
@@ -136,7 +138,7 @@ def test_represent_documents_names_first_faulty_document():
     _, table = _two_word_table()
     good = LabeledDocument("ok", "x", set(), [Sentence((0,))])
     empty = [LabeledDocument(name, "x", set(), []) for name in ("e1", "e2")]
-    with pytest.raises(RepresentationError, match="'e1'"):
+    with pytest.raises(UserError, match="document 'e1' has no representable sentence"):
         represent_documents([good, empty[0], good, empty[1]], table, ADD)
     table.matrix[1, 0] = np.inf
     docs = [
@@ -145,7 +147,7 @@ def test_represent_documents_names_first_faulty_document():
         LabeledDocument("inf2", "x", set(), [Sentence((1,))]),
     ]
     for level in ("sentence-average", "doc-cvm"):
-        with pytest.raises(RepresentationError, match="'inf1' produced non-finite"):
+        with pytest.raises(UserError, match="'inf1' produced non-finite"):
             represent_documents(docs, table, ADD, level)
     assert represent_documents([], table, ADD).shape == (0, 2)
 
@@ -197,9 +199,9 @@ def test_multiclass_prediction_invariant_to_positive_scaling():
 
 
 def test_multiclass_degenerate_inputs():
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="no training examples"):
         train_multiclass(np.empty((0, 1)), [])
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match=re.escape("need at least 2 classes, got [0]")):
         train_multiclass(np.array([[1.0], [2.0]]), [0, 0])
 
 
@@ -260,9 +262,9 @@ def test_multilabel_no_positives_flag():
     assert models["ghost"].no_positives
     assert np.all(models["ghost"].averaged == 0.0)
     assert not models["ghost"].predict(np.array([[100.0, 100.0]]))[0]
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="empty label universe"):
         train_multilabel(xs, label_sets, set(), epochs=3, seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="no training examples"):
         train_multilabel(np.empty((0, 2)), [], {"seen"}, epochs=3, seed=0)
 
 
@@ -412,9 +414,9 @@ def test_cldc_auto_task_detection():
     assert resolve_task("single", multi) == "single"
     forced = cldc_run("x", single, "x", single, bundle, task="multi")
     assert "micro_f1" in {r.metric for r in forced.rows}
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="no documents supplied for 'x'"):
         cldc_run("x", [], "x", single, bundle)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="task must be auto, single, or multi, got 'triple'"):
         cldc_run("x", single, "x", single, bundle, task="triple")
 
 
@@ -455,22 +457,22 @@ def test_transfer_matrix_represents_each_language_once(monkeypatch):
 def test_transfer_matrix_repeated_or_empty_language_is_named():
     bundle = _topic_bundle(["x", "y"])
     docs = {"x": _topic_docs("x"), "y": _topic_docs("y")}
-    with pytest.raises(ConfigError, match="'x'"):
+    with pytest.raises(UserError, match="language 'x' is listed more than once"):
         transfer_matrix(["x", "x"], docs, bundle)
-    with pytest.raises(ConfigError, match="'y'"):
+    with pytest.raises(UserError, match="language 'y' is listed more than once"):
         transfer_matrix(["x", "y", "y"], docs, bundle)
-    with pytest.raises(ConfigError, match="'y'"):
+    with pytest.raises(UserError, match=re.escape("no documents supplied for ['y']")):
         transfer_matrix(["x", "y"], {"x": docs["x"], "y": []}, bundle)
-    with pytest.raises(ConfigError, match="'y'"):
+    with pytest.raises(UserError, match="no documents supplied for 'y'"):
         cldc_run("x", docs["x"], "y", [], bundle)
 
 
 def test_transfer_matrix_validation(monkeypatch):
     bundle = _topic_bundle(["x", "y"])
     docs = {"x": _topic_docs("x"), "y": _topic_docs("y")}
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="needs at least 2 languages"):
         transfer_matrix(["x"], docs, bundle)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match=re.escape("no documents supplied for ['missing']")):
         transfer_matrix(["x", "missing"], docs, bundle)
 
     def no_representation(*args):
@@ -478,9 +480,9 @@ def test_transfer_matrix_validation(monkeypatch):
 
     monkeypatch.setattr("jointvec.evaluation.represent_documents", no_representation)
     for name, bad in (("clf_epochs", 0), ("top_labels", 0), ("seed", -1)):
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(UserError, match=name):
             transfer_matrix(["x", "y"], docs, bundle, **{name: bad})
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(UserError, match=name):
             cldc_run("x", docs["x"], "y", docs["y"], bundle, **{name: bad})
 
 
@@ -499,10 +501,10 @@ def test_transfer_matrix_resolves_auto_task_once_over_all_languages():
 def test_classify_errors_name_the_training_language():
     bundle = _topic_bundle(["x", "y"])
     one_label = _topic_docs("x", labels_fn=lambda c: {"only"})
-    with pytest.raises(ConfigError, match="'x'.*'only'"):
+    with pytest.raises(UserError, match="'x'.*'only'"):
         cldc_run("x", one_label, "y", _topic_docs("y"), bundle, task="single")
     unlabelled = _topic_docs("x", labels_fn=lambda c: set())
-    with pytest.raises(ConfigError, match="training documents in 'x' carry no labels"):
+    with pytest.raises(UserError, match="training documents in 'x' carry no labels"):
         cldc_run("x", unlabelled, "y", _topic_docs("y"), bundle, task="multi")
 
 
@@ -520,5 +522,5 @@ def test_cldc_single_label_task_uses_each_documents_one_label():
     base = {r.metric: r.value for r in report.rows}["majority_baseline"]
     assert base == pytest.approx(2 / 3)  # "a"; "z" is no document's single label
     unlabelled = docs("y", [{"a"}, set(), {"b"}])
-    with pytest.raises(ConfigError, match="document 'y1' in 'y' has no label"):
+    with pytest.raises(UserError, match="document 'y1' in 'y' has no label"):
         cldc_run("x", train, "y", unlabelled, bundle, task="single")

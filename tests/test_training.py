@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import re
 import shutil
@@ -27,14 +28,7 @@ from jointvec.embeddings import (
     export_table,
     init_table,
 )
-from jointvec.errors import (
-    AlignmentError,
-    CheckpointError,
-    ConfigError,
-    ContractError,
-    DivergenceError,
-    SamplingError,
-)
+from jointvec.errors import ContractError, UserError
 from jointvec.objective import energy
 from jointvec.training import (
     AdaGradState,
@@ -73,10 +67,15 @@ def test_train_config_margin_defaults_to_d():
         {"mode": "parallel"},
         {"kind": "tri"},
         {"seed": -1},
+        {"margin": math.inf},
+        {"lam": math.inf},
+        {"step": math.inf},
     ],
 )
 def test_train_config_rejects_invalid_values(kwargs):
-    with pytest.raises(ConfigError):
+    (name,) = kwargs
+    label = {"lam": "lambda", "k": r"k \(noise count\)"}.get(name, name)
+    with pytest.raises(UserError, match=f"^{label} must be"):
         TrainConfig(**kwargs)
 
 
@@ -277,7 +276,7 @@ def test_update_count_follows_batching(monkeypatch):
 
 
 def test_overflowing_hinge_ends_training_before_its_update(monkeypatch):
-    """A NaN hinge total raises DivergenceError; tables stay as the last update left them."""
+    """A NaN hinge total raises UserError; tables stay as the last update left them."""
     corpus, bundle, config = _toy_setup(step=1e200)
     state = AdaGradState(bundle)
     snapshots = []
@@ -290,7 +289,7 @@ def test_overflowing_hinge_ends_training_before_its_update(monkeypatch):
         return True
 
     monkeypatch.setattr("jointvec.training.adagrad_apply", recording)
-    with pytest.raises(DivergenceError, match=r"epoch 0, batch (\d+): loss nan") as exc:
+    with pytest.raises(UserError, match=r"epoch 0, batch (\d+): loss nan") as exc:
         train_joint([corpus], bundle, config, state)
     assert re.search(r"batch (\d+)", str(exc.value)).group(1) == str(len(snapshots))
     for lang, (table, acc) in snapshots[-1].items():
@@ -331,17 +330,17 @@ def test_train_single_runs_with_bi_composition():
 
 def test_train_joint_validation_errors():
     corpus, bundle, config = _toy_setup()
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="need at least one sub-corpus"):
         train_joint([], bundle, config)
     other = ParallelCorpus("xx", "lb", corpus.pairs)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match=re.escape("one pivot language, got ['la', 'xx']")):
         train_joint([corpus, other], bundle, config)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="model has no language 'zz'"):
         train_joint([ParallelCorpus("la", "zz", corpus.pairs)], bundle, config)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match=re.escape("start_epoch 3 outside [0, 2]")):
         train_joint([corpus], bundle, config, start_epoch=3)
     doc_config = TrainConfig(d=4, margin=4.0, doc_signal=True)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UserError, match="doc_signal takes document corpora"):
         train_joint([corpus], bundle, doc_config)
 
 
@@ -379,7 +378,7 @@ def test_doc_signal_rejects_unaligned_pair():
     bad.pairs[0] = DocumentPair(src, tgt)
     config = TrainConfig(d=4, margin=4.0, k=2, batch=3, epochs=1, doc_signal=True, seed=3)
     bundle = make_bundle({"a": 10, "b": 10}, 4, seed=1)
-    with pytest.raises(AlignmentError, match="pair 0"):
+    with pytest.raises(UserError, match="a-b document pair 0 has 2 vs 1 sentences"):
         train_joint([bad], bundle, config)
 
 
@@ -392,10 +391,10 @@ def test_joint_run_checks_every_sub_corpus_before_first_update(case):
         p = pairs[1]
         short = LabeledDocument("c1", "c", set(), p.target.sentences[:1])
         pairs[1] = DocumentPair(p.source, short)
-        error, match = AlignmentError, "document pair 1 has 2 vs 1"
+        error, match = UserError, "a-c document pair 1 has 2 vs 1"
     elif case == "one_pair":
         del pairs[1:]
-        error, match = SamplingError, "need at least 2"
+        error, match = UserError, "a-c: need at least 2 pairs to sample noise, have 1"
     else:
         empty = LabeledDocument("e", "a", set(), [])
         pairs[1] = DocumentPair(empty, empty)
@@ -543,7 +542,7 @@ def test_resume_continue_matches_uninterrupted(tmp_path):
 
 
 def test_resume_errors(tmp_path):
-    with pytest.raises(CheckpointError):
+    with pytest.raises(UserError, match=re.escape(f"cannot read {tmp_path / 'missing'}")):
         resume(tmp_path / "missing")
 
     corpus, bundle, config = _toy_setup()
@@ -554,7 +553,7 @@ def test_resume_errors(tmp_path):
     broken = tmp_path / "no_table"
     shutil.copytree(good, broken)
     (broken / "lb.npy").unlink()
-    with pytest.raises(CheckpointError):
+    with pytest.raises(UserError, match=re.escape(f"cannot read {broken / 'lb.npy'}: ")):
         resume(broken)
 
     negacc = tmp_path / "negacc"
@@ -562,20 +561,23 @@ def test_resume_errors(tmp_path):
     acc = np.load(negacc / "la.adagrad.npy")
     acc[0] = -1.0
     np.save(negacc / "la.adagrad.npy", acc)
-    with pytest.raises(CheckpointError, match="negative"):
+    bad_rows = re.escape(f"{negacc / 'la.adagrad.npy'}: row 1 (")
+    with pytest.raises(UserError, match=f"{bad_rows}.*negative accumulator entries"):
         resume(negacc)
 
     badvocab = tmp_path / "badvocab"
     shutil.copytree(good, badvocab)
     with open(badvocab / "la.vocab", "a", encoding="utf-8") as fh:
         fh.write("imposter\n")
-    with pytest.raises(CheckpointError, match="vocabulary"):
+    counts = r" has \d+ rows for \d+ vocabulary tokens in "
+    match = re.escape(str(badvocab / "la.npy")) + counts + re.escape(str(badvocab / "la.vocab"))
+    with pytest.raises(UserError, match=match):
         resume(badvocab)
 
     badmeta = tmp_path / "badmeta"
     shutil.copytree(good, badmeta)
     (badmeta / "meta.txt").write_text("no equals sign here\n", encoding="utf-8")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(UserError, match=re.escape(f"{badmeta / 'meta.txt'}:1: expected key=")):
         resume(badmeta)
 
     missingkey = tmp_path / "missingkey"
@@ -583,7 +585,8 @@ def test_resume_errors(tmp_path):
     meta = (missingkey / "meta.txt").read_text(encoding="utf-8").splitlines()
     meta = [ln for ln in meta if not ln.startswith("languages=")]
     (missingkey / "meta.txt").write_text("\n".join(meta) + "\n", encoding="utf-8")
-    with pytest.raises(CheckpointError, match="languages"):
+    missing = f"{missingkey / 'meta.txt'}: checkpoint metadata missing 'languages'"
+    with pytest.raises(UserError, match=re.escape(missing)):
         resume(missingkey)
 
 
@@ -595,7 +598,7 @@ def test_text_checkpoint_names_missing_vocabulary(tmp_path):
         for name in (f"{lang}.npy", f"{lang}.adagrad.npy", f"{lang}.vocab"):
             (tmp_path / name).unlink()
         export_table(bundle.table(lang), bundle.vocab(lang), tmp_path / f"{lang}.emb")
-    with pytest.raises(CheckpointError, match=re.escape(str(tmp_path / "la.vocab"))):
+    with pytest.raises(UserError, match=re.escape(str(tmp_path / "la.vocab"))):
         resume(tmp_path)
 
 
@@ -606,11 +609,11 @@ def test_damaged_checkpoint_is_checkpoint_error_naming_file(tmp_path, case):
     train_joint([corpus], bundle, config, state)
     checkpoint(bundle, state, tmp_path, config, epoch=config.epochs)
     bad, read_only_sees, text = damage_checkpoint(tmp_path, case)
-    with pytest.raises(CheckpointError) as exc:
+    with pytest.raises(UserError, match=re.escape(str(bad))) as exc:
         resume(tmp_path)
-    assert str(bad) in str(exc.value) and text in str(exc.value)
+    assert text in str(exc.value)
     if read_only_sees:
-        with pytest.raises(CheckpointError, match=re.escape(text)):
+        with pytest.raises(UserError, match=re.escape(text)):
             load_model(tmp_path)
     else:
         loaded, _, _ = load_model(tmp_path)
@@ -639,9 +642,9 @@ def test_interrupted_checkpoint_is_refused(tmp_path, monkeypatch):
         checkpoint(bundle, state, tmp_path, config, epoch=config.epochs)
     monkeypatch.undo()
     meta = tmp_path / "meta.txt"
-    with pytest.raises(CheckpointError, match=re.escape(str(meta))):
+    with pytest.raises(UserError, match=re.escape(str(meta))):
         resume(tmp_path)
-    with pytest.raises(CheckpointError, match=re.escape(str(meta))):
+    with pytest.raises(UserError, match=re.escape(str(meta))):
         load_model(tmp_path)
 
     checkpoint(bundle, state, tmp_path, config, epoch=config.epochs)
