@@ -44,6 +44,7 @@ from .training import (
     load_model,
     parse_setting,
     read_settings,
+    tables_do_not_fit,
     train_joint,
 )
 
@@ -287,8 +288,7 @@ def cmd_train(args) -> int:
         bundle = ModelBundle(vocabs, tables, config.kind)
         state = AdaGradState(bundle)
     except (MemoryError, ValueError):  # numpy refuses an array beyond memory or its size limit
-        rule = f"must let the tables and their accumulators fit in memory, got {config.d}"
-        raise UserError(f"d {rule}", "d", rule) from None
+        raise tables_do_not_fit(config.d) from None
 
     report = train_joint(corpora, bundle, config, state)
 
@@ -309,69 +309,61 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-def _classifier_settings(args, ckpt_config, *doc_groups) -> dict:
-    """The classifier keywords of cldc_run, with task and level resolved onto args.
+def _eval(args, read_flags, evaluate) -> int:
+    """Both eval subcommands; the classifier settings are checked before `read_flags()`.
 
-    Auto level: models trained with the document signal represent documents
-    with the document-level composition on multi-label tasks, and with the
-    sentence average otherwise.
+    `read_flags()` gives (language, document file) pairs, and `evaluate(groups,
+    bundle, **settings)` reports on (language, documents) groups. The auto level is
+    doc-cvm for multi-label tasks on a document-signal model, else sentence-average.
     """
-    args.task = resolve_task(args.task, *doc_groups)
+    check_classifier_settings(args.epochs, args.seed, args.top_labels)
+    files = read_flags()
+    bundle, ckpt_config, _ = load_model(args.model)
+    groups = []
+    for lang, path in files:
+        docs = load_documents(path, bundle.vocab(lang))
+        if not docs:
+            raise UserError(f"{path}: no document has a token in the model's vocabulary")
+        groups.append((lang, docs))
+    args.task = resolve_task(args.task, *(docs for _, docs in groups))
     if args.level == "auto":
         multi_doc = ckpt_config.doc_signal and args.task == "multi"
         args.level = "doc-cvm" if multi_doc else "sentence-average"
-    return dict(
-        level=args.level,
-        task=args.task,
-        clf_epochs=args.epochs,
-        seed=args.seed,
-        top_labels=args.top_labels,
-    )
-
-
-def _write_eval_outputs(args, report) -> None:
+    report = evaluate(groups, bundle, level=args.level, task=args.task, clf_epochs=args.epochs,
+                      seed=args.seed, top_labels=args.top_labels)
     sys.stdout.write(report.headline().to_tsv())
     if args.out:
         _write_manifest(args)
         report.headline().write(os.path.join(args.out, "report.tsv"))
         report.write(os.path.join(args.out, "report_all.tsv"))
-
-
-def _load_documents(path, vocab) -> list:
-    docs = load_documents(path, vocab)
-    if not docs:
-        raise UserError(f"{path}: no document has a token in the model's vocabulary")
-    return docs
+    return 0
 
 
 def cmd_eval_cldc(args) -> int:
-    check_classifier_settings(args.epochs, args.seed, args.top_labels)
-    train_lang, train_path = _split_lang_file("train", args.train)
-    test_lang, test_path = _split_lang_file("test", args.test)
-    bundle, ckpt_config, _ = load_model(args.model)
-    train_docs = _load_documents(train_path, bundle.vocab(train_lang))
-    test_docs = _load_documents(test_path, bundle.vocab(test_lang))
-    settings = _classifier_settings(args, ckpt_config, train_docs, test_docs)
-    report = cldc_run(train_lang, train_docs, test_lang, test_docs, bundle, **settings)
-    _write_eval_outputs(args, report)
-    return 0
+    def read_flags():
+        return [_split_lang_file("train", args.train), _split_lang_file("test", args.test)]
+
+    def evaluate(groups, bundle, **settings):
+        return cldc_run(*groups[0], *groups[1], bundle, **settings)
+
+    return _eval(args, read_flags, evaluate)
 
 
 def cmd_eval_transfer(args) -> int:
-    check_classifier_settings(args.epochs, args.seed, args.top_labels)
-    langs = [l for l in args.langs.split(",") if l]
-    if len(langs) < 2:
-        raise UserError(f"--langs needs at least 2 comma-separated codes, got {args.langs!r}")
-    doc_paths = dict(_split_lang_file("docs", d) for d in args.docs)
-    missing = [l for l in langs if l not in doc_paths]
-    if missing:
-        raise UserError(f"--docs missing for languages: {','.join(missing)}")
-    bundle, ckpt_config, _ = load_model(args.model)
-    docs_by_lang = {l: _load_documents(doc_paths[l], bundle.vocab(l)) for l in langs}
-    settings = _classifier_settings(args, ckpt_config, *docs_by_lang.values())
-    report = transfer_matrix(langs, docs_by_lang, bundle, **settings)
-    _write_eval_outputs(args, report)
-    return 0
+    def read_flags():
+        langs = [l for l in args.langs.split(",") if l]
+        if len(langs) < 2:
+            raise UserError(f"--langs needs at least 2 comma-separated codes, got {args.langs!r}")
+        doc_paths = dict(_split_lang_file("docs", d) for d in args.docs)
+        missing = [l for l in langs if l not in doc_paths]
+        if missing:
+            raise UserError(f"--docs missing for languages: {','.join(missing)}")
+        return [(l, doc_paths[l]) for l in langs]
+
+    def evaluate(groups, bundle, **settings):
+        return transfer_matrix([lang for lang, _ in groups], dict(groups), bundle, **settings)
+
+    return _eval(args, read_flags, evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,11 @@ def sample_indices_excluding(n: int, exclude, k: int, rng: np.random.Generator) 
     if n < 2:
         raise UserError(f"need at least 2 candidates to sample noise, have {n}")
     exclude = np.asarray(exclude)
-    draws = rng.integers(0, n - 1, size=exclude.shape + (k,))
+    try:
+        draws = rng.integers(0, n - 1, size=exclude.shape + (k,))
+    except (MemoryError, ValueError):  # numpy refuses an array beyond memory or its size limit
+        rule = f"must let each batch's noise draws fit in memory, got {k}"
+        raise UserError(f"k (noise count) {rule}", "k", rule) from None
     draws += draws >= exclude[..., None]
     return draws
 

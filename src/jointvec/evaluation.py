@@ -5,9 +5,9 @@ form), an averaged perceptron trains on one language's documents, and the
 resulting classifier is scored on another language's documents with no
 target-language supervision. A language's documents compose, through the
 segmented `compose` that training uses, into one (n, d) matrix that the
-perceptrons train on and predict from; `transfer_matrix` composes each
-language once for all its pairs and resolves the task once. Single-label
-tasks report accuracy, multi-label tasks micro-F1 (macro-F1 emitted
+perceptrons train on and predict from. `cldc_run` and `transfer_matrix`
+share one pipeline, which composes each language once for all its pairs.
+Single-label tasks report accuracy, multi-label tasks micro-F1 (macro-F1
 alongside); a majority-class baseline row accompanies every run.
 """
 
@@ -131,8 +131,6 @@ class BinaryPerceptron:
     """One-vs-rest member: positive iff the averaged score is > 0."""
 
     averaged: np.ndarray
-    updates: int
-    no_positives: bool
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
         """Per row of the (n, d) matrix `xs`, bit for bit `float(averaged @ [x, 1]) > 0`.
@@ -145,25 +143,22 @@ class BinaryPerceptron:
 def _train_binary(xs: np.ndarray, ys: np.ndarray, epochs: int, seed: int) -> BinaryPerceptron:
     w = np.zeros(xs.shape[1])
     acc = np.zeros_like(w)
-    updates = 0
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         for i in rng.permutation(len(xs)):
             x, y = xs[i], ys[i]
-            pred = float(w @ x) > 0.0
-            if pred != y:
+            if (float(w @ x) > 0.0) != y:
                 w += x if y else -x
-                updates += 1
             acc += w
-    return BinaryPerceptron(acc / (epochs * len(xs)), updates, not ys.any())
+    return BinaryPerceptron(acc / (epochs * len(xs)))
 
 
 def train_multilabel(xs, label_sets: list, universe: set, epochs: int = 10, seed: int = 0) -> dict:
     """One-vs-rest averaged perceptrons over the (n, d) matrix `xs`, row i labelled `label_sets[i]`.
 
     Labels train independently with per-label derived seeds. A label with no
-    positive examples keeps zero weights (predicting always-negative) and is
-    flagged via its model's no_positives field.
+    positive examples keeps zero weights, so it is never predicted; CLDC's
+    universe holds only labels of its training documents, so it has none.
     """
     if not universe:
         raise UserError("empty label universe")
@@ -201,8 +196,6 @@ def micro_f1(predictions: list, gold: list) -> float:
 
 def macro_f1(predictions: list, gold: list, labels) -> float:
     """Unweighted mean of per-label F1 over `labels`."""
-    if len(predictions) != len(gold):
-        raise ContractError(f"{len(predictions)} predictions for {len(gold)} gold sets")
     scores = []
     for label in sorted(labels):
         tp, fp, fn = _prf_counts(
@@ -294,29 +287,69 @@ def cldc_run(
 
     With task="auto", documents that all carry exactly one label run as a
     single-label problem (accuracy); anything else runs one-vs-rest
-    multi-label (micro-F1, with macro-F1 and the fraction of labels lacking
-    positive examples reported alongside). A single-label document's label
-    is the smallest of its set; the majority baseline predicts the most
-    frequent training label everywhere.
+    multi-label (micro-F1, with macro-F1 alongside). A single-label
+    document's label is the smallest of its set; the majority baseline
+    predicts the most frequent training label everywhere.
     """
-    given = ((train_lang, train_docs), (test_lang, test_docs))
-    for lang, docs in given:
+    groups = [(train_lang, train_docs), (test_lang, test_docs)]
+    return _evaluate(groups, [(0, 1, seed)], bundle, level, task, clf_epochs, seed, top_labels)
+
+
+def transfer_matrix(
+    languages: list,
+    docs_by_lang: dict,
+    bundle: ModelBundle,
+    level: str = "sentence-average",
+    task: str = "auto",
+    clf_epochs: int = 10,
+    seed: int = 0,
+    top_labels: int = None,
+) -> EvalReport:
+    """cldc_run over every ordered language pair, diagonal omitted.
+
+    Each pair gets a seed derived from (seed, train index, test index) in
+    the sorted language order, so entries do not depend on iteration order.
+    """
+    langs = sorted(languages)
+    repeated = [lang for lang, n in Counter(langs).items() if n > 1]
+    if repeated:
+        raise UserError(f"language {repeated[0]!r} is listed more than once")
+    if len(langs) < 2:
+        raise UserError("transfer matrix needs at least 2 languages")
+    missing = [l for l in langs if not docs_by_lang.get(l)]
+    if missing:
+        raise UserError(f"no documents supplied for {missing}")
+    groups = [(lang, docs_by_lang[lang]) for lang in langs]
+    pairs = ((i, j, derive_seed(seed, i, j)) for i, j in permutations(range(len(langs)), 2))
+    return _evaluate(groups, pairs, bundle, level, task, clf_epochs, seed, top_labels)
+
+
+def _evaluate(groups, pairs, bundle, level, task, clf_epochs, seed, top_labels) -> EvalReport:
+    """Rows of each (train index, test index, seed) of `pairs` over (language, documents) `groups`.
+
+    `pairs` is read once the documents and settings are checked. The task
+    is resolved and each group represented once, for every pair it is in.
+    """
+    for lang, docs in groups:
         if not docs:
             raise UserError(f"no documents supplied for {lang!r}")
     check_classifier_settings(clf_epochs, seed, top_labels)
-    task = resolve_task(task, train_docs, test_docs)
-    train, test = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))
-                   for lang, docs in given]
-    return EvalReport(_classify(train, test, task, clf_epochs, seed, top_labels))
+    task = resolve_task(task, *(docs for _, docs in groups))
+    groups = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))
+              for lang, docs in groups]
+    rows = []
+    for i, j, pair_seed in pairs:
+        rows += _classify(groups[i], groups[j], task, clf_epochs, pair_seed, top_labels)
+    return EvalReport(rows)
 
 
 def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
-    """cldc_run's report rows for a resolved task, from two (language, documents, matrix)."""
+    """One pair's report rows for a resolved task, from two (language, documents, matrix)."""
     (train_lang, train_docs, train_x), (test_lang, test_docs, test_x) = train, test
     n_test = len(test_docs)
 
-    def row(metric, value, support=n_test):
-        return EvalRow(train_lang, test_lang, metric, value, support)
+    def row(metric, value):
+        return EvalRow(train_lang, test_lang, metric, value, n_test)
 
     if task == "single":
         train_y = _single_labels(train_lang, train_docs)
@@ -333,6 +366,8 @@ def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
         base = sum(y == majority for y in test_y) / n_test
         return [row("accuracy", correct / n_test), row("majority_baseline", base)]
 
+    # every label of the universe has a positive training document, and the
+    # majority label ranks first in select_top_labels's order, so it is in it
     if top_labels is not None:
         universe = select_top_labels(train_docs, top_labels)
     else:
@@ -344,13 +379,10 @@ def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
     predictions = [{lab for lab, pos in positive.items() if pos[i]} for i in range(n_test)]
     gold = [doc.labels & universe for doc in test_docs]
     majority = _majority_label(lab for doc in train_docs for lab in doc.labels)
-    base_preds = [{majority} & universe for _ in test_docs]
-    flagged = sum(1 for m in models.values() if m.no_positives)
     return [
         row("micro_f1", micro_f1(predictions, gold)),
         row("macro_f1", macro_f1(predictions, gold, universe)),
-        row("majority_baseline", micro_f1(base_preds, gold)),
-        row("no_positive_labels_frac", flagged / len(models), len(models)),
+        row("majority_baseline", micro_f1([{majority}] * n_test, gold)),
     ]
 
 
@@ -358,41 +390,3 @@ def _majority_label(labels) -> str:
     """The most frequent entry of `labels`; ties favor the lexicographically smaller."""
     freq = Counter(labels)
     return min(freq, key=lambda lab: (-freq[lab], lab))
-
-
-def transfer_matrix(
-    languages: list,
-    docs_by_lang: dict,
-    bundle: ModelBundle,
-    level: str = "sentence-average",
-    task: str = "auto",
-    clf_epochs: int = 10,
-    seed: int = 0,
-    top_labels: int = None,
-) -> EvalReport:
-    """cldc_run over every ordered language pair, diagonal omitted.
-
-    The task is resolved once over all the documents, and each language's
-    documents are represented once, as one matrix that serves every pair
-    that language is in. Each pair gets a seed derived from (seed, train
-    index, test index) in the sorted language order, so entries do not
-    depend on iteration order.
-    """
-    langs = sorted(languages)
-    repeated = [lang for lang, n in Counter(langs).items() if n > 1]
-    if repeated:
-        raise UserError(f"language {repeated[0]!r} is listed more than once")
-    if len(langs) < 2:
-        raise UserError("transfer matrix needs at least 2 languages")
-    missing = [l for l in langs if not docs_by_lang.get(l)]
-    if missing:
-        raise UserError(f"no documents supplied for {missing}")
-    check_classifier_settings(clf_epochs, seed, top_labels)
-    given = [(lang, docs_by_lang[lang]) for lang in langs]
-    task = resolve_task(task, *(docs for _, docs in given))
-    groups = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))
-              for lang, docs in given]
-    rows = []
-    for (i, train), (j, test) in permutations(enumerate(groups), 2):
-        rows += _classify(train, test, task, clf_epochs, derive_seed(seed, i, j), top_labels)
-    return EvalReport(rows)

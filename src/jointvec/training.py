@@ -45,6 +45,12 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_MAX = 32 << 20
 
 
+def tables_do_not_fit(d: int) -> UserError:
+    """The error for a d whose tables and AdaGrad accumulators numpy cannot allocate."""
+    rule = f"must let the tables and their accumulators fit in memory, got {d}"
+    return UserError(f"d {rule}", "d", rule)
+
+
 @dataclass
 class TrainConfig:
     d: int = 128
@@ -60,6 +66,8 @@ class TrainConfig:
     seed: int = 1
 
     def __post_init__(self):
+        if self.d > np.iinfo(np.intp).max:  # no array is this wide; float(d) may overflow
+            raise tables_do_not_fit(self.d)
         if self.margin is None:
             self.margin = float(self.d)
         try:
@@ -419,11 +427,12 @@ def load_model(path):
     Returns (ModelBundle, TrainConfig, epoch). meta.txt is read first,
     then each language's .vocab and .npy. Every fault is a UserError
     naming the file, plus the row or token where one applies: a missing
-    or unreadable file, a missing metadata key, a repeated token, an
-    array that is not 2-D float64, whose row count is not its vocabulary's
-    size, whose width differs from another language's, or that holds a
-    non-finite value. Keys that no TrainConfig field reads are ignored, so
-    a checkpoint that still names a since-removed setting loads.
+    or unreadable file, a missing metadata key, an epoch outside [0,
+    epochs], a repeated token, an array that is not 2-D float64, whose row
+    count is not its vocabulary's size, whose width differs from another
+    language's or from d, or that holds a non-finite value. Keys that no
+    TrainConfig field reads are ignored, so a checkpoint that still names
+    a since-removed setting loads.
     """
     meta_path = os.path.join(path, CHECKPOINT_META)
     meta = {key: value for _, key, value in read_settings(meta_path)}
@@ -436,6 +445,8 @@ def load_model(path):
         epoch = int(meta["epoch"])
     except (ValueError, UserError) as exc:
         raise UserError(f"{meta_path}: invalid checkpoint metadata: {exc}") from exc
+    if not 0 <= epoch <= config.epochs:
+        raise UserError(f"{meta_path}: epoch {epoch} outside [0, {config.epochs}]")
     vocabs, tables = {}, {}
     reference = None
     for lang in meta["languages"].split(","):
@@ -447,6 +458,8 @@ def load_model(path):
         matrix = _read_matrix(table_path, vocab_path, vocabs[lang], reference)
         reference = reference or (table_path, matrix.shape[1])
         tables[lang] = EmbeddingTable(lang, matrix)
+    if reference[1] != config.d:
+        raise UserError(f"{meta_path}: d={config.d}, but {reference[0]} has width {reference[1]}")
     return ModelBundle(vocabs, tables, config.kind), config, epoch
 
 

@@ -248,6 +248,17 @@ def _wider(path) -> None:
     _rewrite_array(path, lambda m: np.hstack([m, m[:, :1]]))
 
 
+def _set_meta(key: str, value: str):
+    """A damage that rewrites meta.txt's `key` line to `key=value`."""
+
+    def damage(path):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines]
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+    return damage
+
+
 # case -> (damaged file, damage, whether the model without its accumulators
 # sees it, text the error must hold after the file's path). Read-only
 # commands never open <lang>.adagrad.npy, so accumulator damage fails only
@@ -267,6 +278,8 @@ HOSTILE_CHECKPOINTS = {
     "duplicate_token": ("la.vocab", _duplicate_token, True, ":2: duplicate token"),
     "missing_meta": ("meta.txt", lambda p: p.unlink(), True, ""),
     "missing_vocab": ("lb.vocab", lambda p: p.unlink(), True, ""),
+    "meta_width": ("meta.txt", _set_meta("d", "5"), True, ": d=5, but "),
+    "meta_epoch": ("meta.txt", _set_meta("epoch", "-3"), True, ": epoch -3 outside [0, "),
 }
 
 

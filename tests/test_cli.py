@@ -615,10 +615,15 @@ def test_train_negative_seed_is_user_error_and_writes_nothing(fast_corpus, tmp_p
         ("--lambda", "inf", "--lambda must be finite and >= 0, got inf"),
         # numpy refuses a (V, d) table this large at once, without touching memory
         ("--dim", 10**11, "--dim must let the tables and their accumulators fit in memory"),
+        # past float's range: the default margin, float(d), cannot be formed
+        ("--dim", 10**400, "--dim must let the tables and their accumulators fit in memory"),
+        # past numpy's largest dimension, and past memory: the first noise draw fails at once
+        ("--noise", 10**20, "--noise must let each batch's noise draws fit in memory"),
+        ("--noise", 10**15, "--noise must let each batch's noise draws fit in memory"),
     ]:
         args = train_args(fast_corpus, out, (flag, value))  # the last --flag wins
         rc, _, err = run_cli(args, capsys)
-        assert rc == 1 and text in err
+        assert rc == 1 and text in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -636,12 +641,17 @@ def test_library_warning_is_one_cli_line(fast_corpus, trained, capsys):
     "extra, setting",
     [(["--epochs", 0], "--epochs must be >= 1, got 0"),
      (["--top-labels", 0], "--top-labels must be >= 1, got 0"),
-     (["--seed", -1], "--seed must be >= 0, got -1")],
-    ids=["epochs", "top_labels", "seed"],
+     (["--seed", -1], "--seed must be >= 0, got -1"),
+     (["--train", "la"], "--train takes LANG:FILE, got 'la'"),
+     (["--langs", "la"], "--langs needs at least 2 comma-separated codes, got 'la'")],
+    ids=["epochs", "top_labels", "seed", "train_without_colon", "one_language"],
 )
 def test_eval_bad_classifier_setting_is_user_error(fast_corpus, trained, tmp_path, extra,
                                                   setting, capsys):
-    """The setting is refused before any file is read, so a missing model goes unnoticed."""
+    """The setting is refused before any file is read, so a missing model goes unnoticed.
+
+    So is a malformed --train or --langs, the flag of one subcommand only.
+    """
     la, lb = f"la:{fast_corpus / 'la.docs'}", f"lb:{fast_corpus / 'lb.docs'}"
     commands = (
         ["cldc", "--train", la, "--test", lb],
@@ -649,6 +659,8 @@ def test_eval_bad_classifier_setting_is_user_error(fast_corpus, trained, tmp_pat
     )
     out = tmp_path / "eval"
     for command in commands:
+        if extra[0] in ("--train", "--langs") and extra[0] not in command:
+            continue
         for model in (trained, tmp_path / "missing"):
             rc, stdout, err = run_cli(
                 ["eval", *command, "--model", model, "--task", "multi", "--out", out, *extra],

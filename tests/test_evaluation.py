@@ -2,7 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_model as ref
 from jointvec.composition import CompositionKind
 from jointvec.corpus import LabeledDocument, Sentence
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
@@ -205,6 +208,24 @@ def test_multiclass_degenerate_inputs():
         train_multiclass(np.array([[1.0], [2.0]]), [0, 0])
 
 
+@given(n=st.integers(2, 40), d=st.integers(1, 12), n_classes=st.integers(2, 6),
+       epochs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), ternary=st.booleans(),
+       data_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_train_multiclass_matches_reference_perceptron(n, d, n_classes, epochs, seed, ternary,
+                                                        data_seed):
+    """Averaged weights equal the reference perceptron's bit for bit.
+
+    Features are Gaussian, or in {-1, 0, 1} so that exact score ties occur.
+    """
+    rng = np.random.default_rng(data_seed)
+    xs = rng.integers(-1, 2, size=(n, d)).astype(float) if ternary else rng.normal(size=(n, d))
+    ys = rng.permutation(np.r_[0, 1, rng.integers(0, n_classes, size=n - 2)])
+    model = train_multiclass(xs, ys, epochs, seed)
+    want = ref.train_perceptron(xs, ys, int(ys.max()) + 1, epochs, seed)
+    assert np.array_equal(model.averaged, want)
+
+
 def _per_row_multiclass(averaged, xs):
     return [int(np.argmax(averaged @ np.append(x, 1.0))) for x in xs]
 
@@ -230,7 +251,7 @@ def test_batched_predict_matches_per_row_products(d):
         multi = PerceptronModel(np.zeros_like(averaged), averaged, 0).predict(xs)
         assert multi.tolist() == _per_row_multiclass(averaged, xs)
         for w in averaged:
-            binary = BinaryPerceptron(w, 0, False).predict(xs)
+            binary = BinaryPerceptron(w).predict(xs)
             assert binary.tolist() == _per_row_binary(w, xs)
     # every tie row scores classes 0-2 alike and 3-5 alike: the lowest id wins
     assert set(PerceptronModel(tie_w, tie_w, 0).predict(tie_xs)) <= {0, 3}
@@ -254,12 +275,10 @@ def test_multilabel_models_are_label_independent():
     assert not np.array_equal(both["q"].averaged, both2["q"].averaged)
 
 
-def test_multilabel_no_positives_flag():
+def test_multilabel_label_without_positives_keeps_zero_weights():
     xs = np.array([[1.0, 0.0]] * 4)
     label_sets = [{"seen"}] * 4
     models = train_multilabel(xs, label_sets, {"seen", "ghost"}, epochs=3, seed=0)
-    assert not models["seen"].no_positives
-    assert models["ghost"].no_positives
     assert np.all(models["ghost"].averaged == 0.0)
     assert not models["ghost"].predict(np.array([[100.0, 100.0]]))[0]
     with pytest.raises(UserError, match="empty label universe"):
@@ -394,10 +413,11 @@ def test_cldc_multilabel_rows_and_top_labels():
     docs = _topic_docs("x", labels_fn=lambda c: {f"t{c}", "common"})
     report = cldc_run("x", docs, "x", docs, bundle, seed=0, top_labels=2)
     metrics = [r.metric for r in report.rows]
-    assert metrics == ["micro_f1", "macro_f1", "majority_baseline", "no_positive_labels_frac"]
+    assert metrics == ["micro_f1", "macro_f1", "majority_baseline"]
     # top-2 by document frequency: "common" (16 docs) and "t0" (lexicographic tie-break)
     assert report.rows[0].value > 0.5
-    assert report.rows[3].value == 0.0
+    # the baseline predicts {"common"}: all 16 of its gold labels, none of t0's 4
+    assert report.rows[2].value == pytest.approx(2 * 1.0 * 0.8 / 1.8)
 
 
 def test_cldc_auto_task_detection():
