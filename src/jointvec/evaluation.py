@@ -328,13 +328,17 @@ def _evaluate(groups, pairs, bundle, level, task, clf_epochs, seed, top_labels) 
     """Rows of each (train index, test index, seed) of `pairs` over (language, documents) `groups`.
 
     `pairs` is read once the documents and settings are checked. The task
-    is resolved and each group represented once, for every pair it is in.
+    is resolved and each group represented once, for every pair it is in;
+    top_labels is refused on a single-label task, which would ignore it.
     """
     for lang, docs in groups:
         if not docs:
             raise UserError(f"no documents supplied for {lang!r}")
     check_classifier_settings(clf_epochs, seed, top_labels)
     task = resolve_task(task, *(docs for _, docs in groups))
+    if task == "single" and top_labels is not None:
+        rule = "applies to multi-label tasks only; this task is single-label"
+        raise UserError(f"top_labels {rule}", "top_labels", rule)
     groups = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))
               for lang, docs in groups]
     rows = []

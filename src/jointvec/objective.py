@@ -23,6 +23,11 @@ optionally combined with the sentence-level loss over their aligned
 sentences.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +105,44 @@ class _Sentences:
         return {lang: (ids, g) for lang, ids, g in parts if len(ids)}
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None where it is not found.
+
+    Looked up once per process through ctypes in the wheel's numpy.libs;
+    the library is the one numpy has already loaded.
+    """
+    libs = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "libscipy_openblas*")
+    try:
+        lib = ctypes.CDLL(sorted(glob.glob(libs))[0])
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the caller's count.
+
+    The count is process-wide, so the block must not overlap BLAS calls of
+    other threads. Does nothing where the library is not found.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    threads = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(threads)
+
+
 def _hinge_matrix(reps, n_b, pos, neg, margin, breakdown):
     """The (B, k) hinge matrix of the first n_b representations against the rest.
 
@@ -115,24 +158,25 @@ def _hinge_matrix(reps, n_b, pos, neg, margin, breakdown):
     col = rows[:, None]
     # margin + ||a - g||^2 - ||a - n||^2 = margin + q[g] - q[n] with
     # q[c] = ||c||^2 - 2 a.c, so no (B, k, d) difference tensor is formed;
-    # products go through einsum's own loops, not a threaded BLAS, whose
-    # summation order (and so the last bits) changes with its thread count
-    q = np.einsum("ij,ij->i", cands, cands) - 2.0 * np.einsum("bi,ci->bc", anchors, cands)
-    h = (margin + q[rows, pos])[:, None] - q[col, neg]
-    active = ~(h <= 0.0)  # h > 0, but NaN counts too
-    h_active = h[active]
-    breakdown.hinge_total += float(np.add.reduce(h_active))
-    breakdown.active_noise_count += len(h_active)
-    per_anchor = np.add.reduce(active, axis=1)
-    # an active term has gradient 2(n - g) in the anchor a, 2(g - a) in its
-    # aligned g and 2(a - n) in its noise n: weight[b, c] is 2 per active
-    # term of anchor b with noise c, minus 2 per active term of b at c = g
-    cells = np.concatenate([(col * n_c + neg)[active], rows * n_c + pos])
-    terms = np.concatenate([np.full(len(h_active), 2.0), -2.0 * per_anchor])
-    weight = np.bincount(cells, terms, n_b * n_c).reshape(n_b, n_c)
-    grad = np.empty_like(reps)
-    np.einsum("bc,ci->bi", weight, cands, out=grad[:n_b])
-    np.einsum("bc,bi->ci", weight, anchors, out=grad[n_b:])
+    # the products run on one BLAS thread, because a threaded BLAS splits
+    # their sums, and so changes their last bits, by its thread count
+    with _one_blas_thread():
+        q = np.einsum("ij,ij->i", cands, cands) - 2.0 * (anchors @ cands.T)
+        h = (margin + q[rows, pos])[:, None] - q[col, neg]
+        active = ~(h <= 0.0)  # h > 0, but NaN counts too
+        h_active = h[active]
+        breakdown.hinge_total += float(np.add.reduce(h_active))
+        breakdown.active_noise_count += len(h_active)
+        per_anchor = np.add.reduce(active, axis=1)
+        # an active term has gradient 2(n - g) in the anchor a, 2(g - a) in its
+        # aligned g and 2(a - n) in its noise n: weight[b, c] is 2 per active
+        # term of anchor b with noise c, minus 2 per active term of b at c = g
+        cells = np.concatenate([(col * n_c + neg)[active], rows * n_c + pos])
+        terms = np.concatenate([np.full(len(h_active), 2.0), -2.0 * per_anchor])
+        weight = np.bincount(cells, terms, n_b * n_c).reshape(n_b, n_c)
+        grad = np.empty_like(reps)
+        np.matmul(weight, cands, out=grad[:n_b])
+        np.matmul(weight.T, anchors, out=grad[n_b:])
     grad[n_b:] -= np.add.reduce(weight)[:, None] * cands
     # noise never equals its anchor's aligned candidate, so no weight cancels
     return grad, np.concatenate([per_anchor > 0, weight.any(axis=0)])

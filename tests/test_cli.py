@@ -671,6 +671,26 @@ def test_eval_bad_classifier_setting_is_user_error(fast_corpus, trained, tmp_pat
             assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("task", ["single", "auto", "multi"])
+@pytest.mark.parametrize("subcommand", ["cldc", "transfer"])
+def test_eval_top_labels_on_single_label_task_is_user_error(fast_corpus, trained, tmp_path,
+                                                            subcommand, task, capsys):
+    """--top-labels is refused where the task is or resolves to single-label, kept on multi."""
+    la, lb = f"la:{fast_corpus / 'la.docs'}", f"lb:{fast_corpus / 'lb.docs'}"
+    command = {"cldc": ["--train", la, "--test", lb],
+               "transfer": ["--langs", "la,lb", "--docs", la, "--docs", lb]}[subcommand]
+    out = tmp_path / "eval"
+    rc, stdout, err = run_cli(["eval", subcommand, *command, "--model", trained,
+                               "--task", task, "--top-labels", 1, "--out", out], capsys)
+    if task == "multi":
+        assert rc == 0, err
+        assert stdout.startswith("train_lang") and (out / "manifest.txt").exists()
+    else:
+        assert rc == 1
+        assert "--top-labels applies to multi-label tasks only" in err
+        assert "Traceback" not in err and stdout == "" and not out.exists()
+
+
 # what each reader finds in place of its file when the fault is "malformed"
 _MALFORMED = {
     "corpus": "one line against forty\n",

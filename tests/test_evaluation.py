@@ -506,6 +506,22 @@ def test_transfer_matrix_validation(monkeypatch):
             cldc_run("x", docs["x"], "y", docs["y"], bundle, **{name: bad})
 
 
+@pytest.mark.parametrize("task", ["single", "auto"])
+def test_top_labels_on_single_label_task_is_user_error(task, monkeypatch):
+    bundle = _topic_bundle(["x", "y"])
+    docs = {"x": _topic_docs("x"), "y": _topic_docs("y")}
+
+    def no_representation(*args):
+        raise AssertionError("a document was represented before the task was checked")
+
+    monkeypatch.setattr("jointvec.evaluation.represent_documents", no_representation)
+    for run in (lambda **kw: cldc_run("x", docs["x"], "y", docs["y"], bundle, **kw),
+                lambda **kw: transfer_matrix(["x", "y"], docs, bundle, **kw)):
+        with pytest.raises(UserError, match="top_labels applies to multi-label") as info:
+            run(task=task, top_labels=1)
+        assert info.value.setting == "top_labels"
+
+
 def test_transfer_matrix_resolves_auto_task_once_over_all_languages():
     langs = ["x", "y", "z"]
     bundle = _topic_bundle(langs)

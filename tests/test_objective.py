@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_model as ref
+from jointvec import objective
 from jointvec.composition import CompositionKind
 from jointvec.corpus import (
     DocumentPair,
@@ -500,15 +501,15 @@ from jointvec.corpus import Sentence, pack_sentences, sample_indices_excluding
 from jointvec.embeddings import ModelBundle, Vocabulary, init_table
 from jointvec.objective import batch_loss_and_grads
 
-tw = synth.make_twin_corpus("la", "lb", 200, seed=3)
+tw = synth.make_twin_corpus("la", "lb", 500, seed=3)
 sides, tables, vocabs = [], {}, {}
 for seed, (lang, sents) in enumerate([("la", tw.sents_a), ("lb", tw.sents_b)]):
     vocabs[lang] = Vocabulary(t for s in sents for t in s)
     tables[lang] = init_table(len(vocabs[lang]), 128, seed, lang)
     sides.append(pack_sentences([Sentence(tuple(vocabs[lang][t] for t in s)) for s in sents]))
 rng = np.random.default_rng(5)
-pairs = rng.permutation(200)[:50]
-noise = sample_indices_excluding(200, pairs, 50, rng)
+pairs = rng.permutation(500)[:50]
+noise = sample_indices_excluding(500, pairs, 50, rng)
 for kind in CompositionKind:
     bundle = ModelBundle(vocabs, tables, kind)
     loss, grads = batch_loss_and_grads(*sides, pairs, noise, bundle, kind, 128.0, ("la", "lb"))
@@ -519,9 +520,13 @@ for kind in CompositionKind:
 
 
 def test_batch_bytes_do_not_depend_on_blas_threads():
-    """One reference-sized batch (d=128, B=50, k=50) under one BLAS thread and the default."""
+    """One reference-sized batch (d=128, B=50, k=50) under 1 and 2 BLAS threads and the default.
+
+    Its 500-pair corpus gives products that OpenBLAS splits over 2 threads,
+    so the test fails where the hinge's products are not pinned to one.
+    """
     outputs = []
-    for threads in ("1", None):
+    for threads in ("1", "2", None):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         env.pop("OPENBLAS_NUM_THREADS", None)
         if threads:
@@ -529,8 +534,30 @@ def test_batch_bytes_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _ONE_BATCH], env=env, capture_output=True,
                               text=True, check=True)
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     # both kinds give rows for both languages, so the batch has active terms
     assert [line.split()[0] for line in outputs[0].splitlines()] == [
         "add", "la", "lb", "bi", "la", "lb"]
 
+
+@pytest.mark.skipif(objective._openblas_threads() is None, reason="numpy's OpenBLAS not found")
+def test_blas_pin_restores_the_callers_thread_count():
+    get, set_ = objective._openblas_threads()
+    before = get()
+    rng = np.random.default_rng(0)
+    sides = [pack_sentences([rand_sentence(rng, 10) for _ in range(6)]) for _ in "ab"]
+    try:
+        set_(2)
+        breakdown, _ = batch_loss_and_grads(
+            *sides, np.arange(3), np.array([[3, 4], [5, 0], [1, 2]]),
+            make_bundle({"a": 10, "b": 10}, 8, seed=1), CompositionKind.ADD, 8.0, ("a", "b"),
+        )
+        assert breakdown.active_noise_count > 0
+        assert get() == 2
+        with pytest.raises(RuntimeError, match="inside the pin"):
+            with objective._one_blas_thread():
+                assert get() == 1
+                raise RuntimeError("inside the pin")
+        assert get() == 2
+    finally:
+        set_(before)

@@ -463,6 +463,66 @@ def test_batches_reuse_freed_pages_across_runs():
     assert max(faults[1:]) < 200, faults
 
 
+# Trains an ADD sentence run and a BI document run with the sentence signal at
+# d=128; prints each run's epoch losses and a digest of its tables and accumulators.
+_TRAIN_BYTES = """
+import hashlib
+from jointvec import synth
+from jointvec.composition import CompositionKind
+from jointvec.corpus import (
+    DocumentCorpus, DocumentPair, LabeledDocument, ParallelCorpus, ParallelPair, Sentence)
+from jointvec.embeddings import ModelBundle, Vocabulary, init_table
+from jointvec.training import AdaGradState, TrainConfig, train_joint
+
+def ids(vocab, sent):
+    return Sentence(tuple(vocab[t] for t in sent))
+
+def run(corpus, vocabs, config):
+    tables = {l: init_table(len(v), config.d, i, l) for i, (l, v) in enumerate(vocabs.items())}
+    bundle = ModelBundle(vocabs, tables, config.kind)
+    state = AdaGradState(bundle)
+    report = train_joint([corpus], bundle, config, state)
+    digest = hashlib.sha256()
+    for lang in vocabs:
+        digest.update(bundle.table(lang).matrix.tobytes() + state.acc[lang].tobytes())
+    print(config.kind.value, repr(report.epoch_losses), digest.hexdigest())
+
+tw = synth.make_twin_corpus("la", "lb", 500, seed=3)
+vocabs = {"la": Vocabulary(t for s in tw.sents_a for t in s),
+          "lb": Vocabulary(t for s in tw.sents_b for t in s)}
+pairs = [ParallelPair(ids(vocabs["la"], a), ids(vocabs["lb"], b))
+         for a, b in zip(tw.sents_a, tw.sents_b)]
+run(ParallelCorpus("la", "lb", pairs), vocabs, TrainConfig(d=128, k=50, batch=50, epochs=2, seed=3))
+
+docs = {l: synth.make_topic_documents(l, 120, seed=5, sentences_per_doc=4) for l in ("la", "lb")}
+vocabs = {l: Vocabulary(t for d in ds for s in d.sentences for t in s) for l, ds in docs.items()}
+labeled = {l: [LabeledDocument(d.doc_id, l, {d.label}, [ids(vocabs[l], s) for s in d.sentences])
+               for d in ds] for l, ds in docs.items()}
+pairs = [DocumentPair(a, b) for a, b in zip(labeled["la"], labeled["lb"])]
+config = TrainConfig(d=128, k=20, batch=20, epochs=2, kind=CompositionKind.BI, doc_signal=True,
+                     seed=3)
+run(DocumentCorpus("la", "lb", pairs), vocabs, config)
+"""
+
+
+def test_training_bytes_do_not_depend_on_blas_threads():
+    """Whole ADD sentence and BI document runs give the same bytes under 1 and 2 BLAS threads."""
+    import jointvec
+
+    src = os.path.dirname(os.path.dirname(jointvec.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAIN_BYTES], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ["add", "bi"]
+
+
 # ---------------------------------------------------------------------------
 # checkpoint / resume
 
