@@ -7,12 +7,13 @@ models expose exact analytic backprop; BI keeps its per-bigram tanh
 outputs so gradients never re-run the forward pass.
 
 Inputs may be cut into segments of given lengths, each composed on its
-own and summed by `np.add.reduceat`: a minibatch composes all its
-sentences, or all its documents' sentence vectors, in one call. A single
-sequence is the one-segment case. The same functions serve at the
+own and summed by `segment_sums` in row order: a minibatch composes all
+its sentences, or all its documents' sentence vectors, in one call. A
+single sequence is the one-segment case. The same functions serve at the
 document level, with sentence vectors as inputs.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +48,32 @@ def _as_matrix(inputs) -> np.ndarray:
     return arr
 
 
+def segment_sums(x: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each segment's rows added in row order, ((x0 + x1) + x2) + ..., as (S, d).
+
+    The bits are those of a Python loop over each segment's rows, so a
+    segment's sum does not depend on the segments beside it. `x.sum(axis=0)`
+    does not keep that order: at d = 1 it sums pairwise. The loop runs over
+    positions or over segments, whichever is fewer: at position j it adds
+    row j of every segment still running; one segment at a time, it takes
+    the last row of `np.add.accumulate`, which adds in row order too.
+    """
+    counts = lengths.tolist()
+    longest = max(counts)
+    if len(counts) < longest:
+        return np.array([np.add.accumulate(x[a : a + n], axis=0)[-1]
+                         for a, n in zip(starts.tolist(), counts)])
+    order = lengths.argsort()  # shortest first: the segments running at j form a suffix
+    firsts = starts.take(order)
+    ascending = lengths.take(order).tolist()
+    sums = x.take(firsts, axis=0)
+    ended = 0
+    for j in range(1, longest):
+        ended = bisect_right(ascending, j, ended)
+        sums[ended:] += x[j:].take(firsts[ended:], axis=0)  # x[j:] moves each first row on by j
+    return sums.take(order.argsort(), axis=0)
+
+
 def compose(inputs, kind: CompositionKind, lengths=None) -> CompositionResult:
     """Compose the input rows, or each segment of them.
 
@@ -65,7 +92,7 @@ def compose(inputs, kind: CompositionKind, lengths=None) -> CompositionResult:
         t[starts] = 0.0
         t += x
         x = np.tanh(t, out=t)
-    out = np.add.reduceat(x, starts, axis=0)
+    out = segment_sums(x, segments, starts)
     return CompositionResult(out[0] if lengths is None else out, t, kind, segments, starts)
 
 

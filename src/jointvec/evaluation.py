@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .composition import CompositionKind, compose
+from .composition import CompositionKind, compose, segment_sums
 from .corpus import pack_documents, select_top_labels
 from .embeddings import EmbeddingTable, ModelBundle, derive_seed
 from .errors import ContractError, UserError
@@ -40,10 +40,10 @@ def represent_documents(
 
     Documents are packed once and composed in blocks of whole documents:
     one segmented `compose` over a block's sentences, then one
-    `np.add.reduceat` mean (sentence-average) or one more `compose`
-    (doc-cvm) over their vectors. Sums run in `reduceat`'s order, as in
-    training, so a document's vector does not depend on the others passed
-    with it. Errors name the first faulty document.
+    `segment_sums` mean (sentence-average) or one more `compose`
+    (doc-cvm) over their vectors. Every sum adds its rows in row order, as
+    in training, so a document's vector does not depend on the others
+    passed with it. Errors name the first faulty document.
     """
     if level not in LEVELS:
         raise UserError(f"unknown representation level {level!r}")
@@ -63,7 +63,7 @@ def represent_documents(
         sents = compose(rows, kind, np.diff(sent_starts[s : e + 1])).output
         n_sents = np.diff(doc_starts[a : b + 1])
         if level == "sentence-average":
-            vecs[a:b] = np.add.reduceat(sents, doc_starts[a:b] - s, axis=0) / n_sents[:, None]
+            vecs[a:b] = segment_sums(sents, n_sents, doc_starts[a:b] - s) / n_sents[:, None]
         else:
             vecs[a:b] = compose(sents, kind, n_sents).output
     bad = ~np.isfinite(vecs).all(axis=1)

@@ -1,8 +1,10 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jointvec.composition import CompositionKind, backprop, compose
+from jointvec.composition import CompositionKind, backprop, compose, segment_sums
 from jointvec.errors import ContractError
 
 mp.mp.dps = 30
@@ -114,6 +116,51 @@ def test_single_sequence_is_the_one_segment_case(kind):
         assert np.array_equal(single.output, segment.output[0])
         grad = rng.normal(size=6)
         assert np.array_equal(backprop(grad, single), backprop(grad[None, :], segment))
+
+
+def _row_loop(x, lengths):
+    """Each segment's rows added one at a time, first row first."""
+    sums, a = [], 0
+    for n in lengths:
+        total = x[a]
+        for row in x[a + 1 : a + n]:
+            total = total + row
+        sums.append(total)
+        a += n
+    return sums
+
+
+@given(
+    short=st.lists(st.integers(1, 40), min_size=1, max_size=60),
+    long=st.integers(41, 120),
+    at=st.integers(0, 60),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_segment_sums_add_in_row_order(short, long, at, d, seed):
+    # segments past 8 rows reach numpy's pairwise blocks; the long segment
+    # outnumbers the segments in some draws and not in others, so both of
+    # segment_sums' loops run; an all -0.0 segment keeps its sign only when
+    # its first row starts the sum
+    at = min(at, len(short))
+    lengths = np.array(short[:at] + [long] + short[at:])
+    starts = lengths.cumsum() - lengths
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(lengths.sum(), d)) * 10.0 ** rng.integers(-8, 9, size=(lengths.sum(), d))
+    x[rng.random(len(x)) < 0.2] = -0.0
+    want = _row_loop(x, lengths)
+    got = segment_sums(x, lengths, starts)
+    assert got.shape == (len(lengths), d)
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+    for kind in CompositionKind:
+        result = compose(x, kind, lengths)
+        summands = x if kind is ADD else result.activations
+        want = _row_loop(summands, lengths)
+        assert [row.tobytes() for row in result.output] == [row.tobytes() for row in want]
+        a = starts[at]
+        one = compose(x[a : a + long], kind).output
+        assert one.tobytes() == want[at].tobytes()
 
 
 def _fd_scalar(fn, x, step=1e-5):

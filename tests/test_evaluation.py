@@ -97,7 +97,8 @@ def _loop_representation(doc, table, kind, level):
 
 
 def _random_documents(rng, n_docs, vocab_size, lang="x"):
-    """Documents of 1-12 sentences of 1-15 tokens, so segments reach reduceat's blocked sums."""
+    """Documents of 1-12 sentences of 1-15 tokens, so segments pass the 8 rows where numpy's
+    pairwise sums start."""
     return [
         LabeledDocument(
             f"{lang}-{i}", lang, {f"t{i % 3}"},
@@ -134,7 +135,7 @@ def test_represent_documents_matches_per_sentence_loop(kind, level):
     docs = _random_documents(rng, 60, 40)
     for doc, vec in zip(docs, represent_documents(docs, table, kind, level)):
         want = _loop_representation(doc, table, kind, level)
-        assert np.allclose(vec, want, rtol=0, atol=1e-12)
+        assert np.array_equal(vec, want)
 
 
 def test_represent_documents_names_first_faulty_document():

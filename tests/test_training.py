@@ -464,9 +464,11 @@ def test_batches_reuse_freed_pages_across_runs():
 
 
 # Trains an ADD sentence run and a BI document run with the sentence signal at
-# d=128; prints each run's epoch losses and a digest of its tables and accumulators.
+# d=128, or the ADD run alone when given `add`; prints each run's epoch losses
+# and a digest of its tables and accumulators.
 _TRAIN_BYTES = """
 import hashlib
+import sys
 from jointvec import synth
 from jointvec.composition import CompositionKind
 from jointvec.corpus import (
@@ -493,6 +495,8 @@ vocabs = {"la": Vocabulary(t for s in tw.sents_a for t in s),
 pairs = [ParallelPair(ids(vocabs["la"], a), ids(vocabs["lb"], b))
          for a, b in zip(tw.sents_a, tw.sents_b)]
 run(ParallelCorpus("la", "lb", pairs), vocabs, TrainConfig(d=128, k=50, batch=50, epochs=2, seed=3))
+if sys.argv[1:] == ["add"]:
+    sys.exit()
 
 docs = {l: synth.make_topic_documents(l, 120, seed=5, sentences_per_doc=4) for l in ("la", "lb")}
 vocabs = {l: Vocabulary(t for d in ds for s in d.sentences for t in s) for l, ds in docs.items()}
@@ -521,6 +525,31 @@ def test_training_bytes_do_not_depend_on_blas_threads():
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert [line.split()[0] for line in outputs[0].splitlines()] == ["add", "bi"]
+
+
+def test_add_training_bytes_do_not_depend_on_cpu_dispatch():
+    """A whole ADD sentence run gives the same bytes with numpy's X86_V3 and X86_V4 loops off.
+
+    BI is left out: `np.tanh` rounds differently without X86_V3.
+    """
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    import jointvec
+
+    if not (__cpu_features__.get("X86_V3") and __cpu_features__.get("X86_V4")):
+        pytest.skip("the CPU lacks numpy's X86_V3 or X86_V4 targets")
+    src = os.path.dirname(os.path.dirname(jointvec.__file__))
+    outputs = []
+    for disabled in ("", "X86_V3 X86_V4"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               "NPY_DISABLE_CPU_FEATURES": disabled}
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAIN_BYTES, "add"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ["add"]
 
 
 # ---------------------------------------------------------------------------
