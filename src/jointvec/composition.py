@@ -48,6 +48,11 @@ def _as_matrix(inputs) -> np.ndarray:
     return arr
 
 
+# Rows per `np.add.accumulate` when segment_sums runs over segments: its
+# buffer stays (_CHUNK, d), 128 KB at d = 128, however long a segment is.
+_CHUNK = 128
+
+
 def segment_sums(x: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Each segment's rows added in row order, ((x0 + x1) + x2) + ..., as (S, d).
 
@@ -55,14 +60,25 @@ def segment_sums(x: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> np.n
     segment's sum does not depend on the segments beside it. `x.sum(axis=0)`
     does not keep that order: at d = 1 it sums pairwise. The loop runs over
     positions or over segments, whichever is fewer: at position j it adds
-    row j of every segment still running; one segment at a time, it takes
-    the last row of `np.add.accumulate`, which adds in row order too.
+    row j of every segment still running; one segment at a time,
+    `np.add.accumulate`, which adds in row order too, runs over chunks of
+    the segment copied into a fixed buffer whose first row carries the
+    running sum.
     """
     counts = lengths.tolist()
     longest = max(counts)
     if len(counts) < longest:
-        return np.array([np.add.accumulate(x[a : a + n], axis=0)[-1]
-                         for a, n in zip(starts.tolist(), counts)])
+        sums = np.empty((len(counts), x.shape[1]))
+        buf = np.empty((min(longest, _CHUNK), x.shape[1]))
+        for s, (a, n) in enumerate(zip(starts.tolist(), counts)):
+            total = x[a]
+            for c in range(a + 1, a + n, _CHUNK - 1):
+                m = min(a + n - c, _CHUNK - 1) + 1
+                buf[0] = total
+                buf[1:m] = x[c : c + m - 1]
+                total = np.add.accumulate(buf[:m], axis=0, out=buf[:m])[-1]
+            sums[s] = total
+        return sums
     order = lengths.argsort()  # shortest first: the segments running at j form a suffix
     firsts = starts.take(order)
     ascending = lengths.take(order).tolist()

@@ -9,6 +9,13 @@ perceptrons train on and predict from. `cldc_run` and `transfer_matrix`
 share one pipeline, which composes each language once for all its pairs.
 Single-label tasks report accuracy, multi-label tasks micro-F1 (macro-F1
 alongside); a majority-class baseline row accompanies every run.
+
+The multiclass perceptron and each one-vs-rest member share one training
+loop. It scores a block of the examples ahead against the current
+weights and jumps to the block's first mistake, so numpy is called per
+block and per mistake, not per example. The block's scores round as
+per-example products do, so the classifiers keep the bits of a loop that
+scores one example at a time.
 """
 
 from collections import Counter
@@ -100,7 +107,9 @@ def train_multiclass(xs, ys, epochs: int = 10, seed: int = 0) -> PerceptronModel
 
     Learning rate 1; on a mistake the true class gains the example and the
     predicted class loses it. The weight matrix is snapshotted after every
-    example (updated or not) and the snapshot mean is what predicts.
+    example (updated or not) and the snapshot mean is what predicts. The
+    examples are scored in blocks (`_averaged_perceptron`), with the bits of
+    a loop that scores one example at a time.
     """
     xs, ys = _add_bias(xs), np.asarray(ys, dtype=int)
     if not len(xs):
@@ -108,22 +117,68 @@ def train_multiclass(xs, ys, epochs: int = 10, seed: int = 0) -> PerceptronModel
     classes = np.unique(ys)
     if len(classes) < 2:
         raise UserError(f"need at least 2 classes, got {classes.tolist()}")
-    n_classes = int(classes[-1]) + 1
+    w = np.zeros((int(classes[-1]) + 1, xs.shape[1]))
+    averaged, updates = _averaged_perceptron(xs, ys, w, epochs, seed)
+    return PerceptronModel(w, averaged, updates)
 
-    w = np.zeros((n_classes, xs.shape[1]))
+
+# Rows scored ahead in a classifier's first block, and at most: a clean
+# block doubles the next one, a mistake halves it, down to one row.
+_FIRST_BLOCK, _LAST_BLOCK = 8, 512
+
+
+def _averaged_perceptron(xs, ys, w, epochs: int, seed: int) -> tuple:
+    """Train the weights `w` in place; return the mean of their snapshots and the update count.
+
+    `w` is (C, d+1) for a multiclass perceptron, which predicts the argmax
+    class, or (d+1,) for a binary one, which predicts score > 0. Each epoch
+    visits the rows of `xs` in one `permutation` of `default_rng(seed)`.
+    The rows ahead are scored as one block against the current weights,
+    and the walk jumps to the block's first mistake; after an update, the
+    next block starts at the row behind it. So numpy is called per block
+    and per mistake, and a visit costs only the snapshot sum's `acc += w`,
+    which stays one add per visit, in visiting order.
+
+    The bits are those of a loop that scores one example at a time. Each
+    block score is a stacked product that rounds as that loop's product
+    does: multiclass `w @ block[:, :, None]` is one gemv per row, as
+    `w @ x`; binary `block[:, None, :] @ w` is one dot per row, as
+    `float(w @ x)`. One gemm over the block would round differently.
+    """
+    n = len(xs)
+    multiclass = w.ndim == 2
     acc = np.zeros_like(w)
-    updates = 0
+    updates, size = 0, _FIRST_BLOCK
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
-        for i in rng.permutation(len(xs)):
-            x, y = xs[i], ys[i]
-            pred = int(np.argmax(w @ x))
-            if pred != y:
+        order = rng.permutation(n)
+        labels = ys[order]
+        p = 0
+        while p < n:
+            block = xs[order[p : p + size]]
+            if multiclass:
+                pred = (w @ block[:, :, None]).argmax(axis=1)[:, 0]
+            else:
+                pred = (block[:, None, :] @ w)[:, 0] > 0.0
+            wrong = pred != labels[p : p + size]
+            k = int(wrong.argmax()) if wrong.any() else len(block)
+            for _ in range(k):  # the visits before the first mistake
+                acc += w
+            p += k
+            if k == len(block):
+                size = min(2 * size, _LAST_BLOCK)
+                continue
+            x, y = block[k], labels[p]
+            if multiclass:
                 w[y] += x
-                w[pred] -= x
-                updates += 1
+                w[pred[k]] -= x
+            else:
+                w += x if y else -x
             acc += w
-    return PerceptronModel(w, acc / (epochs * len(xs)), updates)
+            updates += 1
+            p += 1
+            size = max(size // 2, 1)
+    return acc / (epochs * n), updates
 
 
 @dataclass
@@ -138,19 +193,6 @@ class BinaryPerceptron:
         Stacked vector products round as the per-row product; a gemv would not.
         """
         return (_add_bias(xs)[:, None, :] @ self.averaged)[:, 0] > 0.0
-
-
-def _train_binary(xs: np.ndarray, ys: np.ndarray, epochs: int, seed: int) -> BinaryPerceptron:
-    w = np.zeros(xs.shape[1])
-    acc = np.zeros_like(w)
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        for i in rng.permutation(len(xs)):
-            x, y = xs[i], ys[i]
-            if (float(w @ x) > 0.0) != y:
-                w += x if y else -x
-            acc += w
-    return BinaryPerceptron(acc / (epochs * len(xs)))
 
 
 def train_multilabel(xs, label_sets: list, universe: set, epochs: int = 10, seed: int = 0) -> dict:
@@ -168,7 +210,9 @@ def train_multilabel(xs, label_sets: list, universe: set, epochs: int = 10, seed
     models = {}
     for li, label in enumerate(sorted(universe)):
         ys = np.array([label in labels for labels in label_sets])
-        models[label] = _train_binary(xs, ys, epochs, derive_seed(seed, li))
+        w = np.zeros(xs.shape[1])
+        averaged, _ = _averaged_perceptron(xs, ys, w, epochs, derive_seed(seed, li))
+        models[label] = BinaryPerceptron(averaged)
     return models
 
 

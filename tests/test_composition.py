@@ -132,7 +132,7 @@ def _row_loop(x, lengths):
 
 @given(
     short=st.lists(st.integers(1, 40), min_size=1, max_size=60),
-    long=st.integers(41, 120),
+    long=st.integers(41, 300),
     at=st.integers(0, 60),
     d=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
@@ -141,8 +141,9 @@ def _row_loop(x, lengths):
 def test_segment_sums_add_in_row_order(short, long, at, d, seed):
     # segments past 8 rows reach numpy's pairwise blocks; the long segment
     # outnumbers the segments in some draws and not in others, so both of
-    # segment_sums' loops run; an all -0.0 segment keeps its sign only when
-    # its first row starts the sum
+    # segment_sums' loops run, and past 128 rows it spans more than one of
+    # the per-segment loop's chunks; an all -0.0 segment keeps its sign only
+    # when its first row starts the sum
     at = min(at, len(short))
     lengths = np.array(short[:at] + [long] + short[at:])
     starts = lengths.cumsum() - lengths

@@ -2,13 +2,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_model as ref
 from jointvec.composition import CompositionKind
 from jointvec.corpus import LabeledDocument, Sentence
-from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
+from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary, derive_seed
 from jointvec.errors import ContractError, UserError
 from jointvec.evaluation import (
     BinaryPerceptron,
@@ -209,19 +209,42 @@ def test_multiclass_degenerate_inputs():
         train_multiclass(np.array([[1.0], [2.0]]), [0, 0])
 
 
+FEATURES = st.sampled_from(["gaussian", "ternary", "two-scale"])
+
+
+def _features(rng, n, d, kind):
+    """An (n, d) feature matrix for the perceptron oracles.
+
+    Gaussian; or in {-1, 0, 1}, so that exact score ties occur; or that
+    with some columns scaled by 2**30: their products cancel exactly, and
+    what is left of the small ones depends on the order of the adds, so a
+    score that rounds unlike the reference's flips decisions.
+    """
+    if kind == "gaussian":
+        return rng.normal(size=(n, d))
+    xs = rng.integers(-1, 2, size=(n, d)).astype(float)
+    return xs if kind == "ternary" else xs * 2.0 ** (30 * rng.integers(0, 2, size=d))
+
+
 @given(n=st.integers(2, 40), d=st.integers(1, 12), n_classes=st.integers(2, 6),
-       epochs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), ternary=st.booleans(),
-       data_seed=st.integers(0, 2**32 - 1))
+       epochs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), features=FEATURES,
+       separable=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_train_multiclass_matches_reference_perceptron(n, d, n_classes, epochs, seed, ternary,
-                                                        data_seed):
+def test_train_multiclass_matches_reference_perceptron(n, d, n_classes, epochs, seed, features,
+                                                        separable, data_seed):
     """Averaged weights equal the reference perceptron's bit for bit.
 
-    Features are Gaussian, or in {-1, 0, 1} so that exact score ties occur.
+    Labels are random, or the argmax of a drawn linear map: separable
+    labels make runs without a mistake that span several scored blocks and
+    cross epochs.
     """
     rng = np.random.default_rng(data_seed)
-    xs = rng.integers(-1, 2, size=(n, d)).astype(float) if ternary else rng.normal(size=(n, d))
-    ys = rng.permutation(np.r_[0, 1, rng.integers(0, n_classes, size=n - 2)])
+    xs = _features(rng, n, d, features)
+    if separable:
+        ys = np.argmax(xs @ rng.normal(size=(d, n_classes)), axis=1)
+        assume(len(np.unique(ys)) > 1)
+    else:
+        ys = rng.permutation(np.r_[0, 1, rng.integers(0, n_classes, size=n - 2)])
     model = train_multiclass(xs, ys, epochs, seed)
     want = ref.train_perceptron(xs, ys, int(ys.max()) + 1, epochs, seed)
     assert np.array_equal(model.averaged, want)
@@ -256,6 +279,46 @@ def test_batched_predict_matches_per_row_products(d):
             assert binary.tolist() == _per_row_binary(w, xs)
     # every tie row scores classes 0-2 alike and 3-5 alike: the lowest id wins
     assert set(PerceptronModel(tie_w, tie_w, 0).predict(tie_xs)) <= {0, 3}
+
+
+def _one_vs_rest_loop(xs, ys, epochs, seed):
+    """One label's averaged perceptron, scoring one example at a time."""
+    xs = np.column_stack([xs, np.ones(len(xs))])
+    w = np.zeros(xs.shape[1])
+    acc = np.zeros_like(w)
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        for i in rng.permutation(len(xs)):
+            x, y = xs[i], ys[i]
+            if (float(w @ x) > 0.0) != y:
+                w += x if y else -x
+            acc += w
+    return acc / (epochs * len(xs))
+
+
+@given(n=st.integers(1, 60), d=st.integers(1, 12), n_labels=st.integers(1, 4),
+       epochs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), features=FEATURES,
+       separable=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_train_multilabel_matches_per_example_loop(n, d, n_labels, epochs, seed, features,
+                                                    separable, data_seed):
+    """Each label's averaged weights equal a loop over single examples, bit for bit.
+
+    A label is random, or the sign of a drawn linear map, so that runs
+    without a mistake span several scored blocks and cross epochs.
+    """
+    rng = np.random.default_rng(data_seed)
+    xs = _features(rng, n, d, features)
+    if separable:
+        member = xs @ rng.normal(size=(d, n_labels)) > 0.0
+    else:
+        member = rng.random((n, n_labels)) < 0.5
+    labels = [f"l{j}" for j in range(n_labels)]
+    label_sets = [{lab for lab, m in zip(labels, row) if m} for row in member]
+    models = train_multilabel(xs, label_sets, set(labels), epochs, seed)
+    for li, label in enumerate(labels):
+        want = _one_vs_rest_loop(xs, member[:, li], epochs, derive_seed(seed, li))
+        assert np.array_equal(models[label].averaged, want)
 
 
 def test_multilabel_models_are_label_independent():
