@@ -35,6 +35,13 @@ class CompositionResult:
     lengths: np.ndarray  # rows per segment; [n] for one sequence
     starts: np.ndarray  # first row of each segment
 
+    def select(self, mask: np.ndarray) -> "CompositionResult":
+        """The segments where `mask` holds, as if composed alone, activations included."""
+        counts, t = self.lengths[mask], self.activations
+        t = None if t is None else t.compress(mask.repeat(self.lengths), axis=0)
+        out = self.output.compress(mask, axis=0)  # less fixed cost than out[mask]
+        return CompositionResult(out, t, self.kind, counts, counts.cumsum() - counts)
+
 
 def _as_matrix(inputs) -> np.ndarray:
     try:

@@ -13,9 +13,9 @@ per update, so the loss here is the hinge total alone.
 A minibatch is evaluated as a whole: tables are fixed until its update,
 so every distinct sentence it needs is composed once, the (B, k) hinge
 matrix is formed at once, and gradients are summed per distinct sentence
-before one scatter into word rows. Gradients cover exactly the
-words of every sentence that takes part in at least one active hinge
-term; a batch with no active term touches no row.
+before one scatter into word rows. Only sentences in an active hinge
+term are backpropagated and scattered, so gradients cover exactly their
+words; a batch with no active term touches no row.
 
 Document-level training composes twice (words -> sentence vectors ->
 document vector) and applies the same hinge between aligned documents,
@@ -78,25 +78,29 @@ class _Sentences:
     def word_grads(self, languages: tuple, n_src_rows: int) -> dict:
         """{language: (unique word ids, summed gradient rows)} of touched sentences' words.
 
+        Only touched sentences are backpropagated and scattered: an untouched
+        one's finite rows are +-0.0 and `bincount` sums from +0.0, so no sum
+        changes by a bit, and its 0 * inf rows, where its representation
+        overflowed, no longer reach the words it shares with touched ones.
         Both languages share one scatter: target word ids are shifted past
         the source table's n_src_rows rows unless the languages coincide.
         """
-        if not self.touched.any():
+        touched = self.touched
+        if not touched.any():
             return {}
         shift = 0 if languages[0] == languages[1] else n_src_rows
-        rows, inv = np.unique(
-            np.concatenate([self.src_ids, self.tgt_ids + shift]), return_inverse=True
-        )
-        # words of untouched sentences get exact zeros, then drop out
-        keep = np.zeros(len(rows), dtype=bool)
-        keep[inv[self.touched.repeat(self.lengths)]] = True
-        grads = backprop(self.grad, self.result)
-        self.result = None  # free the BI activations before the scatter's temporaries
+        ids = np.concatenate([self.src_ids, self.tgt_ids + shift])[touched.repeat(self.lengths)]
+        result = self.result.select(touched)
+        self.result = None  # untouched sentences' BI activations go before backprop's temporaries
+        grads = backprop(self.grad.compress(touched, axis=0), result)
+        del result  # and touched ones before the scatter's
+        # np.unique's rows and inverse, by counting instead of sorting
+        present = np.bincount(ids) > 0
+        rows = np.flatnonzero(present)
+        inv = (present.cumsum() - 1)[ids]
         d = grads.shape[1]
         flat = (inv[:, None] * d + np.arange(d)).ravel()
-        summed = np.bincount(flat, weights=grads.ravel(), minlength=len(rows) * d)
-        del flat, grads  # before the copy below, to bound the batch's memory
-        rows, summed = rows[keep], summed.reshape(len(rows), d)[keep]
+        summed = np.bincount(flat, grads.ravel(), len(rows) * d).reshape(len(rows), d)
         cut = np.searchsorted(rows, shift) if shift else len(rows)
         parts = (
             (languages[0], rows[:cut], summed[:cut]),

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import reference_model as ref
 from jointvec import objective
-from jointvec.composition import CompositionKind
+from jointvec.composition import CompositionKind, backprop
 from jointvec.corpus import (
     DocumentPair,
     LabeledDocument,
@@ -490,6 +491,105 @@ def test_batch_matches_reference_model(kind, docs, batch):
     numeric = numerical_grads(loss, bundle)
     assume(len(patterns) == 1)  # no finite-difference step crossed a kink
     assert max_rel_err(densify_grads(grads, bundle), numeric) < 1e-6
+
+
+def _scatter_every_sentence(sents, shift: int) -> tuple:
+    """(word ids, summed gradient rows) over every word of every sentence of `sents`.
+
+    The whole-batch scatter that word_grads narrows to touched sentences:
+    backprop every sentence, then one bincount over all tokens, target ids
+    shifted by `shift`.
+    """
+    rows, inv = np.unique(np.concatenate([sents.src_ids, sents.tgt_ids + shift]),
+                          return_inverse=True)
+    grads = backprop(sents.grad, sents.result)
+    d = grads.shape[1]
+    flat = (inv[:, None] * d + np.arange(d)).ravel()
+    summed = np.bincount(flat, weights=grads.ravel(), minlength=len(rows) * d)
+    return rows, summed.reshape(len(rows), d)
+
+
+@pytest.mark.parametrize("docs", [False, True], ids=["sentences", "documents"])
+@pytest.mark.parametrize("kind", KINDS)
+@given(batch=_batches(), share=st.floats(0.0, 1.0))
+@example(batch=_Batch(**_FIXED, margin=0.0, seed=2), share=0.0)
+@example(batch=_Batch(**_FIXED, margin=0.0, seed=2), share=0.3)
+@example(batch=_Batch(**_FIXED, margin=0.0, seed=2), share=0.7)
+@example(batch=_Batch(**_FIXED, margin=0.0, seed=2), share=1.0)
+@settings(max_examples=40, deadline=None)
+def test_word_grads_equal_the_whole_batch_scatter_kept_to_touched_words(kind, docs, batch, share):
+    """Bit for bit, the touched-only scatter equals scattering every sentence, then keeping.
+
+    The margin is set between two distinct hinge values, so that about
+    `share` of the distinct values are active: from no term to every term.
+    The kept words are those of the reference model's active terms, so a
+    sentence lost from the touched set, at either level, changes the ids.
+    """
+    batch = batch._replace(margin=0.0, at_zero=None)
+    bundle, src, tgt = _batch_items(batch, kind, docs)
+    # at margin 0 each term is E(a, g) - E(a, n); a margin m adds m to every one
+    levels = np.unique([h for h, _, _ in _reference_terms(bundle, batch, src, tgt, kind, docs)])
+    cut = round(share * len(levels))
+    above = levels[cut] if cut < len(levels) else levels[-1] + 2.0
+    below = levels[cut - 1] if cut else levels[0] - 2.0
+    # the active set is not decided by rounding
+    assume(above - below > 1e-9 * (1.0 + np.abs(levels).max()))
+    batch = batch._replace(margin=float(-(above + below) / 2))
+    want = {}
+    for h, src_words, tgt_words in _reference_terms(bundle, batch, src, tgt, kind, docs):
+        if h > 0:
+            want.setdefault(batch.languages[0], set()).update(src_words)
+            want.setdefault(batch.languages[1], set()).update(tgt_words)
+
+    scattered = []
+    word_grads = objective._Sentences.word_grads
+
+    def spy(sents, languages, n_src_rows):
+        shift = 0 if languages[0] == languages[1] else n_src_rows
+        scattered.append((shift, *_scatter_every_sentence(sents, shift)))
+        return word_grads(sents, languages, n_src_rows)
+
+    sentence_noise = batch.sentence_noise if docs else None
+    with mock.patch.object(objective._Sentences, "word_grads", spy):
+        _, grads = batch_loss_and_grads(
+            _pack(src, docs), _pack(tgt, docs), np.array(batch.pairs), np.array(batch.noise),
+            bundle, kind, batch.margin, batch.languages,
+            None if sentence_noise is None else np.array(sentence_noise),
+        )
+    (shift, rows, summed), = scattered
+    assert {lang: ids.tolist() for lang, (ids, _) in grads.items()} == {
+        lang: sorted(words) for lang, words in want.items()
+    }
+    for lang, (ids, got) in grads.items():
+        at = np.searchsorted(rows, ids + (shift if lang == batch.languages[1] else 0))
+        assert got.tobytes() == summed[at].tobytes()
+
+
+def test_untouched_sentence_with_non_finite_gradient_stays_out_of_the_scatter():
+    """A sentence in no active term adds nothing to any word, even as NaN rows.
+
+    Its representation overflows to inf, so the hinge's 0 * inf leaves NaN
+    in its gradient; the word it shares with a touched sentence keeps the
+    touched sentence's finite gradient, and its other word gets none.
+    """
+    vocabs = {"a": Vocabulary(["x"]), "b": Vocabulary(["y", "z"])}
+    tables = {
+        "a": EmbeddingTable("a", np.array([[1.0, 0.0]])),
+        "b": EmbeddingTable("b", np.array([[1.0, 1.0], [1e308, 0.0]])),
+    }
+    bundle = ModelBundle(vocabs, tables, CompositionKind.ADD)
+    src, tgt = (np.array([0]), np.array([1])), (np.array([0, 0, 1, 1]), np.array([1, 3]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sents = objective._Sentences(bundle, ("a", "b"), src, tgt, CompositionKind.ADD)
+        untouched = sents.result.output[2]  # target sentence y z z
+        assert np.isinf(untouched).any()
+        sents.grad[:2] = [[1.0, 2.0], [3.0, 4.0]]
+        sents.grad[2] = 0.0 * untouched
+        sents.touched[:2] = True
+        grads = sents.word_grads(("a", "b"), 1)
+    assert np.isnan(sents.grad[2]).any()
+    assert {lang: (ids.tolist(), rows.tolist()) for lang, (ids, rows) in grads.items()} == {
+        "a": ([0], [[1.0, 2.0]]), "b": ([0], [[3.0, 4.0]])}
 
 
 _ONE_BATCH = """
