@@ -1,11 +1,12 @@
 """Command-line entry point for reproducible training, evaluation, and queries.
 
 Every run resolves its flags against built-in defaults and an optional
-key=value config file (flags win). --out must be absent or an empty
-directory. Once the work has succeeded, the run creates it and echoes the
-resolved settings to a manifest there, so a failed run leaves no --out
-behind; re-running that manifest into a fresh --out reproduces all outputs
-byte for byte. train runs jointly when given more than one --pair. Exit
+key=value config file (flags win). --out must be absent and creatable, or
+an empty directory. Once the work has succeeded, the run creates it and
+echoes the resolved settings, with the platform facts the bits depend on,
+to a manifest there, so a failed run leaves no --out behind; re-running
+that manifest into a fresh --out reproduces all outputs byte for byte on
+the same platform. train runs jointly when given more than one --pair. Exit
 codes: 0 success, 1 user or configuration error, 2 internal error.
 """
 
@@ -36,6 +37,7 @@ from .embeddings import (
 )
 from .errors import ContractError, UserError
 from .evaluation import LEVELS, check_classifier_settings, cldc_run, resolve_task, transfer_matrix
+from .objective import platform_facts
 from .training import (
     AdaGradState,
     TrainConfig,
@@ -177,13 +179,14 @@ def load_config_file(path, flags) -> tuple:
     """key=value lines, converted and checked as the flags are.
 
     Returns ({key: value}, {key: number of the line that set it last}).
-    Repeatable settings may repeat. The keys `subcommand` and `config` are
-    skipped, so a manifest loads as a config file.
+    Repeatable settings may repeat. The keys `subcommand` and `config`, and
+    the platform facts, are skipped, so a manifest loads as a config file.
     """
     by_name = {f.name: f for f in flags}
+    skip = {"subcommand", "config", *dict(platform_facts())}
     values, lines = {}, {}
     for lineno, key, text in read_settings(path):
-        if key in ("subcommand", "config"):
+        if key in skip:
             continue
         flag = by_name.get(key)
         if flag is None:
@@ -209,7 +212,9 @@ def _resolve(args) -> None:
     """Fill unset settings from the config file, then from built-in defaults.
 
     --out must be absent or an empty directory, so no run replaces or sits
-    beside another's files; anything else fails here, before any work.
+    beside another's files, and an absent one must be creatable, with a
+    directory as its nearest existing parent; anything else fails here,
+    before any work. Nothing is created here.
     """
     cfg, lines = load_config_file(args.config, args.settings) if args.config else ({}, {})
     # the config-file line of each setting that no flag overrides
@@ -226,13 +231,24 @@ def _resolve(args) -> None:
             raise UserError(f"{args.out} exists and is not a directory")
         if os.listdir(args.out):
             raise UserError(f"{args.out} exists and is not empty")
+    elif args.out:  # made once the work is done: its nearest existing parent must be a directory
+        parent = os.path.dirname(os.path.abspath(args.out))
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise UserError(f"{args.out} cannot be created: {parent} is not a directory")
 
 
 def _write_manifest(args) -> None:
-    """Create --out and echo every set setting of the run into it, in table order."""
+    """Create --out and echo the run into it: its platform facts, then every set setting.
+
+    Settings come in table order; the facts (objective.platform_facts) are
+    what the output's bits depend on beyond the settings and inputs.
+    """
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write(f"subcommand={args.command}\n")
+        fh.write("".join(f"{key}={value}\n" for key, value in platform_facts()))
         for flag in args.settings:
             value = getattr(args, flag.name)
             if value is None:

@@ -60,40 +60,60 @@ def _as_matrix(inputs) -> np.ndarray:
 _CHUNK = 128
 
 
-def segment_sums(x: np.ndarray, lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def segment_sums(x: np.ndarray, lengths: np.ndarray, starts: np.ndarray, rows=None) -> np.ndarray:
     """Each segment's rows added in row order, ((x0 + x1) + x2) + ..., as (S, d).
 
-    The bits are those of a Python loop over each segment's rows, so a
-    segment's sum does not depend on the segments beside it. `x.sum(axis=0)`
-    does not keep that order: at d = 1 it sums pairwise. The loop runs over
-    positions or over segments, whichever is fewer: at position j it adds
-    row j of every segment still running; one segment at a time,
-    `np.add.accumulate`, which adds in row order too, runs over chunks of
-    the segment copied into a fixed buffer whose first row carries the
-    running sum.
+    Input row i is x[i], or with `rows` x[rows[i]], read from x by index,
+    so no (n, d) input is formed; segments cut the input rows by `lengths`
+    and `starts`. The bits are those of a Python loop over each segment's
+    rows, so a segment's sum does not depend on the segments beside it.
+    `x.sum(axis=0)` does not keep that order: at d = 1 it sums pairwise.
+
+    A loop over positions adds row j of every segment still running at
+    position j, up to the position that makes the fewest positions plus
+    segments left; each longer segment then finishes on its own, with
+    `np.add.accumulate`, which adds in row order too, over chunks of its
+    rows copied into a fixed buffer whose first row carries the running sum.
     """
-    counts = lengths.tolist()
-    longest = max(counts)
-    if len(counts) < longest:
-        sums = np.empty((len(counts), x.shape[1]))
-        buf = np.empty((min(longest, _CHUNK), x.shape[1]))
-        for s, (a, n) in enumerate(zip(starts.tolist(), counts)):
-            total = x[a]
-            for c in range(a + 1, a + n, _CHUNK - 1):
-                m = min(a + n - c, _CHUNK - 1) + 1
-                buf[0] = total
-                buf[1:m] = x[c : c + m - 1]
-                total = np.add.accumulate(buf[:m], axis=0, out=buf[:m])[-1]
-            sums[s] = total
-        return sums
     order = lengths.argsort()  # shortest first: the segments running at j form a suffix
     firsts = starts.take(order)
     ascending = lengths.take(order).tolist()
-    sums = x.take(firsts, axis=0)
+    n_seg = len(ascending)
+    # stop after `split` positions, where positions plus segments left is
+    # least: n positions leave the k segments longer than the k-th longest
+    # n; k segments left cost at least k + 1, so the scan ends early
+    split = best = ascending[-1]
+    for k, n in enumerate(reversed(ascending)):
+        if best <= k + 1:
+            break
+        if n + k < best:
+            split, best = n, n + k
+    else:
+        if n_seg + 1 < best:  # one position, every segment left
+            split = 1
+    sums = x.take(firsts if rows is None else rows.take(firsts), axis=0)
     ended = 0
-    for j in range(1, longest):
+    for j in range(1, split):
         ended = bisect_right(ascending, j, ended)
-        sums[ended:] += x[j:].take(firsts[ended:], axis=0)  # x[j:] moves each first row on by j
+        # [j:] moves each first row on by j
+        if rows is None:
+            sums[ended:] += x[j:].take(firsts[ended:], axis=0)
+        else:
+            sums[ended:] += x.take(rows[j:].take(firsts[ended:]), axis=0)
+    cut = bisect_right(ascending, split)
+    if cut < n_seg:
+        buf = np.empty((min(ascending[-1] - split, _CHUNK - 1) + 1, x.shape[1]))
+        for s, a, n in zip(range(cut, n_seg), firsts[cut:].tolist(), ascending[cut:]):
+            total = sums[s]
+            for c in range(a + split, a + n, _CHUNK - 1):
+                m = min(a + n - c, _CHUNK - 1) + 1
+                buf[0] = total
+                if rows is None:
+                    buf[1:m] = x[c : c + m - 1]
+                else:
+                    x.take(rows[c : c + m - 1], axis=0, out=buf[1:m])
+                total = np.add.accumulate(buf[:m], axis=0, out=buf[:m])[-1]
+            sums[s] = total
     return sums.take(order.argsort(), axis=0)
 
 

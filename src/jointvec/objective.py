@@ -12,10 +12,13 @@ per update, so the loss here is the hinge total alone.
 
 A minibatch is evaluated as a whole: tables are fixed until its update,
 so every distinct sentence it needs is composed once, the (B, k) hinge
-matrix is formed at once, and gradients are summed per distinct sentence
-before one scatter into word rows. Only sentences in an active hinge
-term are backpropagated and scattered, so gradients cover exactly their
-words; a batch with no active term touches no row.
+matrix is formed at once, and gradients are summed per distinct sentence,
+then per word: `segment_sums` adds each word's gradient rows in token
+order, and the sum reads as if it had started from +0.0. ADD composes
+straight from the tables and reads each token's gradient from its
+sentence's row, so it forms no (tokens, d) array. Only sentences in an
+active hinge term are backpropagated and summed into words, so gradients
+cover exactly their words; a batch with no active term touches no row.
 
 Document-level training composes twice (words -> sentence vectors ->
 document vector) and applies the same hinge between aligned documents,
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import CompositionKind, backprop, compose
+from .composition import CompositionKind, CompositionResult, backprop, compose, segment_sums
 from .corpus import PackedSide, gather_ranges
 from .embeddings import ModelBundle
 from .errors import ContractError
@@ -68,39 +71,58 @@ class _Sentences:
         self.n_src = len(src_len)
         self.lengths = np.concatenate([src_len, tgt_len])
         src_rows, tgt_rows = tables.table(languages[0]).matrix, tables.table(languages[1]).matrix
-        rows = np.empty((len(self.src_ids) + len(self.tgt_ids), src_rows.shape[1]))
-        rows[: len(self.src_ids)] = src_rows[self.src_ids]
-        rows[len(self.src_ids) :] = tgt_rows[self.tgt_ids]
-        self.result = compose(rows, kind, self.lengths)
+        if kind is CompositionKind.ADD:  # each side sums its words' table rows in place
+            out = np.concatenate([
+                segment_sums(table, lengths, lengths.cumsum() - lengths, rows=ids)
+                for table, ids, lengths in ((src_rows, self.src_ids, src_len),
+                                            (tgt_rows, self.tgt_ids, tgt_len))
+            ])
+            starts = self.lengths.cumsum() - self.lengths
+            self.result = CompositionResult(out, None, kind, self.lengths, starts)
+        else:
+            rows = np.empty((len(self.src_ids) + len(self.tgt_ids), src_rows.shape[1]))
+            rows[: len(self.src_ids)] = src_rows[self.src_ids]
+            rows[len(self.src_ids) :] = tgt_rows[self.tgt_ids]
+            self.result = compose(rows, kind, self.lengths)
         self.grad = np.zeros(self.result.output.shape)
         self.touched = np.zeros(len(self.lengths), dtype=bool)
 
     def word_grads(self, languages: tuple, n_src_rows: int) -> dict:
         """{language: (unique word ids, summed gradient rows)} of touched sentences' words.
 
-        Only touched sentences are backpropagated and scattered: an untouched
-        one's finite rows are +-0.0 and `bincount` sums from +0.0, so no sum
-        changes by a bit, and its 0 * inf rows, where its representation
-        overflowed, no longer reach the words it shares with touched ones.
-        Both languages share one scatter: target word ids are shifted past
-        the source table's n_src_rows rows unless the languages coincide.
+        Each word's gradient rows are summed in token order by `segment_sums`,
+        read by index: under ADD its sentences' gradient rows, under BI
+        backprop's token rows. Adding +0.0 to the sums turns a -0.0 into
+        +0.0, so they are those of a sum from +0.0. Only touched sentences
+        are backpropagated and summed: an untouched one's finite rows are
+        +-0.0, so no sum from +0.0 changes by a bit, and its 0 * inf rows,
+        where its representation overflowed, no longer reach the words it
+        shares with touched ones. Both languages share one sort: target word
+        ids are shifted past the source table's n_src_rows rows unless the
+        languages coincide.
         """
         touched = self.touched
         if not touched.any():
             return {}
         shift = 0 if languages[0] == languages[1] else n_src_rows
         ids = np.concatenate([self.src_ids, self.tgt_ids + shift])[touched.repeat(self.lengths)]
-        result = self.result.select(touched)
-        self.result = None  # untouched sentences' BI activations go before backprop's temporaries
-        grads = backprop(self.grad.compress(touched, axis=0), result)
-        del result  # and touched ones before the scatter's
-        # np.unique's rows and inverse, by counting instead of sorting
-        present = np.bincount(ids) > 0
-        rows = np.flatnonzero(present)
-        inv = (present.cumsum() - 1)[ids]
-        d = grads.shape[1]
-        flat = (inv[:, None] * d + np.arange(d)).ravel()
-        summed = np.bincount(flat, grads.ravel(), len(rows) * d).reshape(len(rows), d)
+        order = ids.argsort(kind="stable")  # each word's tokens stay in token order
+        ids = ids.take(order)
+        new = np.empty(len(ids), dtype=bool)
+        new[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        rows = ids.take(starts)
+        if self.result.kind is CompositionKind.ADD:  # a token's gradient is its sentence's
+            grads = self.grad
+            order = np.flatnonzero(touched).repeat(self.lengths[touched]).take(order)
+        else:
+            result = self.result.select(touched)
+            self.result = None  # untouched sentences' activations go before backprop's temporaries
+            grads = backprop(self.grad.compress(touched, axis=0), result)
+            del result  # and touched ones before the sums'
+        summed = segment_sums(grads, np.diff(starts, append=len(ids)), starts, rows=order)
+        summed += 0.0
         cut = np.searchsorted(rows, shift) if shift else len(rows)
         parts = (
             (languages[0], rows[:cut], summed[:cut]),
@@ -110,21 +132,58 @@ class _Sentences:
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of numpy's bundled OpenBLAS thread count, or None where it is not found.
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, or None where it is not found.
 
-    Looked up once per process through ctypes in the wheel's numpy.libs;
-    the library is the one numpy has already loaded.
+    Looked up once per process in the wheel's numpy.libs; the library is
+    the one numpy has already loaded.
     """
     libs = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "libscipy_openblas*")
     try:
-        lib = ctypes.CDLL(sorted(glob.glob(libs))[0])
+        return ctypes.CDLL(sorted(glob.glob(libs))[0])
+    except (IndexError, OSError):
+        return None
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of numpy's bundled OpenBLAS thread count, or None where it is not found."""
+    try:  # None, where the library is not found, has no such attribute either
+        lib = _openblas()
         get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (IndexError, OSError, AttributeError):
+    except AttributeError:
         return None
     get.argtypes, get.restype = (), ctypes.c_int
     set_.argtypes, set_.restype = (ctypes.c_int,), None
     return get, set_
+
+
+@functools.cache
+def platform_facts() -> tuple:
+    """(key, value) pairs of what training's bits depend on beyond its inputs.
+
+    numpy's version, the CPU dispatch targets numpy runs here (`none` if
+    every one is off) and the kernel OpenBLAS picked for this CPU
+    (`unknown` where the library is not found). Looked up once per process;
+    meta.txt and manifest.txt record them.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    try:  # as in _openblas_threads
+        corename = _openblas().scipy_openblas_get_corename64_
+    except AttributeError:
+        core = "unknown"
+    else:
+        corename.argtypes, corename.restype = (), ctypes.c_char_p
+        core = corename().decode("ascii", "replace")
+    return (
+        ("numpy", np.__version__),
+        ("cpu_dispatch", ",".join(targets) or "none"),
+        ("openblas_core", core),
+    )
 
 
 @contextlib.contextmanager

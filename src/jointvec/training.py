@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .embeddings import EmbeddingTable, ModelBundle, Vocabulary
 from .errors import ContractError, UserError
-from .objective import batch_loss_and_grads
+from .objective import batch_loss_and_grads, platform_facts
 
 CHECKPOINT_META = "meta.txt"
 EPSILON = 1e-6  # AdaGrad's denominator floor
@@ -174,16 +174,19 @@ def _epoch_schedule(corpora: list, config: TrainConfig, epoch: int):
 def _keep_freed_pages() -> None:
     """Pin glibc's mmap and trim thresholds where its dynamic rule tops out.
 
-    Every minibatch allocates and frees a few (tokens, d) float arrays.
-    glibc serves a large array either from memory it kept or from fresh
-    pages that fault on first touch, by thresholds that it raises whenever
-    the process frees a larger mapped block. The same batches therefore
-    ran up to 1.5x slower in one process than in another, depending on
-    what each had freed before. With the thresholds fixed at 32 MB (mmap)
-    and 64 MB (trim), the values that rule reaches at its ceiling, freed
-    pages serve the next batch in every process. Once per process, and
-    only under glibc; a refused mallopt leaves glibc's own rule in place,
-    which costs time, not correctness.
+    Every minibatch allocates and frees float arrays of d columns, up to
+    megabytes each: AdaGrad's rows of every word it touches, the sums of
+    its sentences and words, and under BI its (tokens, d) inputs,
+    activations and gradients. glibc serves a large array either from
+    memory it kept or from fresh pages that fault on first touch, by
+    thresholds that it raises whenever the process frees a larger mapped
+    block. The same batches therefore ran up to 1.5x slower in one
+    process than in another, depending on what each had freed before.
+    With the thresholds fixed at 32 MB (mmap) and 64 MB (trim), the
+    values that rule reaches at its ceiling, freed pages serve the next
+    batch in every process. Once per process, and only under glibc; a
+    refused mallopt leaves glibc's own rule in place, which costs time,
+    not correctness.
     """
     try:
         glibc = os.confstr("CS_GNU_LIBC_VERSION")
@@ -350,8 +353,10 @@ def checkpoint(
     <lang>.npy holds the table and <lang>.adagrad.npy the AdaGrad
     accumulators, as .npy files without pickles; <lang>.vocab holds one
     token per line, row i of both arrays belonging to line i + 1. meta.txt
-    is key=value with the config echo, epoch counter, and seed. Writing is
-    deterministic: same inputs, same bytes.
+    is key=value with the config echo, epoch counter, and seed, plus the
+    platform facts the bits depend on (objective.platform_facts), which
+    load_model does not read. Writing is deterministic: same inputs, same
+    bytes.
 
     The write is safe against a killed process: meta.txt is removed first,
     every file is written under a .tmp name and renamed into place, and
@@ -370,7 +375,7 @@ def checkpoint(
         for name, matrix in arrays.items():
             with _replacing(os.path.join(path, name)) as fh:
                 np.save(fh, matrix, allow_pickle=False)
-    meta = {"languages": ",".join(tables.languages), "epoch": epoch}
+    meta = {"languages": ",".join(tables.languages), "epoch": epoch, **dict(platform_facts())}
     for f in dataclasses.fields(TrainConfig):
         meta[_meta_key(f.name)] = getattr(config, f.name)
     with _replacing(meta_path) as fh:

@@ -42,7 +42,7 @@ from jointvec.embeddings import (
     init_table,
 )
 from jointvec.evaluation import cldc_run, micro_f1, train_multiclass, transfer_matrix
-from jointvec.objective import energy
+from jointvec.objective import energy, platform_facts
 from jointvec.training import (
     AdaGradState,
     TrainConfig,
@@ -417,7 +417,7 @@ def test_reproducibility_and_persistence(criterion, tmp_path):
     replay = []
     for line in (out1 / "manifest.txt").read_text(encoding="utf-8").splitlines():
         key, _, value = line.partition("=")
-        if key in ("subcommand", "out"):
+        if key in ("subcommand", "out", *dict(platform_facts())):  # facts are not flags
             continue
         if key == "doc_signal":
             if value == "true":

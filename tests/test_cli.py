@@ -14,6 +14,7 @@ from jointvec.cli import _TRAIN, load_config_file, main
 from jointvec.corpus import iter_document_token_sentences, iter_token_sentences
 from jointvec.embeddings import Vocabulary, export_table, import_table
 from jointvec.errors import UserError
+from jointvec.objective import platform_facts
 from jointvec.training import load_model, resume
 
 from conftest import HOSTILE_CHECKPOINTS, damage_checkpoint
@@ -80,6 +81,32 @@ def test_train_writes_checkpoint_and_logs(fast_corpus, tmp_path, capsys):
     assert len(log) == 3
     meta = (out / "meta.txt").read_text(encoding="utf-8")
     assert "epoch=2\n" in meta and "d=8\n" in meta
+
+
+def test_manifest_and_meta_record_the_platform_facts(trained, tmp_path):
+    """numpy's version, its CPU dispatch targets and the OpenBLAS kernel, which the bits follow.
+
+    The lines follow the subcommand in manifest.txt and sit among the
+    sorted keys of meta.txt. Neither reading a manifest as a config file nor
+    loading a checkpoint uses them, so a meta.txt written before them loads.
+    """
+    facts = [f"{key}={value}" for key, value in platform_facts()]
+    assert [fact.split("=")[0] for fact in facts] == ["numpy", "cpu_dispatch", "openblas_core"]
+    assert facts[0] == f"numpy={np.__version__}" and all(fact.split("=")[1] for fact in facts)
+    manifest = (trained / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    assert manifest[1:4] == facts
+    assert set(load_config_file(trained / "manifest.txt", _TRAIN)[0]).isdisjoint(
+        dict(platform_facts()))
+    meta = (trained / "meta.txt").read_text(encoding="utf-8").splitlines()
+    assert set(facts) <= set(meta)
+    old = tmp_path / "old"
+    shutil.copytree(trained, old)
+    (old / "meta.txt").write_text("".join(f"{line}\n" for line in meta if line not in facts),
+                                  encoding="utf-8")
+    (bundle, config, epoch), (want, want_config, want_epoch) = load_model(old), load_model(trained)
+    assert (config, epoch) == (want_config, want_epoch)
+    for lang in want.languages:
+        assert np.array_equal(bundle.table(lang).matrix, want.table(lang).matrix)
 
 
 def test_train_rejects_bad_margin(fast_corpus, tmp_path, capsys):
@@ -266,6 +293,11 @@ def test_out_that_is_a_file_is_user_error_before_any_work(fast_corpus, trained, 
     }[command]
     rc, stdout, err = run_cli([*argv, "--out", out], capsys)
     assert rc == 1 and f"{out} exists and is not a directory" in err
+    assert "Traceback" not in err and stdout == ""
+    assert out.read_text(encoding="utf-8") == "old"
+    under = out / "sub"  # cannot be created, so no run may end by trying
+    rc, stdout, err = run_cli([*argv, "--out", under], capsys)
+    assert rc == 1 and f"{under} cannot be created: {out} is not a directory" in err
     assert "Traceback" not in err and stdout == ""
     assert out.read_text(encoding="utf-8") == "old"
     used = tmp_path / "used"  # say, a training run's directory

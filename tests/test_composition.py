@@ -1,7 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointvec.composition import CompositionKind, backprop, compose, segment_sums
@@ -130,29 +130,46 @@ def _row_loop(x, lengths):
     return sums
 
 
+def _summands(rng, n, d):
+    """n rows of d values over 17 decades, a fifth of the rows all -0.0."""
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+    x[rng.random(n) < 0.2] = -0.0
+    return x
+
+
 @given(
     short=st.lists(st.integers(1, 40), min_size=1, max_size=60),
-    long=st.integers(41, 300),
+    long=st.lists(st.integers(41, 300), min_size=1, max_size=3),
     at=st.integers(0, 60),
     d=st.integers(1, 6),
+    table=st.integers(1, 400),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(short=[*range(1, 41)] + [40] * 20, long=[129, 200, 300], at=7, d=3, table=50, seed=1)
+@example(short=[40] * 60, long=[41], at=60, d=2, table=1, seed=2)
+@example(short=[3], long=[300], at=0, d=2, table=400, seed=3)
 @settings(max_examples=100, deadline=None)
-def test_segment_sums_add_in_row_order(short, long, at, d, seed):
-    # segments past 8 rows reach numpy's pairwise blocks; the long segment
-    # outnumbers the segments in some draws and not in others, so both of
-    # segment_sums' loops run, and past 128 rows it spans more than one of
-    # the per-segment loop's chunks; an all -0.0 segment keeps its sign only
-    # when its first row starts the sum
+def test_segment_sums_add_in_row_order(short, long, at, d, table, seed):
+    # segments past 8 rows reach numpy's pairwise blocks. The position loop
+    # stops where positions plus segments left are fewest: past the end
+    # (60 segments of 40 and one of 41), mid-way (many short segments and
+    # a few long ones, which finish alone), or after one position (few
+    # segments); past 128 rows a segment finishing alone spans more than
+    # one chunk. An all -0.0 segment keeps its sign only when its first row
+    # starts the sum. Read by index, rows come from a table, with repeats
     at = min(at, len(short))
-    lengths = np.array(short[:at] + [long] + short[at:])
+    lengths = np.array(short[:at] + long + short[at:])
     starts = lengths.cumsum() - lengths
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(lengths.sum(), d)) * 10.0 ** rng.integers(-8, 9, size=(lengths.sum(), d))
-    x[rng.random(len(x)) < 0.2] = -0.0
+    x = _summands(rng, lengths.sum(), d)
     want = _row_loop(x, lengths)
     got = segment_sums(x, lengths, starts)
     assert got.shape == (len(lengths), d)
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
+    source = _summands(rng, table, d)
+    rows = rng.integers(0, table, lengths.sum())
+    got = segment_sums(source, lengths, starts, rows=rows)
+    want = _row_loop(source[rows], lengths)
     assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
     for kind in CompositionKind:
         result = compose(x, kind, lengths)
@@ -160,7 +177,7 @@ def test_segment_sums_add_in_row_order(short, long, at, d, seed):
         want = _row_loop(summands, lengths)
         assert [row.tobytes() for row in result.output] == [row.tobytes() for row in want]
         a = starts[at]
-        one = compose(x[a : a + long], kind).output
+        one = compose(x[a : a + long[0]], kind).output
         assert one.tobytes() == want[at].tobytes()
 
 

@@ -509,6 +509,10 @@ def _scatter_every_sentence(sents, shift: int) -> tuple:
     return rows, summed.reshape(len(rows), d)
 
 
+# _FIXED with one source word among long sentences, against 40 target words
+_ONE_WORD_SOURCE = {**_FIXED, "vocab_sizes": (1, 40), "max_len": 12}
+
+
 @pytest.mark.parametrize("docs", [False, True], ids=["sentences", "documents"])
 @pytest.mark.parametrize("kind", KINDS)
 @given(batch=_batches(), share=st.floats(0.0, 1.0))
@@ -516,6 +520,8 @@ def _scatter_every_sentence(sents, shift: int) -> tuple:
 @example(batch=_Batch(**_FIXED, margin=0.0, seed=2), share=0.3)
 @example(batch=_Batch(**_FIXED, margin=0.0, seed=2), share=0.7)
 @example(batch=_Batch(**_FIXED, margin=0.0, seed=2), share=1.0)
+@example(batch=_Batch(**_ONE_WORD_SOURCE, margin=0.0, seed=2), share=1.0)
+@example(batch=_Batch(**_ONE_WORD_SOURCE, margin=0.0, seed=5), share=0.5)
 @settings(max_examples=40, deadline=None)
 def test_word_grads_equal_the_whole_batch_scatter_kept_to_touched_words(kind, docs, batch, share):
     """Bit for bit, the touched-only scatter equals scattering every sentence, then keeping.
@@ -524,6 +530,9 @@ def test_word_grads_equal_the_whole_batch_scatter_kept_to_touched_words(kind, do
     `share` of the distinct values are active: from no term to every term.
     The kept words are those of the reference model's active terms, so a
     sentence lost from the touched set, at either level, changes the ids.
+    With one source word, that word fills most of the batch's tokens and
+    outnumbers the distinct words, so its sum finishes alone after the
+    loop over occurrences stops.
     """
     batch = batch._replace(margin=0.0, at_zero=None)
     bundle, src, tgt = _batch_items(batch, kind, docs)
@@ -590,6 +599,31 @@ def test_untouched_sentence_with_non_finite_gradient_stays_out_of_the_scatter():
     assert np.isnan(sents.grad[2]).any()
     assert {lang: (ids.tolist(), rows.tolist()) for lang, (ids, rows) in grads.items()} == {
         "a": ([0], [[1.0, 2.0]]), "b": ([0], [[3.0, 4.0]])}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_word_gradient_of_negative_zero_rows_is_positive_zero(kind):
+    """Bit for bit the whole-batch scatter, whose sums start from +0.0, where rows are -0.0.
+
+    Each word adds its rows from the first one; a sum of -0.0 rows alone
+    would stay -0.0, where the scatter's sum reads +0.0.
+    """
+    vocabs = {"a": Vocabulary(["x", "w"]), "b": Vocabulary(["y"])}
+    tables = {
+        "a": EmbeddingTable("a", np.array([[1.0, 0.5], [0.25, 2.0]])),
+        "b": EmbeddingTable("b", np.array([[1.0, 1.0]])),
+    }
+    bundle = ModelBundle(vocabs, tables, kind)
+    src, tgt = (np.array([0, 1, 0]), np.array([3])), (np.array([0, 0]), np.array([2]))
+    sents = objective._Sentences(bundle, ("a", "b"), src, tgt, kind)
+    sents.grad[:] = [[-0.0, 1.0], [-0.0, -0.0]]  # source x w x, target y y
+    sents.touched[:] = True
+    rows, summed = _scatter_every_sentence(sents, 2)
+    grads = sents.word_grads(("a", "b"), 2)
+    assert not np.signbit(summed[summed == 0.0]).any()
+    assert grads["a"][0].tolist() == [0, 1] and grads["b"][0].tolist() == [0]
+    got = np.concatenate([grads["a"][1], grads["b"][1]])
+    assert got.tobytes() == summed.tobytes()
 
 
 _ONE_BATCH = """
