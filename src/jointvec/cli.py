@@ -26,6 +26,7 @@ from .corpus import (
     load_documents,
     load_parallel,
     tokenize,
+    writing,
 )
 from .embeddings import (
     ModelBundle,
@@ -245,8 +246,11 @@ def _write_manifest(args) -> None:
     Settings come in table order; the facts (objective.platform_facts) are
     what the output's bits depend on beyond the settings and inputs.
     """
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, MANIFEST_NAME), "w", encoding="utf-8") as fh:
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise UserError(f"cannot create {args.out}: {exc}") from exc
+    with writing(os.path.join(args.out, MANIFEST_NAME)) as fh:
         fh.write(f"subcommand={args.command}\n")
         fh.write("".join(f"{key}={value}\n" for key, value in platform_facts()))
         for flag in args.settings:
@@ -310,7 +314,7 @@ def cmd_train(args) -> int:
 
     _write_manifest(args)
     checkpoint(bundle, state, args.out, config, config.epochs)
-    with open(os.path.join(args.out, "loss_log.tsv"), "w", encoding="utf-8") as fh:
+    with writing(os.path.join(args.out, "loss_log.tsv")) as fh:
         fh.write("epoch\tloss\tactive_fraction\n")
         for epoch, (loss, frac) in enumerate(zip(report.epoch_losses, report.active_fractions)):
             fh.write(f"{epoch}\t{loss:.6f}\t{frac:.6f}\n")
@@ -399,7 +403,7 @@ def cmd_query(args) -> int:
     sys.stdout.write(lines)
     if args.out:
         _write_manifest(args)
-        with open(os.path.join(args.out, "neighbors.tsv"), "w", encoding="utf-8") as fh:
+        with writing(os.path.join(args.out, "neighbors.tsv")) as fh:
             fh.write(lines)
     return 0
 

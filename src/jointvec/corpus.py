@@ -13,6 +13,8 @@ a pair's first file before its second and the pairs in order, lines that
 are dropped for an empty counterpart included.
 """
 
+import contextlib
+import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -98,6 +100,29 @@ def read_lines(path) -> list[str]:
     if not lines[-1]:
         lines.pop()  # the empty text after the last line end
     return lines
+
+
+@contextlib.contextmanager
+def writing(path, mode: str = "w"):
+    """A file open for writing (UTF-8 text, or bytes under mode "wb") that replaces `path`.
+
+    Every output file is written here. The data goes to path.tmp, which
+    replaces `path` when the block completes, so an interrupted write never
+    leaves a partial file under the final name. On failure path.tmp is
+    removed, and an OSError (a full disk, a file size limit) raises
+    UserError naming `path`.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise UserError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def iter_token_sentences(path):

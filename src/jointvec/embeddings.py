@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import CompositionKind
-from .corpus import read_lines
+from .corpus import read_lines, writing
 from .errors import ContractError, UserError
 
 
@@ -25,10 +25,8 @@ class Vocabulary:
     """Token <-> dense-id bijection; ids are assigned in first-seen order."""
 
     def __init__(self, tokens=()):
-        self._index: dict[str, int] = {}
-        self._tokens: list[str] = []
-        for t in tokens:
-            self.add(t)
+        self._tokens: list[str] = list(dict.fromkeys(tokens))
+        self._index: dict[str, int] = dict(zip(self._tokens, range(len(self._tokens))))
 
     def add(self, token: str) -> int:
         idx = self._index.get(token)
@@ -144,7 +142,7 @@ def export_table(table: EmbeddingTable, vocab: Vocabulary, path) -> None:
         raise ContractError(
             f"table rows ({table.vocab_size}) != vocabulary size ({len(vocab)})"
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         fh.write(f"{table.vocab_size} {table.d}\n")
         for idx in range(table.vocab_size):
             row = " ".join(repr(float(v)) for v in table.matrix[idx])

@@ -25,7 +25,7 @@ from itertools import permutations
 import numpy as np
 
 from .composition import CompositionKind, compose, segment_sums
-from .corpus import pack_documents, select_top_labels
+from .corpus import pack_documents, select_top_labels, writing
 from .embeddings import EmbeddingTable, ModelBundle, derive_seed
 from .errors import ContractError, UserError
 
@@ -278,7 +278,7 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with writing(path) as fh:
             fh.write(self.to_tsv())
 
 

@@ -31,6 +31,7 @@ from .corpus import (
     pack_corpus,
     read_lines,
     sample_indices_excluding,
+    writing,
 )
 from .embeddings import EmbeddingTable, ModelBundle, Vocabulary
 from .errors import ContractError, UserError
@@ -38,6 +39,7 @@ from .objective import batch_loss_and_grads, platform_facts
 
 CHECKPOINT_META = "meta.txt"
 EPSILON = 1e-6  # AdaGrad's denominator floor
+_BLOCK_ELEMENTS = 16384  # elements per AdaGrad block: 128 KB of float64, well inside L2
 MODES = ("single", "joint")
 # glibc mallopt parameters, and the ceiling of glibc's own dynamic mmap
 # threshold on 64-bit hosts (DEFAULT_MMAP_THRESHOLD_MAX)
@@ -127,21 +129,34 @@ def adagrad_apply(tables: ModelBundle, grads: dict, state: AdaGradState, config:
     nor regularizer. All new rows and accumulators are computed first and
     written only if every one is finite; else, as after any NaN or infinite
     gradient, nothing changes and the result is False. Overflow warnings
-    are the caller's to silence (train_joint does).
+    are the caller's to silence (train_joint does). `grads` is not modified.
+
+    The touched rows of a language are gathered once, then updated in
+    blocks of 16,384 // d rows (128 KB per array), so the chain of
+    elementwise passes reads and writes blocks that stay in L2 rather
+    than whole (rows, d) arrays, which at a few thousand rows are
+    streamed from memory on every pass. Each element still sees the same
+    IEEE operations in the same order, so the bits do not depend on the
+    block size.
     """
+    block = max(1, _BLOCK_ELEMENTS // tables.d)
+    u_buf, s_buf = np.empty((block, tables.d)), np.empty((block, tables.d))
     updates = []
     for lang, (ids, g) in grads.items():
-        w_rows, acc_rows = tables.table(lang).matrix[ids], state.acc[lang][ids]
-        g_eff = config.lam * w_rows
-        g_eff += g
-        scratch = np.multiply(g_eff, g_eff)
-        acc_rows += scratch
-        g_eff *= config.step
-        g_eff /= np.sqrt(np.add(acc_rows, EPSILON, out=scratch), out=scratch)
-        w_rows -= g_eff
+        w_rows = tables.table(lang).matrix.take(ids, axis=0)
+        acc_rows = state.acc[lang].take(ids, axis=0)
+        for lo in range(0, len(ids), block):
+            hi = min(lo + block, len(ids))
+            w, acc, u, s = w_rows[lo:hi], acc_rows[lo:hi], u_buf[: hi - lo], s_buf[: hi - lo]
+            np.multiply(config.lam, w, out=u)
+            u += g[lo:hi]
+            acc += np.multiply(u, u, out=s)
+            u *= config.step
+            u /= np.sqrt(np.add(acc, EPSILON, out=s), out=s)
+            w -= u
+            if not (np.isfinite(w).all() and np.isfinite(acc).all()):
+                return False
         updates.append((lang, ids, w_rows, acc_rows))
-    if not all(np.isfinite(w).all() and np.isfinite(acc).all() for _, _, w, acc in updates):
-        return False
     for lang, ids, w_rows, acc_rows in updates:
         state.acc[lang][ids] = acc_rows
         tables.table(lang).matrix[ids] = w_rows
@@ -328,19 +343,6 @@ def _meta_key(name: str) -> str:
     return "lambda" if name == "lam" else name
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """A binary file open for writing that replaces `path` when the block completes.
-
-    The bytes go to path.tmp first, so an interrupted write never leaves
-    a partial file under the final name.
-    """
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        yield fh
-    os.replace(tmp, path)
-
-
 def checkpoint(
     tables: ModelBundle,
     state: AdaGradState,
@@ -361,41 +363,50 @@ def checkpoint(
     The write is safe against a killed process: meta.txt is removed first,
     every file is written under a .tmp name and renamed into place, and
     meta.txt comes last, so resume() accepts only a complete checkpoint.
-    Nothing is synced to disk, so a power loss is not covered. The text
-    form of a table comes from export_table (`jointvec export`).
+    A failed write (a full disk, say) removes its .tmp file and raises
+    UserError naming the file, and meta.txt stays absent. Nothing is
+    synced to disk, so a power loss is not covered. The text form of a
+    table comes from export_table (`jointvec export`).
     """
-    os.makedirs(path, exist_ok=True)
     meta_path = os.path.join(path, CHECKPOINT_META)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(meta_path)
+    try:
+        os.makedirs(path, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(meta_path)
+    except OSError as exc:
+        raise UserError(f"cannot write {path}: {exc}") from exc
     for lang in tables.languages:
-        with _replacing(os.path.join(path, f"{lang}.vocab")) as fh:
-            fh.write("".join(f"{t}\n" for t in tables.vocab(lang).tokens).encode("utf-8"))
+        tokens = tables.vocab(lang).tokens
+        with writing(os.path.join(path, f"{lang}.vocab"), "wb") as fh:
+            fh.write(("\n".join(tokens) + "\n" if tokens else "").encode("utf-8"))
         arrays = {f"{lang}.npy": tables.table(lang).matrix, f"{lang}.adagrad.npy": state.acc[lang]}
         for name, matrix in arrays.items():
-            with _replacing(os.path.join(path, name)) as fh:
+            with writing(os.path.join(path, name), "wb") as fh:
                 np.save(fh, matrix, allow_pickle=False)
     meta = {"languages": ",".join(tables.languages), "epoch": epoch, **dict(platform_facts())}
     for f in dataclasses.fields(TrainConfig):
         meta[_meta_key(f.name)] = getattr(config, f.name)
-    with _replacing(meta_path) as fh:
+    with writing(meta_path, "wb") as fh:
         fh.write("".join(f"{k}={format_setting(meta[k])}\n" for k in sorted(meta)).encode("utf-8"))
 
 
 def _read_vocab(path) -> Vocabulary:
     """The vocabulary of a .vocab file, one token per line; a repeated token fails."""
-    vocab = Vocabulary()
-    for lineno, token in enumerate(read_lines(path), start=1):
-        if vocab.add(token) != lineno - 1:
-            raise UserError(f"{path}:{lineno}: duplicate token {token!r}")
+    tokens = read_lines(path)
+    vocab = Vocabulary(tokens)
+    if len(vocab) != len(tokens):  # find the first repeat only to name its line
+        seen = set()
+        for lineno, token in enumerate(tokens, start=1):
+            if token in seen:
+                raise UserError(f"{path}:{lineno}: duplicate token {token!r}")
+            seen.add(token)
     return vocab
 
 
 def _reject_rows(path, vocab: Vocabulary, bad: np.ndarray, what: str) -> None:
     """Fail naming the first row flagged in `bad`; rows count from 1, as .vocab lines do."""
-    if bad.any():
-        row = int(bad.argmax())
-        raise UserError(f"{path}: row {row + 1} ({vocab.token(row)!r}) has {what}")
+    row = int(bad.argmax())
+    raise UserError(f"{path}: row {row + 1} ({vocab.token(row)!r}) has {what}")
 
 
 def _read_matrix(path, vocab_path, vocab: Vocabulary, reference=None) -> np.ndarray:
@@ -422,7 +433,8 @@ def _read_matrix(path, vocab_path, vocab: Vocabulary, reference=None) -> np.ndar
         raise UserError(
             f"{path} has width {matrix.shape[1]}, but {reference[0]} has width {reference[1]}"
         )
-    _reject_rows(path, vocab, ~np.isfinite(matrix).all(axis=1), "non-finite values")
+    if not np.isfinite(matrix).all():
+        _reject_rows(path, vocab, ~np.isfinite(matrix).all(axis=1), "non-finite values")
     return matrix
 
 
@@ -483,5 +495,7 @@ def resume(path):
         acc_path = os.path.join(path, f"{lang}.adagrad.npy")
         reference = (os.path.join(path, f"{lang}.npy"), bundle.d)
         acc[lang] = _read_matrix(acc_path, os.path.join(path, f"{lang}.vocab"), vocab, reference)
-        _reject_rows(acc_path, vocab, (acc[lang] < 0).any(axis=1), "negative accumulator entries")
+        if acc[lang].min(initial=0.0) < 0:
+            negative = (acc[lang] < 0).any(axis=1)
+            _reject_rows(acc_path, vocab, negative, "negative accumulator entries")
     return bundle, AdaGradState(acc=acc), config, epoch

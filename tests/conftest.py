@@ -244,6 +244,13 @@ def _duplicate_token(path) -> None:
     path.write_text("".join(f"{t}\n" for t in tokens), encoding="utf-8")
 
 
+def _duplicate_token_apart(path) -> None:
+    """Line 4 repeats line 1, with two other tokens between them."""
+    tokens = path.read_text(encoding="utf-8").splitlines()
+    tokens[3] = tokens[0]
+    path.write_text("".join(f"{t}\n" for t in tokens), encoding="utf-8")
+
+
 def _wider(path) -> None:
     _rewrite_array(path, lambda m: np.hstack([m, m[:, :1]]))
 
@@ -276,6 +283,7 @@ HOSTILE_CHECKPOINTS = {
     "nan_row_2": ("la.npy", _set_row_2(np.nan), True, ": row 2 ("),
     "negative_accumulator": ("la.adagrad.npy", _set_row_2(-1.0), False, ": row 2 ("),
     "duplicate_token": ("la.vocab", _duplicate_token, True, ":2: duplicate token"),
+    "duplicate_token_apart": ("la.vocab", _duplicate_token_apart, True, ":4: duplicate token"),
     "missing_meta": ("meta.txt", lambda p: p.unlink(), True, ""),
     "missing_vocab": ("lb.vocab", lambda p: p.unlink(), True, ""),
     "meta_width": ("meta.txt", _set_meta("d", "5"), True, ": d=5, but "),

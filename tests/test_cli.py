@@ -1,3 +1,5 @@
+import errno
+import os
 import re
 import shutil
 import subprocess
@@ -311,6 +313,67 @@ def test_out_that_is_a_file_is_user_error_before_any_work(fast_corpus, trained, 
     rc, stdout, err = run_cli([*argv, "--out", ""], capsys)
     assert rc == 1 and "--out is empty" in err
     assert "Traceback" not in err and stdout == ""
+
+
+# (command, the call that fails, the file it was writing): each writer of each
+# subcommand, the checkpoint's first and last files among them
+WRITE_FAULTS = [
+    ("train", "np.save", "la.npy"),
+    ("train", "os.replace", "la.vocab"),
+    ("train", "os.replace", "lb.adagrad.npy"),
+    ("train", "os.replace", "meta.txt"),
+    ("train", "os.replace", "manifest.txt"),
+    ("train", "os.replace", "loss_log.tsv"),
+    ("eval cldc", "os.replace", "report_all.tsv"),
+    ("query", "os.replace", "neighbors.tsv"),
+    ("export", "os.replace", "lb.emb"),
+]
+
+
+@pytest.mark.parametrize("command, call, name", WRITE_FAULTS)
+def test_full_disk_is_user_error_naming_the_file(fast_corpus, trained, la_token, tmp_path,
+                                                 monkeypatch, command, call, name, capsys):
+    """A write that fails with ENOSPC ends in exit 1 naming the file and leaves no .tmp file.
+
+    A checkpoint cut short has no meta.txt, so resume() refuses it.
+    """
+    out = tmp_path / "out"
+    la_docs, lb_docs = f"la:{fast_corpus / 'la.docs'}", f"lb:{fast_corpus / 'lb.docs'}"
+    argv = {
+        "train": train_args(fast_corpus, out)[:-2],  # without its --out
+        "eval cldc": ["eval", "cldc", "--model", trained, "--train", la_docs, "--test", lb_docs],
+        "query": ["query", "--model", trained, "--word", f"la:{la_token}"],
+        "export": ["export", "--model", trained, "--lang", "lb"],
+    }[command]
+    target = out / name
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    if call == "np.save":
+        save = np.save
+
+        def failing(fh, *args, **kwargs):
+            if fh.name == f"{target}.tmp":
+                raise full
+            return save(fh, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", failing)
+    else:
+        replace = os.replace
+
+        def failing(src, dst):
+            if str(dst) == str(target):
+                raise full
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+    rc, _, err = run_cli([*argv, "--out", out], capsys)
+    monkeypatch.undo()
+    assert rc == 1, err
+    assert f"cannot write {target}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}" in err
+    assert "Traceback" not in err
+    assert not target.exists() and not list(out.glob("*.tmp"))
+    if name in (*CHECKPOINT_FILES, "meta.txt", "manifest.txt") and command == "train":
+        with pytest.raises(UserError, match=re.escape(str(out / "meta.txt"))):
+            resume(out)
 
 
 def _vocab_tokens(path):

@@ -146,24 +146,81 @@ def test_adagrad_rejects_non_finite_without_mutating():
 
 
 def test_adagrad_overflow_in_one_language_writes_no_language():
-    """Language a's update is finite, b's overflows from finite gradients: neither is written."""
-    bundle = make_bundle({"a": 3, "b": 3}, 2, seed=4)
-    state = AdaGradState(bundle)
-    state.acc["b"][:] = 1.0
-    config = TrainConfig(d=2, margin=1.0, lam=1.0)
-    before = {lang: (bundle.table(lang).matrix.copy(), state.acc[lang].copy()) for lang in "ab"}
-    grads = {
-        "a": (np.array([0, 2]), np.full((2, 2), 0.5)),
-        "b": (np.array([1]), np.array([[1e200, -1e200]])),  # its square overflows b's G
-    }
-    with np.errstate(over="ignore", invalid="ignore"):  # as train_joint runs it
-        assert adagrad_apply(bundle, grads, state, config) is False
-    for lang, (table, acc) in before.items():
-        assert np.array_equal(bundle.table(lang).matrix, table)
-        assert np.array_equal(state.acc[lang], acc)
-    # language a alone updates: its rows were finite all along
-    assert adagrad_apply(bundle, {"a": grads["a"]}, state, config) is True
-    assert not np.array_equal(bundle.table("a").matrix, before["a"][0])
+    """Language a's update is finite, b's overflows from finite gradients: neither is written.
+
+    In the second input b's overflowing row is at index 129 of 2 * 128 + 3 touched
+    rows at d = 128: in the second block, after a whole block computed finite
+    and before a third that is finite again.
+    """
+    for d, n_b in [(2, 1), (128, 2 * 128 + 3)]:
+        bundle = make_bundle({"a": 3, "b": n_b + 2}, d, seed=4)
+        state = AdaGradState(bundle)
+        state.acc["b"][:] = 1.0
+        config = TrainConfig(d=d, margin=1.0, lam=1.0)
+        before = {lang: (bundle.table(lang).matrix.copy(), state.acc[lang].copy()) for lang in "ab"}
+        g_b = np.full((n_b, d), 0.5)
+        g_b[n_b // 2, :2] = [1e200, -1e200]  # its square overflows b's G
+        grads = {
+            "a": (np.array([0, 2]), np.full((2, d), 0.5)),
+            "b": (np.arange(1, n_b + 1), g_b),
+        }
+        with np.errstate(over="ignore", invalid="ignore"):  # as train_joint runs it
+            assert adagrad_apply(bundle, grads, state, config) is False
+        for lang, (table, acc) in before.items():
+            assert np.array_equal(bundle.table(lang).matrix, table)
+            assert np.array_equal(state.acc[lang], acc)
+        # language a alone updates: its rows were finite all along
+        assert adagrad_apply(bundle, {"a": grads["a"]}, state, config) is True
+        assert not np.array_equal(bundle.table("a").matrix, before["a"][0])
+
+
+def _adagrad_unblocked(w, acc, g, lam, step):
+    """New (rows, accumulators) of one language, by whole-array passes in adagrad_apply's order."""
+    w, acc = w.copy(), acc.copy()
+    g_eff = lam * w
+    g_eff += g
+    scratch = np.multiply(g_eff, g_eff)
+    acc += scratch
+    g_eff *= step
+    g_eff /= np.sqrt(np.add(acc, 1e-6, out=scratch), out=scratch)
+    w -= g_eff
+    return w, acc
+
+
+@st.composite
+def _adagrad_block_edges(draw):
+    """(d, touched rows, lam, step, seed), with the rows at an edge of 16,384 // d row blocks."""
+    d = draw(st.sampled_from([1, 3, 128, 200]))
+    b = max(1, 16384 // d)
+    n = draw(st.sampled_from([1, b - 1, b, b + 1, 2 * b + 3]))
+    lam = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    step = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    return d, n, lam, step, draw(st.integers(0, 2**32 - 1))
+
+
+@given(case=_adagrad_block_edges())
+@settings(max_examples=60, deadline=None)
+def test_adagrad_blocks_equal_whole_array_passes_bit_for_bit(case):
+    d, n, lam, step, seed = case
+    rng = np.random.default_rng(seed)
+    v = n + 5
+    bundle = make_bundle({"a": v}, d, seed=seed)
+    bundle.table("a").matrix *= rng.choice([1e-3, 1.0, 1e3])
+    state = AdaGradState(acc={"a": rng.exponential(size=(v, d))})
+    ids = rng.permutation(v)[:n]  # unique, in no particular order
+    g = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3])
+    g_copy = g.copy()
+    want_w, want_acc = bundle.table("a").matrix.copy(), state.acc["a"].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows, accs = _adagrad_unblocked(want_w[ids], want_acc[ids], g, lam, step)
+        finite = bool(np.isfinite(rows).all() and np.isfinite(accs).all())
+        if finite:
+            want_w[ids], want_acc[ids] = rows, accs
+        config = TrainConfig(d=d, margin=1.0, lam=lam, step=step)
+        assert adagrad_apply(bundle, {"a": (ids, g)}, state, config) is finite
+    assert np.array_equal(bundle.table("a").matrix, want_w)
+    assert np.array_equal(state.acc["a"], want_acc)
+    assert np.array_equal(g, g_copy)
 
 
 def test_adagrad_fixed_point_with_zero_lambda_and_grads():
@@ -812,7 +869,10 @@ def test_damaged_checkpoint_is_checkpoint_error_naming_file(tmp_path, case):
 
 
 def test_interrupted_checkpoint_is_refused(tmp_path, monkeypatch):
-    """A write that dies after its first array leaves a directory resume() refuses."""
+    """A write that dies after its first array leaves a directory resume() refuses.
+
+    The failure is a UserError naming the file, and leaves no .tmp file.
+    """
     corpus, bundle, config = _toy_setup()
     state = AdaGradState(bundle)
     checkpoint(bundle, state, tmp_path, config, epoch=0)
@@ -829,9 +889,11 @@ def test_interrupted_checkpoint_is_refused(tmp_path, monkeypatch):
         return save(*args, **kwargs)
 
     monkeypatch.setattr(np, "save", failing_save)
-    with pytest.raises(OSError, match="disk went away"):
+    failed = re.escape(f"cannot write {tmp_path / 'la.adagrad.npy'}: disk went away")
+    with pytest.raises(UserError, match=failed):
         checkpoint(bundle, state, tmp_path, config, epoch=config.epochs)
     monkeypatch.undo()
+    assert not list(tmp_path.glob("*.tmp"))
     meta = tmp_path / "meta.txt"
     with pytest.raises(UserError, match=re.escape(str(meta))):
         resume(tmp_path)
