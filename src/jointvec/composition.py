@@ -77,20 +77,16 @@ def segment_sums(x: np.ndarray, lengths: np.ndarray, starts: np.ndarray, rows=No
     """
     order = lengths.argsort()  # shortest first: the segments running at j form a suffix
     firsts = starts.take(order)
-    ascending = lengths.take(order).tolist()
-    n_seg = len(ascending)
+    by_length = lengths.take(order)
+    ascending, n_seg = by_length.tolist(), len(by_length)
     # stop after `split` positions, where positions plus segments left is
     # least: n positions leave the k segments longer than the k-th longest
-    # n; k segments left cost at least k + 1, so the scan ends early
-    split = best = ascending[-1]
-    for k, n in enumerate(reversed(ascending)):
-        if best <= k + 1:
-            break
-        if n + k < best:
-            split, best = n, n + k
-    else:
-        if n_seg + 1 < best:  # one position, every segment left
-            split = 1
+    # n, or one position leaves every segment; the first minimum wins. Each
+    # n is >= 1, so no k at or past the longest length beats k = 0
+    longest = by_length[::-1][: ascending[-1]]
+    cost = longest + np.arange(len(longest))
+    k = int(cost.argmin())
+    split = 1 if n_seg + 1 < cost[k] else ascending[-1 - k]
     sums = x.take(firsts if rows is None else rows.take(firsts), axis=0)
     ended = 0
     for j in range(1, split):

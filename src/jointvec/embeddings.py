@@ -161,17 +161,23 @@ def import_table(path, language: str = "") -> tuple[Vocabulary, EmbeddingTable]:
         v, d = int(header[0]), int(header[1])
     except ValueError:
         raise UserError(f"{path}: non-integer header {lines[0]!r}") from None
+    if v < 0 or d < 1:
+        raise UserError(f"{path}: header needs V >= 0 and d >= 1, got {lines[0]!r}")
     body = [ln for ln in lines[1:] if ln]
     if len(body) != v:
         raise UserError(f"{path}: header promises {v} rows, found {len(body)}")
-    vocab = Vocabulary()
-    matrix = np.empty((v, d), dtype=np.float64)
+    try:  # with no rows, d is bounded only by numpy's largest shape
+        vocab, matrix = Vocabulary(), np.empty((0, d))
+    except ValueError:
+        raise UserError(f"{path}: header dimension {d} is too large") from None
     for row_no, line in enumerate(body):
         parts = line.split()
         if len(parts) != d + 1:
             raise UserError(
                 f"{path}: row {row_no + 1} has {len(parts) - 1} values, expected {d}"
             )
+        if not row_no:  # d is the width of a row read: the matrix is no larger than the file
+            matrix = np.empty((v, d))
         word = parts[0]
         if word in vocab:
             raise UserError(f"{path}: duplicate word {word!r}")

@@ -10,12 +10,14 @@ share one pipeline, which composes each language once for all its pairs.
 Single-label tasks report accuracy, multi-label tasks micro-F1 (macro-F1
 alongside); a majority-class baseline row accompanies every run.
 
-The multiclass perceptron and each one-vs-rest member share one training
-loop. It scores a block of the examples ahead against the current
-weights and jumps to the block's first mistake, so numpy is called per
-block and per mistake, not per example. The block's scores round as
-per-example products do, so the classifiers keep the bits of a loop that
-scores one example at a time.
+One perceptron type serves both tasks: (C, d+1) weights make a multiclass
+classifier, (d+1,) weights one one-vs-rest member. They share one
+training loop, which scores a block of the examples ahead against the
+current weights and jumps to the block's first mistake, so numpy is
+called per block and per mistake, not per example. Training and
+prediction form every score through `_predict`, whose stacked products
+round as per-example products do, so the classifiers keep the bits of a
+loop that scores one example at a time.
 """
 
 from collections import Counter
@@ -85,21 +87,33 @@ def _add_bias(xs) -> np.ndarray:
     return np.column_stack([np.asarray(xs, dtype=float), np.ones(len(xs))])
 
 
+def _predict(w, xs) -> np.ndarray:
+    """Per row of `xs`, bias column included: the class id for (C, d+1) weights `w`,
+    exact ties to the lowest id, or whether the score is > 0 for (d+1,) weights `w`.
+
+    Training and prediction form every perceptron score here, as stacked
+    products that round as one example's product does: `w @ xs[:, :, None]`
+    is one gemv per row, as `w @ x`, and `xs[:, None, :] @ w` one dot per
+    row, as `float(w @ x)`. One gemm over all rows would round otherwise,
+    and could split over BLAS threads.
+    """
+    if w.ndim == 2:
+        return (w @ xs[:, :, None]).argmax(axis=1)[:, 0]
+    return (xs[:, None, :] @ w)[:, 0] > 0.0
+
+
 @dataclass
 class PerceptronModel:
-    """Multiclass averaged perceptron: (C, d+1) weights, bias in the last column."""
+    """Averaged perceptron, bias in the last weight column: (C, d+1) weights
+    predict a class id, (d+1,) weights whether a one-vs-rest label applies."""
 
     weights: np.ndarray
     averaged: np.ndarray
     updates: int
 
     def predict(self, xs: np.ndarray) -> np.ndarray:
-        """Class id per row of the (n, d) matrix `xs`; exact ties go to the lowest id.
-
-        Stacked matrix-vector products give the per-row `averaged @ [x, 1]`
-        bit for bit; one gemm `xs @ averaged.T` would round differently.
-        """
-        return np.argmax(self.averaged @ _add_bias(xs)[:, :, None], axis=1)[:, 0]
+        """The prediction per row of the (n, d) matrix `xs` (see `_predict`)."""
+        return _predict(self.averaged, _add_bias(xs))
 
 
 def train_multiclass(xs, ys, epochs: int = 10, seed: int = 0) -> PerceptronModel:
@@ -107,9 +121,7 @@ def train_multiclass(xs, ys, epochs: int = 10, seed: int = 0) -> PerceptronModel
 
     Learning rate 1; on a mistake the true class gains the example and the
     predicted class loses it. The weight matrix is snapshotted after every
-    example (updated or not) and the snapshot mean is what predicts. The
-    examples are scored in blocks (`_averaged_perceptron`), with the bits of
-    a loop that scores one example at a time.
+    example (updated or not) and the snapshot mean is what predicts.
     """
     xs, ys = _add_bias(xs), np.asarray(ys, dtype=int)
     if not len(xs):
@@ -118,8 +130,7 @@ def train_multiclass(xs, ys, epochs: int = 10, seed: int = 0) -> PerceptronModel
     if len(classes) < 2:
         raise UserError(f"need at least 2 classes, got {classes.tolist()}")
     w = np.zeros((int(classes[-1]) + 1, xs.shape[1]))
-    averaged, updates = _averaged_perceptron(xs, ys, w, epochs, seed)
-    return PerceptronModel(w, averaged, updates)
+    return _averaged_perceptron(xs, ys, w, epochs, seed)
 
 
 # Rows scored ahead in a classifier's first block, and at most: a clean
@@ -127,26 +138,20 @@ def train_multiclass(xs, ys, epochs: int = 10, seed: int = 0) -> PerceptronModel
 _FIRST_BLOCK, _LAST_BLOCK = 8, 512
 
 
-def _averaged_perceptron(xs, ys, w, epochs: int, seed: int) -> tuple:
-    """Train the weights `w` in place; return the mean of their snapshots and the update count.
+def _averaged_perceptron(xs, ys, w, epochs: int, seed: int) -> PerceptronModel:
+    """Train the weights `w` in place from the rows of `xs` (bias column included).
 
-    `w` is (C, d+1) for a multiclass perceptron, which predicts the argmax
-    class, or (d+1,) for a binary one, which predicts score > 0. Each epoch
-    visits the rows of `xs` in one `permutation` of `default_rng(seed)`.
-    The rows ahead are scored as one block against the current weights,
-    and the walk jumps to the block's first mistake; after an update, the
-    next block starts at the row behind it. So numpy is called per block
-    and per mistake, and a visit costs only the snapshot sum's `acc += w`,
-    which stays one add per visit, in visiting order.
-
-    The bits are those of a loop that scores one example at a time. Each
-    block score is a stacked product that rounds as that loop's product
-    does: multiclass `w @ block[:, :, None]` is one gemv per row, as
-    `w @ x`; binary `block[:, None, :] @ w` is one dot per row, as
-    `float(w @ x)`. One gemm over the block would round differently.
+    `w` is (C, d+1) for a multiclass perceptron or (d+1,) for a binary one.
+    Each epoch visits the rows of `xs` in one `permutation` of
+    `default_rng(seed)`. The rows ahead are scored as one block against
+    the current weights (`_predict`), and the walk jumps to the block's
+    first mistake; after an update, the next block starts at the row
+    behind it. So numpy is called per block and per mistake, and a visit
+    costs only the snapshot sum's `acc += w`, which stays one add per
+    visit, in visiting order: the bits of a loop that scores one example
+    at a time.
     """
     n = len(xs)
-    multiclass = w.ndim == 2
     acc = np.zeros_like(w)
     updates, size = 0, _FIRST_BLOCK
     rng = np.random.default_rng(seed)
@@ -156,10 +161,7 @@ def _averaged_perceptron(xs, ys, w, epochs: int, seed: int) -> tuple:
         p = 0
         while p < n:
             block = xs[order[p : p + size]]
-            if multiclass:
-                pred = (w @ block[:, :, None]).argmax(axis=1)[:, 0]
-            else:
-                pred = (block[:, None, :] @ w)[:, 0] > 0.0
+            pred = _predict(w, block)
             wrong = pred != labels[p : p + size]
             k = int(wrong.argmax()) if wrong.any() else len(block)
             for _ in range(k):  # the visits before the first mistake
@@ -169,7 +171,7 @@ def _averaged_perceptron(xs, ys, w, epochs: int, seed: int) -> tuple:
                 size = min(2 * size, _LAST_BLOCK)
                 continue
             x, y = block[k], labels[p]
-            if multiclass:
+            if w.ndim == 2:
                 w[y] += x
                 w[pred[k]] -= x
             else:
@@ -178,29 +180,16 @@ def _averaged_perceptron(xs, ys, w, epochs: int, seed: int) -> tuple:
             updates += 1
             p += 1
             size = max(size // 2, 1)
-    return acc / (epochs * n), updates
-
-
-@dataclass
-class BinaryPerceptron:
-    """One-vs-rest member: positive iff the averaged score is > 0."""
-
-    averaged: np.ndarray
-
-    def predict(self, xs: np.ndarray) -> np.ndarray:
-        """Per row of the (n, d) matrix `xs`, bit for bit `float(averaged @ [x, 1]) > 0`.
-
-        Stacked vector products round as the per-row product; a gemv would not.
-        """
-        return (_add_bias(xs)[:, None, :] @ self.averaged)[:, 0] > 0.0
+    return PerceptronModel(w, acc / (epochs * n), updates)
 
 
 def train_multilabel(xs, label_sets: list, universe: set, epochs: int = 10, seed: int = 0) -> dict:
     """One-vs-rest averaged perceptrons over the (n, d) matrix `xs`, row i labelled `label_sets[i]`.
 
-    Labels train independently with per-label derived seeds. A label with no
-    positive examples keeps zero weights, so it is never predicted; CLDC's
-    universe holds only labels of its training documents, so it has none.
+    Labels train independently with per-label derived seeds, each into a
+    `PerceptronModel` with (d+1,) weights. A label with no positive
+    examples keeps zero weights, so it is never predicted; CLDC's universe
+    holds only labels of its training documents, so it has none.
     """
     if not universe:
         raise UserError("empty label universe")
@@ -211,8 +200,7 @@ def train_multilabel(xs, label_sets: list, universe: set, epochs: int = 10, seed
     for li, label in enumerate(sorted(universe)):
         ys = np.array([label in labels for labels in label_sets])
         w = np.zeros(xs.shape[1])
-        averaged, _ = _averaged_perceptron(xs, ys, w, epochs, derive_seed(seed, li))
-        models[label] = BinaryPerceptron(averaged)
+        models[label] = _averaged_perceptron(xs, ys, w, epochs, derive_seed(seed, li))
     return models
 
 

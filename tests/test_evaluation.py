@@ -11,7 +11,6 @@ from jointvec.corpus import LabeledDocument, Sentence
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary, derive_seed
 from jointvec.errors import ContractError, UserError
 from jointvec.evaluation import (
-    BinaryPerceptron,
     EvalReport,
     EvalRow,
     PerceptronModel,
@@ -275,7 +274,7 @@ def test_batched_predict_matches_per_row_products(d):
         multi = PerceptronModel(np.zeros_like(averaged), averaged, 0).predict(xs)
         assert multi.tolist() == _per_row_multiclass(averaged, xs)
         for w in averaged:
-            binary = BinaryPerceptron(w).predict(xs)
+            binary = PerceptronModel(w, w, 0).predict(xs)
             assert binary.tolist() == _per_row_binary(w, xs)
     # every tie row scores classes 0-2 alike and 3-5 alike: the lowest id wins
     assert set(PerceptronModel(tie_w, tie_w, 0).predict(tie_xs)) <= {0, 3}

@@ -1,7 +1,9 @@
 """Hostile input: every reader either loads a file or raises UserError naming it.
 
-Text inputs are drawn from the characters the formats give a meaning to
-(TAB, " ||| ", commas, `=`, `#`, CR/LF and U+0085) plus invalid UTF-8.
+Text inputs (corpora, documents, configs, embedding tables) are drawn
+from the characters the formats give a meaning to (TAB, " ||| ", commas,
+`=`, `#`, CR/LF and U+0085) plus invalid UTF-8; embedding tables also
+get a header from `_TABLE_HEADERS`.
 Checkpoints are damaged a few bytes at a time: truncated, or 1-5 bytes
 flipped or inserted anywhere in one file. Any exception other than
 UserError, or a UserError that does not name the damaged file, fails.
@@ -11,13 +13,13 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointvec.cli import _TRAIN, load_config_file
 from jointvec.composition import CompositionKind
 from jointvec.corpus import load_document_pairs, load_documents, load_parallel
-from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary
+from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary, import_table
 from jointvec.errors import UserError
 from jointvec.training import AdaGradState, TrainConfig, checkpoint, load_model, resume
 
@@ -69,6 +71,20 @@ def test_document_file_loads_or_names_the_file(workdir, data):
     path = workdir / "eval.docs"
     path.write_bytes(data)
     _loads_or_names(path, lambda: load_documents(path, Vocabulary(["a", "b"])))
+
+
+# no header, or one that promises no rows, a negative width, or a width no row has
+_TABLE_HEADERS = [b"", b"0 5\n", b"1 -1\n", b"1 99999999999999\n", b"0 10000000000000000000000\n"]
+
+
+@given(header=st.sampled_from(_TABLE_HEADERS), data=hostile_text)
+@example(header=b"1 -1\n", data=b"a 7\n")
+@example(header=b"1 99999999999999\n", data=b"a 7\n")
+@settings(max_examples=100, deadline=None)
+def test_embedding_file_loads_or_names_the_file(workdir, header, data):
+    path = workdir / "la.emb"
+    path.write_bytes(header + data)
+    _loads_or_names(path, lambda: import_table(path))
 
 
 @given(data=hostile_text)

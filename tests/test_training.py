@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import math
 import os
@@ -5,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import reference_model as ref
 
-from jointvec import synth
+from jointvec import synth, training
 from jointvec.composition import CompositionKind, compose
 from jointvec.corpus import (
     DocumentCorpus,
@@ -620,6 +622,29 @@ def test_batches_reuse_freed_pages_across_runs():
     assert len(faults) == 4
     # unpinned, each run faults in about 7,000 pages (28 MB)
     assert max(faults[1:]) < 200, faults
+
+
+@pytest.mark.parametrize("libc", ["glibc 2.36", "musl", None, ValueError, AttributeError])
+def test_malloc_thresholds_are_pinned_under_glibc_only(monkeypatch, libc):
+    """Under glibc: M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 64 MiB.
+    Under any other libc, or where os.confstr cannot say, mallopt is not called."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def confstr(name):
+        assert name == "CS_GNU_LIBC_VERSION"
+        if isinstance(libc, type):
+            raise libc(name)
+        return libc
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(os, "confstr", confstr)
+    training._keep_freed_pages.__wrapped__()
+    want = [(-3, 32 * 2**20), (-1, 64 * 2**20)] if libc == "glibc 2.36" else []
+    assert calls == want
 
 
 # Trains an ADD sentence run and a BI document run with the sentence signal at
