@@ -58,6 +58,15 @@ def _as_matrix(inputs) -> np.ndarray:
 # Rows per `np.add.accumulate` when segment_sums runs over segments: its
 # buffer stays (_CHUNK, d), 128 KB at d = 128, however long a segment is.
 _CHUNK = 128
+# Elements per row block of a pass that works through a (rows, d) array
+# block by block (AdaGrad's update, a query's row sums): 128 KB of
+# float64, well inside L2.
+_BLOCK_ELEMENTS = 16384
+
+
+def _block_rows(d: int) -> int:
+    """Rows per block of such a pass over rows of d values: at least one."""
+    return max(1, _BLOCK_ELEMENTS // max(d, 1))
 
 
 def segment_sums(x: np.ndarray, lengths: np.ndarray, starts: np.ndarray, rows=None) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import CompositionKind
+from .composition import CompositionKind, _block_rows
 from .corpus import read_lines, writing
 from .errors import ContractError, UserError
 
@@ -208,9 +208,15 @@ def nearest_neighbors(
     better. The query token itself is excluded; exact score ties order by
     (language, token).
 
-    Each target table is scored in one array pass. Only its rows scoring at
-    or above the table's n-th best score reach the final sort, so every row
-    tied with that cut competes on (language, token).
+    Each target table is scored with one gemv, `mat @ vq`, over all its
+    rows. Its per-row sums of squares (cosine) or of squared differences
+    (Euclidean) are formed max(1, 16,384 // d) rows at a time in one
+    preallocated (block, d) buffer, so no (V, d) temporary is made; each
+    row's sum is the same reduction over its own d values that
+    `np.linalg.norm(x, axis=1)` forms, so the bits do not depend on the
+    block. Only the rows scoring at or above the table's n-th best score
+    reach the final sort, so every row tied with that cut competes on
+    (language, token).
     """
     if metric not in ("cosine", "euclidean"):
         raise UserError(f"unknown metric {metric!r}")
@@ -221,17 +227,26 @@ def nearest_neighbors(
     tables = [bundle.table(lang) for lang in langs]
     if n <= 0:
         return []
+    block = _block_rows(len(vq))
+    buf = np.empty((block, len(vq)))
     candidates = []
     for lang, table in zip(langs, tables):
         mat = table.matrix
-        # np.linalg.norm's own sums, spelled out so one (V, d) temporary suffices.
+        sums = np.empty(len(mat))
+        for lo in range(0, len(mat), block):
+            x = mat[lo : lo + block]
+            part = buf[: len(x)]
+            if metric == "cosine":
+                np.multiply(x, x, out=part)
+            else:
+                np.subtract(x, vq, out=part)
+                part *= part
+            np.add.reduce(part, axis=1, out=sums[lo : lo + len(x)])
         if metric == "cosine":
-            norms = np.sqrt(np.add.reduce(mat * mat, axis=1)) * np.linalg.norm(vq)
+            norms = np.sqrt(sums) * np.linalg.norm(vq)
             scores = np.divide(mat @ vq, norms, out=np.zeros(len(mat)), where=norms > 0)
         else:
-            diff = mat - vq
-            diff *= diff
-            scores = -np.sqrt(np.add.reduce(diff, axis=1))
+            scores = -np.sqrt(sums)
         rows = np.arange(len(scores))
         if lang == lang_q:
             rows = np.delete(rows, row_q)

@@ -3,10 +3,12 @@
 Documents become vectors (sentence-average or the two-stage compositional
 form), an averaged perceptron trains on one language's documents, and the
 resulting classifier is scored on another language's documents with no
-target-language supervision. A language's documents compose, through the
-segmented `compose` that training uses, into one (n, d) matrix that the
-perceptrons train on and predict from. `cldc_run` and `transfer_matrix`
-share one pipeline, which composes each language once for all its pairs.
+target-language supervision. A language's documents compose, by the sums
+training uses, into one (n, d) matrix that the perceptrons train on and
+predict from: ADD sentences are summed straight from the table's rows,
+read by index, and BI sentences by the segmented `compose` over their
+gathered rows. `cldc_run` and `transfer_matrix` share one pipeline,
+which composes each language once for all its pairs.
 Single-label tasks report accuracy, multi-label tasks micro-F1 (macro-F1
 alongside); a majority-class baseline row accompanies every run.
 
@@ -34,8 +36,10 @@ from .errors import ContractError, UserError
 LEVELS = ("sentence-average", "doc-cvm")
 
 
-# Tokens per block of documents: keeps each compose call's (tokens, d)
-# temporaries near 1 MB at d = 128, and no slower than one call for all.
+# Rows per block of documents: sentences under ADD, whose arrays are
+# (sentences, d), and tokens under BI, whose are (tokens, d). Keeps each
+# block's temporaries near 1 MB at d = 128, and is no slower than one
+# call for all documents, whose temporaries grow with their number.
 _ROWS_PER_CALL = 1024
 
 
@@ -47,12 +51,15 @@ def represent_documents(
 ) -> np.ndarray:
     """Map the documents to an (n, d) float64 matrix, row i for `docs[i]`.
 
-    Documents are packed once and composed in blocks of whole documents:
-    one segmented `compose` over a block's sentences, then one
-    `segment_sums` mean (sentence-average) or one more `compose`
-    (doc-cvm) over their vectors. Every sum adds its rows in row order, as
-    in training, so a document's vector does not depend on the others
-    passed with it. Errors name the first faulty document.
+    Documents are packed once and composed in blocks of whole documents.
+    A block's sentences are composed in one call: under ADD by
+    `segment_sums` reading the table's rows by index, so no (tokens, d)
+    array is formed, and under BI by one segmented `compose` over the
+    gathered rows. Then one `segment_sums` mean (sentence-average) or one
+    more `compose` (doc-cvm) runs over their vectors. Every sum adds its
+    rows in row order, as in training, so a document's vector does not
+    depend on the others passed with it. Errors name the first faulty
+    document.
     """
     if level not in LEVELS:
         raise UserError(f"unknown representation level {level!r}")
@@ -61,15 +68,20 @@ def represent_documents(
         raise UserError(f"document {empty[0]!r} has no representable sentence")
     packed = pack_documents([doc.sentences for doc in docs])
     doc_starts, sent_starts = packed.doc_starts, packed.sent_starts
-    first_token = sent_starts[doc_starts]
+    add = kind is CompositionKind.ADD
+    first_row = doc_starts if add else sent_starts[doc_starts]
     # a block starts at each document that holds a multiple of _ROWS_PER_CALL
-    cuts = np.searchsorted(first_token, np.arange(0, first_token[-1], _ROWS_PER_CALL), "right") - 1
+    cuts = np.searchsorted(first_row, np.arange(0, first_row[-1], _ROWS_PER_CALL), "right") - 1
     cuts = np.append(np.unique(cuts), len(docs))
     vecs = np.empty((len(docs), table.d))
     for a, b in zip(cuts[:-1], cuts[1:]):
         s, e = doc_starts[a], doc_starts[b]
-        rows = table.matrix[packed.ids[sent_starts[s] : sent_starts[e]]]
-        sents = compose(rows, kind, np.diff(sent_starts[s : e + 1])).output
+        lengths = np.diff(sent_starts[s : e + 1])
+        if add:
+            sents = segment_sums(table.matrix, lengths, sent_starts[s:e], rows=packed.ids)
+        else:
+            rows = table.matrix[packed.ids[sent_starts[s] : sent_starts[e]]]
+            sents = compose(rows, kind, lengths).output
         n_sents = np.diff(doc_starts[a : b + 1])
         if level == "sentence-average":
             vecs[a:b] = segment_sums(sents, n_sents, doc_starts[a:b] - s) / n_sents[:, None]

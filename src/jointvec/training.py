@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .composition import CompositionKind
+from .composition import CompositionKind, _block_rows
 from .corpus import (
     DocumentCorpus,
     gather_ranges,
@@ -39,7 +39,6 @@ from .objective import batch_loss_and_grads, platform_facts
 
 CHECKPOINT_META = "meta.txt"
 EPSILON = 1e-6  # AdaGrad's denominator floor
-_BLOCK_ELEMENTS = 16384  # elements per AdaGrad block: 128 KB of float64, well inside L2
 MODES = ("single", "joint")
 # glibc mallopt parameters, and the ceiling of glibc's own dynamic mmap
 # threshold on 64-bit hosts (DEFAULT_MMAP_THRESHOLD_MAX)
@@ -139,7 +138,7 @@ def adagrad_apply(tables: ModelBundle, grads: dict, state: AdaGradState, config:
     IEEE operations in the same order, so the bits do not depend on the
     block size.
     """
-    block = max(1, _BLOCK_ELEMENTS // tables.d)
+    block = _block_rows(tables.d)
     u_buf, s_buf = np.empty((block, tables.d)), np.empty((block, tables.d))
     updates = []
     for lang, (ids, g) in grads.items():

@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointvec.composition import CompositionKind
+from jointvec.composition import CompositionKind, _block_rows
 from jointvec.embeddings import (
     EmbeddingTable,
     ModelBundle,
@@ -291,6 +292,36 @@ def test_nearest_neighbors_scores_bit_identical_on_gaussian_tables(metric):
         for target, n in (("all", 9), ("en", 3), ("fr", 200)):
             expected = _brute_force_neighbors(bundle, ("en", token), n, target, metric)
             assert nearest_neighbors(bundle, ("en", token), n, target, metric) == expected
+
+
+@pytest.mark.parametrize("d", [37, 128, 200])
+def test_nearest_neighbors_bits_across_row_blocks(d):
+    # Row sums run in blocks of b = 16384 // d rows; tables of b - 1, b, b + 1
+    # and 2b + 3 rows end before, at and past a block boundary.
+    b = _block_rows(d)
+    sizes = {"de": b - 1, "en": b, "fr": b + 1, "it": 2 * b + 3}
+    bundle = make_bundle(sizes, d, seed=d)
+    pool = sum(sizes.values())
+    for lang_q in ("en", "it"):
+        for token in bundle.vocab(lang_q).tokens[:: b // 2]:
+            for metric in ("cosine", "euclidean"):
+                for target in ("all", lang_q, "fr"):
+                    for n in (5, pool):
+                        query = (lang_q, token)
+                        expected = _brute_force_neighbors(bundle, query, n, target, metric)
+                        assert nearest_neighbors(bundle, query, n, target, metric) == expected
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_nearest_neighbors_forms_no_table_sized_temporary(metric):
+    bundle = make_bundle({"de": 20_000, "en": 20_000}, 128, seed=3)
+    tracemalloc.start()
+    try:
+        nearest_neighbors(bundle, ("en", "en7"), 10, "all", metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # each table is 20 MB
 
 
 def test_make_bundle_helper_shares_dimension():

@@ -15,6 +15,7 @@ from jointvec.evaluation import (
     EvalRow,
     PerceptronModel,
     TSV_HEADER,
+    _ROWS_PER_CALL,
     cldc_run,
     macro_f1,
     micro_f1,
@@ -135,6 +136,19 @@ def test_represent_documents_matches_per_sentence_loop(kind, level):
     for doc, vec in zip(docs, represent_documents(docs, table, kind, level)):
         want = _loop_representation(doc, table, kind, level)
         assert np.array_equal(vec, want)
+
+
+@pytest.mark.parametrize("kind", list(CompositionKind))
+@pytest.mark.parametrize("level", ["sentence-average", "doc-cvm"])
+def test_represent_documents_matches_per_sentence_loop_across_blocks(kind, level):
+    # ADD cuts its blocks by sentences, BI by tokens: both pass several blocks here
+    rng = np.random.default_rng(19)
+    table = EmbeddingTable("x", rng.normal(size=(300, 16)))
+    docs = _random_documents(rng, 450, 300)
+    assert sum(len(doc.sentences) for doc in docs) > 2 * _ROWS_PER_CALL
+    vecs = represent_documents(docs, table, kind, level)
+    for doc, vec in zip(docs, vecs, strict=True):
+        assert np.array_equal(vec, _loop_representation(doc, table, kind, level))
 
 
 def test_represent_documents_names_first_faulty_document():
