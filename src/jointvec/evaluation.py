@@ -13,18 +13,24 @@ Single-label tasks report accuracy, multi-label tasks micro-F1 (macro-F1
 alongside); a majority-class baseline row accompanies every run.
 
 One perceptron type serves both tasks: (C, d+1) weights make a multiclass
-classifier, (d+1,) weights one one-vs-rest member. They share one
-training loop, which scores a block of the examples ahead against the
+classifier, (d+1,) weights one one-vs-rest member. Each classifier walks
+its own mistakes: it scores a block of the examples ahead against the
 current weights and jumps to the block's first mistake, so numpy is
-called per block and per mistake, not per example. Training and
-prediction form every score through `_predict`, whose stacked products
-round as per-example products do, so the classifiers keep the bits of a
-loop that scores one example at a time.
+called per block and per mistake, not per example, and the walk records
+its updates. Then one snapshot sum serves every classifier of a report:
+a replay over stacked weights re-applies the recorded updates and adds
+all classifiers still visiting with one `acc += w` per visit. Training
+and prediction form every score through `_predict`, whose stacked
+products round as per-example products do, and the replay's adds and
+updates are the per-example loop's, in its order, so the classifiers
+keep the bits of a loop that trains one classifier and scores one
+example at a time.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 
 import numpy as np
 
@@ -135,64 +141,19 @@ def train_multiclass(xs, ys, epochs: int = 10, seed: int = 0) -> PerceptronModel
     predicted class loses it. The weight matrix is snapshotted after every
     example (updated or not) and the snapshot mean is what predicts.
     """
-    xs, ys = _add_bias(xs), np.asarray(ys, dtype=int)
+    return _averaged_perceptrons([_multiclass_problem(_add_bias(xs), ys, seed)], epochs)[0]
+
+
+def _multiclass_problem(xs, ys, seed: int) -> tuple:
+    """The checked (rows, labels, zero weights, seed) of one multiclass perceptron;
+    `xs` holds the bias column, and the weights have a row per class id up to the largest."""
+    ys = np.asarray(ys, dtype=int)
     if not len(xs):
         raise UserError("no training examples")
     classes = np.unique(ys)
     if len(classes) < 2:
         raise UserError(f"need at least 2 classes, got {classes.tolist()}")
-    w = np.zeros((int(classes[-1]) + 1, xs.shape[1]))
-    return _averaged_perceptron(xs, ys, w, epochs, seed)
-
-
-# Rows scored ahead in a classifier's first block, and at most: a clean
-# block doubles the next one, a mistake halves it, down to one row.
-_FIRST_BLOCK, _LAST_BLOCK = 8, 512
-
-
-def _averaged_perceptron(xs, ys, w, epochs: int, seed: int) -> PerceptronModel:
-    """Train the weights `w` in place from the rows of `xs` (bias column included).
-
-    `w` is (C, d+1) for a multiclass perceptron or (d+1,) for a binary one.
-    Each epoch visits the rows of `xs` in one `permutation` of
-    `default_rng(seed)`. The rows ahead are scored as one block against
-    the current weights (`_predict`), and the walk jumps to the block's
-    first mistake; after an update, the next block starts at the row
-    behind it. So numpy is called per block and per mistake, and a visit
-    costs only the snapshot sum's `acc += w`, which stays one add per
-    visit, in visiting order: the bits of a loop that scores one example
-    at a time.
-    """
-    n = len(xs)
-    acc = np.zeros_like(w)
-    updates, size = 0, _FIRST_BLOCK
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        labels = ys[order]
-        p = 0
-        while p < n:
-            block = xs[order[p : p + size]]
-            pred = _predict(w, block)
-            wrong = pred != labels[p : p + size]
-            k = int(wrong.argmax()) if wrong.any() else len(block)
-            for _ in range(k):  # the visits before the first mistake
-                acc += w
-            p += k
-            if k == len(block):
-                size = min(2 * size, _LAST_BLOCK)
-                continue
-            x, y = block[k], labels[p]
-            if w.ndim == 2:
-                w[y] += x
-                w[pred[k]] -= x
-            else:
-                w += x if y else -x
-            acc += w
-            updates += 1
-            p += 1
-            size = max(size // 2, 1)
-    return PerceptronModel(w, acc / (epochs * n), updates)
+    return xs, ys, np.zeros((int(classes[-1]) + 1, xs.shape[1])), seed
 
 
 def train_multilabel(xs, label_sets: list, universe: set, epochs: int = 10, seed: int = 0) -> dict:
@@ -205,14 +166,110 @@ def train_multilabel(xs, label_sets: list, universe: set, epochs: int = 10, seed
     """
     if not universe:
         raise UserError("empty label universe")
-    xs = _add_bias(xs)
+    problems = _multilabel_problems(_add_bias(xs), label_sets, universe, seed)
+    return dict(zip(sorted(universe), _averaged_perceptrons(problems, epochs)))
+
+
+def _multilabel_problems(xs, label_sets: list, universe: set, seed: int) -> list:
+    """The checked (rows, labels, zero weights, seed) of each one-vs-rest perceptron,
+    one per label of `universe` in sorted order; `xs` holds the bias column."""
     if not len(xs):
         raise UserError("no training examples")
-    models = {}
-    for li, label in enumerate(sorted(universe)):
-        ys = np.array([label in labels for labels in label_sets])
-        w = np.zeros(xs.shape[1])
-        models[label] = _averaged_perceptron(xs, ys, w, epochs, derive_seed(seed, li))
+    return [(xs, np.array([label in labels for labels in label_sets]), np.zeros(xs.shape[1]),
+             derive_seed(seed, li)) for li, label in enumerate(sorted(universe))]
+
+
+# Rows scored ahead in a classifier's first block, and at most: a clean
+# block doubles the next one, a mistake halves it, down to one row.
+_FIRST_BLOCK, _LAST_BLOCK = 8, 512
+
+
+def _update(w, x, y, c) -> None:
+    """The perceptron update of weights `w` in place, on a mistake at row `x` of
+    label `y` predicted as `c`: class `y` gains `x` and class `c` loses it for
+    (C, d+1) weights; (d+1,) weights gain `x` if `y` holds, else lose it."""
+    if w.ndim == 2:
+        w[y] += x
+        w[c] -= x
+    else:
+        w += x if y else -x
+
+
+def _walk(xs, ys, w, epochs: int, seed: int) -> list:
+    """Train the weights `w` in place from the rows of `xs` (bias column included),
+    and return each update as (visit index, row of `xs`, label, predicted class).
+
+    Each epoch visits the rows of `xs` in one `permutation` of
+    `default_rng(seed)`, gathered once. The rows ahead are scored as one
+    block against the current weights (`_predict`), and the walk jumps to
+    the block's first mistake; after an update, the next block starts at
+    the row behind it. So numpy is called per block and per mistake, and
+    the weights after each visit are those of a loop that scores one
+    example at a time. The snapshot sum is left to `_averaged_perceptrons`.
+    """
+    n = len(xs)
+    log, size = [], _FIRST_BLOCK
+    rng = np.random.default_rng(seed)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        rows, labels = xs[order], ys[order]
+        p = 0
+        while p < n:
+            pred = _predict(w, rows[p : p + size])
+            wrong = pred != labels[p : p + size]
+            if not wrong.any():
+                p += len(pred)
+                size = min(2 * size, _LAST_BLOCK)
+                continue
+            k = int(wrong.argmax())
+            p += k
+            _update(w, rows[p], labels[p], pred[k])
+            log.append((epoch * n + p, order[p], labels[p], pred[k]))
+            p += 1
+            size = max(size // 2, 1)
+    return log
+
+
+def _averaged_perceptrons(problems: list, epochs: int) -> list:
+    """One `PerceptronModel` per (rows, labels, zero weights, seed) of `problems`.
+
+    Every problem's weights are all (C, d+1), or all (d+1,). Each
+    classifier first walks its own mistakes (`_walk`). Then one replay
+    forms every snapshot sum: stacked (R, C_max, d+1) weights, or (R, d+1),
+    start from zero, with classifiers ranked by visit count, largest first,
+    so those still visiting form a prefix. Per visit, that visit's
+    recorded updates are applied to their classifiers' rows with the
+    walk's expressions, then one `acc[:a] += w[:a]` adds the snapshot of
+    all `a` classifiers still visiting. Per element these are the adds
+    and updates of a loop that trains one classifier and scores one
+    example at a time, in its order, so every classifier keeps its bits.
+    Padded class rows stay zero and are sliced off.
+    """
+    visits = [epochs * len(xs) for xs, _, _, _ in problems]
+    ranked = sorted(range(len(problems)), key=lambda r: -visits[r])
+    walked = [problems[r] for r in ranked]
+    logs = [_walk(xs, ys, w, epochs, seed) for xs, ys, w, seed in walked]
+    # every classifier's updates in visit order, then an end mark no visit has
+    events = sorted(((t, s, row, y, c) for s, log in enumerate(logs) for t, row, y, c in log),
+                    key=itemgetter(0))
+    at = [t for t, *_ in events] + [-1]
+    w = np.zeros((len(walked),) + max(weights.shape for _, _, weights, _ in walked))
+    acc = np.zeros_like(w)
+    stops = [visits[r] for r in ranked] + [0]
+    e = 0
+    # visits stops[a] up to stops[a - 1] are made by the first a classifiers only
+    for a in range(len(walked), 0, -1):
+        acc_a, w_a = acc[:a], w[:a]
+        for t in range(stops[a], stops[a - 1]):
+            while at[e] == t:
+                _, s, row, y, c = events[e]
+                _update(w[s], walked[s][0][row], y, c)
+                e += 1
+            acc_a += w_a
+    models = [None] * len(problems)
+    for s, (r, log) in enumerate(zip(ranked, logs)):
+        weights = walked[s][2]
+        models[r] = PerceptronModel(weights, acc[s, : len(weights)] / stops[s], len(log))
     return models
 
 
@@ -374,6 +431,9 @@ def _evaluate(groups, pairs, bundle, level, task, clf_epochs, seed, top_labels) 
     `pairs` is read once the documents and settings are checked. The task
     is resolved and each group represented once, for every pair it is in;
     top_labels is refused on a single-label task, which would ignore it.
+    Every pair is checked, in pair order, before any classifier trains, so
+    the first faulty pair names the error. Then one `_averaged_perceptrons`
+    call trains every pair's classifiers, and each pair predicts.
     """
     for lang, docs in groups:
         if not docs:
@@ -383,16 +443,23 @@ def _evaluate(groups, pairs, bundle, level, task, clf_epochs, seed, top_labels) 
     if task == "single" and top_labels is not None:
         rule = "applies to multi-label tasks only; this task is single-label"
         raise UserError(f"top_labels {rule}", "top_labels", rule)
-    groups = [(lang, docs, represent_documents(docs, bundle.table(lang), bundle.kind, level))
+    kind = bundle.kind
+    groups = [(lang, docs, _add_bias(represent_documents(docs, bundle.table(lang), kind, level)))
               for lang, docs in groups]
+    plans = [_classify(groups[i], groups[j], task, pair_seed, top_labels)
+             for i, j, pair_seed in pairs]
+    problems = [problem for pair_problems, _ in plans for problem in pair_problems]
+    models = iter(_averaged_perceptrons(problems, clf_epochs))
     rows = []
-    for i, j, pair_seed in pairs:
-        rows += _classify(groups[i], groups[j], task, clf_epochs, pair_seed, top_labels)
+    for pair_problems, score in plans:
+        rows += score([next(models) for _ in pair_problems])
     return EvalReport(rows)
 
 
-def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
-    """One pair's report rows for a resolved task, from two (language, documents, matrix)."""
+def _classify(train, test, task, seed, top_labels) -> tuple:
+    """One pair's checked perceptron problems, and the function from their
+    trained models to the pair's report rows, for a resolved task and two
+    (language, documents, matrix with the bias column)."""
     (train_lang, train_docs, train_x), (test_lang, test_docs, test_x) = train, test
     n_test = len(test_docs)
 
@@ -407,12 +474,15 @@ def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
             raise UserError(f"all training documents in {train_lang!r} carry the one label "
                             f"{labels[0]!r}; a single-label task needs at least 2")
         label_id = {lab: i for i, lab in enumerate(labels)}
-        ys = [label_id[y] for y in train_y]
-        predicted = train_multiclass(train_x, ys, clf_epochs, seed).predict(test_x)
-        correct = sum(labels[c] == y for c, y in zip(predicted, test_y))
-        majority = _majority_label(train_y)
-        base = sum(y == majority for y in test_y) / n_test
-        return [row("accuracy", correct / n_test), row("majority_baseline", base)]
+
+        def score(models):
+            predicted = _predict(models[0].averaged, test_x)
+            correct = sum(labels[c] == y for c, y in zip(predicted, test_y))
+            majority = _majority_label(train_y)
+            base = sum(y == majority for y in test_y) / n_test
+            return [row("accuracy", correct / n_test), row("majority_baseline", base)]
+
+        return [_multiclass_problem(train_x, [label_id[y] for y in train_y], seed)], score
 
     # every label of the universe has a positive training document, and the
     # majority label ranks first in select_top_labels's order, so it is in it
@@ -422,16 +492,19 @@ def _classify(train, test, task, clf_epochs, seed, top_labels) -> list:
         universe = {lab for doc in train_docs for lab in doc.labels}
     if not universe:
         raise UserError(f"training documents in {train_lang!r} carry no labels")
-    models = train_multilabel(train_x, [d.labels for d in train_docs], universe, clf_epochs, seed)
-    positive = {lab: m.predict(test_x) for lab, m in models.items()}
-    predictions = [{lab for lab, pos in positive.items() if pos[i]} for i in range(n_test)]
-    gold = [doc.labels & universe for doc in test_docs]
-    majority = _majority_label(lab for doc in train_docs for lab in doc.labels)
-    return [
-        row("micro_f1", micro_f1(predictions, gold)),
-        row("macro_f1", macro_f1(predictions, gold, universe)),
-        row("majority_baseline", micro_f1([{majority}] * n_test, gold)),
-    ]
+
+    def score(models):
+        positive = {lab: _predict(m.averaged, test_x) for lab, m in zip(sorted(universe), models)}
+        predictions = [{lab for lab, pos in positive.items() if pos[i]} for i in range(n_test)]
+        gold = [doc.labels & universe for doc in test_docs]
+        majority = _majority_label(lab for doc in train_docs for lab in doc.labels)
+        return [
+            row("micro_f1", micro_f1(predictions, gold)),
+            row("macro_f1", macro_f1(predictions, gold, universe)),
+            row("majority_baseline", micro_f1([{majority}] * n_test, gold)),
+        ]
+
+    return _multilabel_problems(train_x, [d.labels for d in train_docs], universe, seed), score
 
 
 def _majority_label(labels) -> str:

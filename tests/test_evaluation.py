@@ -1,4 +1,5 @@
 import re
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from jointvec.evaluation import (
     PerceptronModel,
     TSV_HEADER,
     _ROWS_PER_CALL,
+    _averaged_perceptrons,
     cldc_run,
     macro_f1,
     micro_f1,
@@ -334,6 +336,62 @@ def test_train_multilabel_matches_per_example_loop(n, d, n_labels, epochs, seed,
         assert np.array_equal(models[label].averaged, want)
 
 
+def _per_example_state(xs, ys, w, epochs, seed):
+    """The final weights and update count of a loop that scores one example at a
+    time from the zero weights `w`: (C, d+1) multiclass, or (d+1,) one-vs-rest."""
+    xs = np.column_stack([xs, np.ones(len(xs))])
+    updates = 0
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
+        for i in rng.permutation(len(xs)):
+            x, y = xs[i], ys[i]
+            if w.ndim == 2:
+                c = int(np.argmax(w @ x))
+                if c != y:
+                    w[y] += x
+                    w[c] -= x
+                    updates += 1
+            elif (float(w @ x) > 0.0) != y:
+                w += x if y else -x
+                updates += 1
+    return w, updates
+
+
+@given(shapes=st.lists(st.tuples(st.integers(1, 30), st.integers(2, 6)), min_size=1, max_size=6),
+       one_vs_rest=st.booleans(), d=st.integers(1, 8), epochs=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), features=FEATURES, data_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_shared_snapshot_sum_matches_per_classifier_loops(shapes, one_vs_rest, d, epochs, seed,
+                                                          features, data_seed):
+    """Classifiers trained in one call keep the bits of each trained alone, one example at a time.
+
+    Each (examples, classes) shape is one problem. Unequal example counts
+    make the classifiers still visiting fewer mid-run; unequal class
+    counts leave padded class rows in the stacked weights.
+    """
+    rng = np.random.default_rng(data_seed)
+    problems = []
+    for r, (n, n_classes) in enumerate(shapes):
+        xs = _features(rng, n, d, features)
+        if one_vs_rest:
+            ys, w = rng.random(n) < 0.5, np.zeros(d + 1)
+        else:
+            ys, w = rng.integers(0, n_classes, size=n), np.zeros((n_classes, d + 1))
+        problems.append((np.column_stack([xs, np.ones(n)]), ys, w, derive_seed(seed, r)))
+    models = _averaged_perceptrons(problems, epochs)
+    assert len(models) == len(problems)
+    for (xs, ys, w, problem_seed), model in zip(problems, models):
+        xs = xs[:, :-1]
+        if one_vs_rest:
+            want = _one_vs_rest_loop(xs, ys, epochs, problem_seed)
+        else:
+            want = ref.train_perceptron(xs, ys, len(w), epochs, problem_seed)
+        weights, updates = _per_example_state(xs, ys, np.zeros_like(w), epochs, problem_seed)
+        assert np.array_equal(model.averaged, want)
+        assert np.array_equal(model.weights, weights)
+        assert model.updates == updates
+
+
 def test_multilabel_models_are_label_independent():
     rng = np.random.default_rng(10)
     xs, label_sets = [], []
@@ -533,6 +591,51 @@ def test_transfer_matrix_counts_and_order_independence():
     assert [r.value for r in sorted(shuffled.rows, key=key)] == [
         r.value for r in sorted(report.rows, key=key)
     ]
+
+
+def _random_docs(lang, n, rng, task):
+    """n documents of two random sentences over `_topic_bundle`'s 8 words, with
+    one random topic label each (single) or a random subset of the topics (multi)."""
+    docs = []
+    for i in range(n):
+        if task == "single":
+            labels = {f"t{rng.integers(4)}"}
+        else:
+            labels = {f"t{c}" for c in range(4) if rng.random() < 0.4}
+        sentences = [Sentence(tuple(rng.integers(0, 8, size=rng.integers(1, 4)).tolist()))
+                     for _ in range(2)]
+        docs.append(LabeledDocument(f"{lang}{i}", lang, labels, sentences))
+    return docs
+
+
+@pytest.mark.parametrize("task", ["single", "multi"])
+def test_transfer_matrix_pairs_equal_their_own_cldc_runs(task):
+    """All pairs' classifiers train in one call, yet each pair's rows are those of
+    its own run; unequal document counts make classifiers of unequal size."""
+    langs = ["x", "y", "z"]
+    bundle = _topic_bundle(langs)
+    rng = np.random.default_rng(12)
+    docs = {lang: _random_docs(lang, n, rng, task) for lang, n in zip(langs, (40, 55, 70))}
+    report = transfer_matrix(langs, docs, bundle, task=task, seed=5)
+    per_pair = 2 if task == "single" else 3
+    assert len(report.rows) == 6 * per_pair
+    for p, (i, j) in enumerate(permutations(range(3), 2)):
+        want = cldc_run(langs[i], docs[langs[i]], langs[j], docs[langs[j]], bundle, task=task,
+                        seed=derive_seed(5, i, j))
+        assert report.rows[p * per_pair : (p + 1) * per_pair] == want.rows
+
+
+def test_transfer_matrix_raises_the_first_faulty_pairs_error():
+    """Pairs are checked in order: (x, z) tests on an unlabelled document before
+    (y, x) would train on documents that all carry one label."""
+    langs = ["x", "y", "z"]
+    bundle = _topic_bundle(langs)
+    docs = {"x": _topic_docs("x"), "y": _topic_docs("y", labels_fn=lambda c: {"only"}),
+            "z": _topic_docs("z")}
+    docs["z"][3] = LabeledDocument("z-none", "z", set(), docs["z"][3].sentences)
+    message = "document 'z-none' in 'z' has no label to classify"
+    with pytest.raises(UserError, match=f"^{re.escape(message)}$"):
+        transfer_matrix(langs, docs, bundle, task="single")
 
 
 def test_transfer_matrix_represents_each_language_once(monkeypatch):
