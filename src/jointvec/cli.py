@@ -214,8 +214,8 @@ def _resolve(args) -> None:
 
     --out must be absent or an empty directory, so no run replaces or sits
     beside another's files, and an absent one must be creatable, with a
-    directory as its nearest existing parent; anything else fails here,
-    before any work. Nothing is created here.
+    directory we may write in as its nearest existing parent; anything
+    else fails here, before any work. Nothing is created here.
     """
     cfg, lines = load_config_file(args.config, args.settings) if args.config else ({}, {})
     # the config-file line of each setting that no flag overrides
@@ -232,12 +232,14 @@ def _resolve(args) -> None:
             raise UserError(f"{args.out} exists and is not a directory")
         if os.listdir(args.out):
             raise UserError(f"{args.out} exists and is not empty")
-    elif args.out:  # made once the work is done: its nearest existing parent must be a directory
+    elif args.out:  # made once the work is done, inside its nearest existing parent
         parent = os.path.dirname(os.path.abspath(args.out))
         while not os.path.exists(parent):
             parent = os.path.dirname(parent)
         if not os.path.isdir(parent):
             raise UserError(f"{args.out} cannot be created: {parent} is not a directory")
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise UserError(f"--out {args.out} cannot be created: {parent} is not writable")
 
 
 def _write_manifest(args) -> None:

@@ -10,7 +10,9 @@ Inputs may be cut into segments of given lengths, each composed on its
 own and summed by `segment_sums` in row order: a minibatch composes all
 its sentences, or all its documents' sentence vectors, in one call. A
 single sequence is the one-segment case. The same functions serve at the
-document level, with sentence vectors as inputs.
+document level, with sentence vectors as inputs. Training composes
+from its tables through `compose_rows`, at both levels, and CLDC
+composes its sentences through it.
 """
 
 from bisect import bisect_right
@@ -142,6 +144,24 @@ def compose(inputs, kind: CompositionKind, lengths=None) -> CompositionResult:
         x = np.tanh(t, out=t)
     out = segment_sums(x, segments, starts)
     return CompositionResult(out[0] if lengths is None else out, t, kind, segments, starts)
+
+
+def compose_rows(parts, kind: CompositionKind) -> CompositionResult:
+    """`compose` over the rows `matrix[ids]` of each part (matrix, ids, lengths), in order.
+
+    ADD sums each part's rows read by index (`segment_sums`), so no
+    (tokens, d) array is formed; BI gathers them for `compose`. Either way
+    the bits are `compose`'s over the gathered rows. A lone part's rows are
+    used as gathered; `take(..., out=)` into one buffer would copy every
+    row twice, since numpy buffers that output to check the ids first.
+    """
+    lengths = np.concatenate([n for _, _, n in parts])
+    if kind is CompositionKind.ADD:
+        sums = [segment_sums(m, n, n.cumsum() - n, rows=ids) for m, ids, n in parts]
+        out = sums[0] if len(parts) == 1 else np.concatenate(sums)
+        return CompositionResult(out, None, kind, lengths, lengths.cumsum() - lengths)
+    rows = [m.take(ids, axis=0) for m, ids, _ in parts]
+    return compose(rows[0] if len(parts) == 1 else np.concatenate(rows), kind, lengths)
 
 
 def backprop(grad_output: np.ndarray, result: CompositionResult) -> np.ndarray:

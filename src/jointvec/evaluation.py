@@ -3,12 +3,11 @@
 Documents become vectors (sentence-average or the two-stage compositional
 form), an averaged perceptron trains on one language's documents, and the
 resulting classifier is scored on another language's documents with no
-target-language supervision. A language's documents compose, by the sums
-training uses, into one (n, d) matrix that the perceptrons train on and
-predict from: ADD sentences are summed straight from the table's rows,
-read by index, and BI sentences by the segmented `compose` over their
-gathered rows. `cldc_run` and `transfer_matrix` share one pipeline,
-which composes each language once for all its pairs.
+target-language supervision. A language's sentences compose from its
+table through training's `compose_rows`, and its documents from them,
+into one (n, d) matrix that the perceptrons train on and predict from.
+`cldc_run` and `transfer_matrix` share one pipeline, which composes
+each language once for all its pairs.
 Single-label tasks report accuracy, multi-label tasks micro-F1 (macro-F1
 alongside); a majority-class baseline row accompanies every run.
 
@@ -34,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .composition import CompositionKind, compose, segment_sums
+from .composition import CompositionKind, compose, compose_rows, segment_sums
 from .corpus import pack_documents, select_top_labels, writing
 from .embeddings import EmbeddingTable, ModelBundle, derive_seed
 from .errors import ContractError, UserError
@@ -58,11 +57,9 @@ def represent_documents(
     """Map the documents to an (n, d) float64 matrix, row i for `docs[i]`.
 
     Documents are packed once and composed in blocks of whole documents.
-    A block's sentences are composed in one call: under ADD by
-    `segment_sums` reading the table's rows by index, so no (tokens, d)
-    array is formed, and under BI by one segmented `compose` over the
-    gathered rows. Then one `segment_sums` mean (sentence-average) or one
-    more `compose` (doc-cvm) runs over their vectors. Every sum adds its
+    A block's sentences are composed from the table in one `compose_rows`
+    call, then one `segment_sums` mean (sentence-average) or one more
+    `compose` (doc-cvm) runs over their vectors. Every sum adds its
     rows in row order, as in training, so a document's vector does not
     depend on the others passed with it. Errors name the first faulty
     document.
@@ -74,20 +71,15 @@ def represent_documents(
         raise UserError(f"document {empty[0]!r} has no representable sentence")
     packed = pack_documents([doc.sentences for doc in docs])
     doc_starts, sent_starts = packed.doc_starts, packed.sent_starts
-    add = kind is CompositionKind.ADD
-    first_row = doc_starts if add else sent_starts[doc_starts]
+    first_row = doc_starts if kind is CompositionKind.ADD else sent_starts[doc_starts]
     # a block starts at each document that holds a multiple of _ROWS_PER_CALL
     cuts = np.searchsorted(first_row, np.arange(0, first_row[-1], _ROWS_PER_CALL), "right") - 1
     cuts = np.append(np.unique(cuts), len(docs))
     vecs = np.empty((len(docs), table.d))
     for a, b in zip(cuts[:-1], cuts[1:]):
         s, e = doc_starts[a], doc_starts[b]
-        lengths = np.diff(sent_starts[s : e + 1])
-        if add:
-            sents = segment_sums(table.matrix, lengths, sent_starts[s:e], rows=packed.ids)
-        else:
-            rows = table.matrix[packed.ids[sent_starts[s] : sent_starts[e]]]
-            sents = compose(rows, kind, lengths).output
+        ids = packed.ids[sent_starts[s] : sent_starts[e]]
+        sents = compose_rows(((table.matrix, ids, np.diff(sent_starts[s : e + 1])),), kind).output
         n_sents = np.diff(doc_starts[a : b + 1])
         if level == "sentence-average":
             vecs[a:b] = segment_sums(sents, n_sents, doc_starts[a:b] - s) / n_sents[:, None]

@@ -11,17 +11,17 @@ regularizer is owned by the optimizer, which applies it to touched rows
 per update, so the loss here is the hinge total alone.
 
 A minibatch is evaluated as a whole: tables are fixed until its update,
-so every distinct sentence it needs is composed once, the (B, k) hinge
-matrix is formed at once, and gradients are summed per distinct sentence,
-then per word: `segment_sums` adds each word's gradient rows in token
-order, and the sum reads as if it had started from +0.0. ADD composes
-straight from the tables and reads each token's gradient from its
+so every distinct sentence it needs is composed once, from the tables
+by `compose_rows`, the (B, k) hinge matrix is formed at once, and
+gradients are summed per distinct sentence, then per word: `segment_sums`
+adds each word's gradient rows in token order, and the sum reads as if
+it had started from +0.0. ADD reads each token's gradient from its
 sentence's row, so it forms no (tokens, d) array. Only sentences in an
 active hinge term are backpropagated and summed into words, so gradients
 cover exactly their words; a batch with no active term touches no row.
 
 Document-level training composes twice (words -> sentence vectors ->
-document vector) and applies the same hinge between aligned documents,
+document vector), both times by `compose_rows`, and applies the same hinge between aligned documents,
 optionally combined with the sentence-level loss over their aligned
 sentences.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composition import CompositionKind, CompositionResult, backprop, compose, segment_sums
+from .composition import CompositionKind, backprop, compose_rows, segment_sums
 from .corpus import PackedSide, gather_ranges
 from .embeddings import ModelBundle
 from .errors import ContractError
@@ -69,23 +69,11 @@ class _Sentences:
     def __init__(self, tables: ModelBundle, languages: tuple, src: tuple, tgt: tuple, kind):
         (self.src_ids, src_len), (self.tgt_ids, tgt_len) = src, tgt
         self.n_src = len(src_len)
-        self.lengths = np.concatenate([src_len, tgt_len])
-        src_rows, tgt_rows = tables.table(languages[0]).matrix, tables.table(languages[1]).matrix
-        if kind is CompositionKind.ADD:  # each side sums its words' table rows in place
-            out = np.concatenate([
-                segment_sums(table, lengths, lengths.cumsum() - lengths, rows=ids)
-                for table, ids, lengths in ((src_rows, self.src_ids, src_len),
-                                            (tgt_rows, self.tgt_ids, tgt_len))
-            ])
-            starts = self.lengths.cumsum() - self.lengths
-            self.result = CompositionResult(out, None, kind, self.lengths, starts)
-        else:
-            rows = np.empty((len(self.src_ids) + len(self.tgt_ids), src_rows.shape[1]))
-            rows[: len(self.src_ids)] = src_rows[self.src_ids]
-            rows[len(self.src_ids) :] = tgt_rows[self.tgt_ids]
-            self.result = compose(rows, kind, self.lengths)
+        src_rows, tgt_rows = (tables.table(lang).matrix for lang in languages)
+        parts = ((src_rows, self.src_ids, src_len), (tgt_rows, self.tgt_ids, tgt_len))
+        self.result = compose_rows(parts, kind)
         self.grad = np.zeros(self.result.output.shape)
-        self.touched = np.zeros(len(self.lengths), dtype=bool)
+        self.touched = np.zeros(len(self.result.lengths), dtype=bool)
 
     def word_grads(self, languages: tuple, n_src_rows: int) -> dict:
         """{language: (unique word ids, summed gradient rows)} of touched sentences' words.
@@ -101,11 +89,11 @@ class _Sentences:
         ids are shifted past the source table's n_src_rows rows unless the
         languages coincide.
         """
-        touched = self.touched
+        touched, lengths = self.touched, self.result.lengths
         if not touched.any():
             return {}
         shift = 0 if languages[0] == languages[1] else n_src_rows
-        ids = np.concatenate([self.src_ids, self.tgt_ids + shift])[touched.repeat(self.lengths)]
+        ids = np.concatenate([self.src_ids, self.tgt_ids + shift])[touched.repeat(lengths)]
         order = ids.argsort(kind="stable")  # each word's tokens stay in token order
         ids = ids.take(order)
         new = np.empty(len(ids), dtype=bool)
@@ -115,7 +103,7 @@ class _Sentences:
         rows = ids.take(starts)
         if self.result.kind is CompositionKind.ADD:  # a token's gradient is its sentence's
             grads = self.grad
-            order = np.flatnonzero(touched).repeat(self.lengths[touched]).take(order)
+            order = np.flatnonzero(touched).repeat(lengths[touched]).take(order)
         else:
             result = self.result.select(touched)
             self.result = None  # untouched sentences' activations go before backprop's temporaries
@@ -300,7 +288,7 @@ def batch_loss_and_grads(
     breakdown = LossBreakdown()
     sents = _Sentences(tables, languages, _tokens(src, src_sents), _tokens(tgt, tgt_sents), kind)
     if rows is not None:
-        docs = compose(sents.result.output[rows], kind, lengths)
+        docs = compose_rows(((sents.result.output, rows, lengths),), kind)
         grad, touched = _hinge_matrix(docs.output, n_b, pos, neg, margin, breakdown)
         sents.grad[rows] += backprop(grad, docs)
         sents.touched[rows] |= touched.repeat(lengths)

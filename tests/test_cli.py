@@ -679,6 +679,32 @@ def test_train_divergence_is_user_error_and_writes_no_checkpoint(fast_corpus, tm
         assert not out.exists()
 
 
+def test_out_under_unwritable_parent_is_user_error_before_training(fast_corpus, tmp_path,
+                                                                  monkeypatch, capsys):
+    """An absent --out whose nearest existing parent may not be written ends before any work.
+
+    Root may write anywhere, so os.access is faked to refuse writing in
+    one directory.
+    """
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    real_access = os.access
+
+    def access(path, mode, *args, **kwargs):
+        if os.path.abspath(path) == str(locked) and mode & os.W_OK:
+            return False
+        return real_access(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "access", access)
+    trained = []
+    monkeypatch.setattr("jointvec.cli.train_joint", lambda *args: trained.append(args))
+    for out in (locked / "run", locked / "a" / "b"):
+        rc, stdout, err = run_cli(train_args(fast_corpus, out), capsys)
+        assert rc == 1 and f"--out {out} cannot be created: {locked} is not writable" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not trained and not os.listdir(locked)
+
+
 @pytest.mark.parametrize("lines", [None, 1, 0], ids=["missing_file", "one_pair", "empty_file"])
 def test_failed_train_leaves_no_out_and_rerun_needs_no_force(fast_corpus, tmp_path, lines,
                                                              capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jointvec.composition import CompositionKind, backprop, compose, segment_sums
+from jointvec.composition import CompositionKind, backprop, compose, compose_rows, segment_sums
 from jointvec.errors import ContractError
 
 mp.mp.dps = 30
@@ -179,6 +179,23 @@ def test_segment_sums_add_in_row_order(short, long, at, d, table, seed):
         a = starts[at]
         one = compose(x[a : a + long[0]], kind).output
         assert one.tobytes() == want[at].tobytes()
+    # compose_rows over two parts that read two tables, ids repeating: its
+    # segments follow the parts, and each is `compose` over the segment's
+    # gathered rows, down to BI's activations, which backprop and select read
+    cut = max(at, 1)
+    other = _summands(rng, 1 + table // 2, d)
+    other_rows = rng.integers(0, len(other), lengths[cut:].sum())
+    first_rows = rows[: lengths[:cut].sum()]
+    parts = ((source, first_rows, lengths[:cut]), (other, other_rows, lengths[cut:]))
+    gathered = np.concatenate([source[first_rows], other[other_rows]])
+    for kind in CompositionKind:
+        result = compose_rows(parts, kind)
+        assert np.array_equal(result.lengths, lengths) and np.array_equal(result.starts, starts)
+        for s, (a, n) in enumerate(zip(starts, lengths)):
+            one = compose(gathered[a : a + n], kind)
+            assert result.output[s].tobytes() == one.output.tobytes()
+            if kind is BI:
+                assert result.activations[a : a + n].tobytes() == one.activations.tobytes()
 
 
 def _fd_scalar(fn, x, step=1e-5):

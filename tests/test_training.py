@@ -489,6 +489,113 @@ def test_add_epochs_match_reference_trainer(run):
     assert np.abs(bundle.table("b").matrix - want_b).max() <= _TABLE_TOL
 
 
+# ---------------------------------------------------------------------------
+# whole joint ADD epochs over sub-corpora that share a pivot, replayed term by term
+
+@st.composite
+def _joint_runs(draw):
+    counts = draw(st.lists(st.integers(2, 12), min_size=2, max_size=3))
+    return dict(
+        counts=counts, vocab=draw(st.lists(st.integers(1, 8), min_size=4, max_size=4)),
+        d=draw(st.integers(1, 4)), max_len=draw(st.integers(1, 4)), k=draw(st.integers(1, 3)),
+        batch=draw(st.integers(1, max(counts))), epochs=draw(st.integers(1, 2)),
+        margin=draw(st.floats(0.1, 4.0)), step=draw(st.floats(0.01, 0.3)),
+        lam=draw(st.just(0.0) | st.floats(0.0, 1.0)), seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _joint_replay(tables: dict, corpora: list, config: TrainConfig) -> tuple:
+    """train_joint's epochs over ADD sentence sub-corpora, spelled out term by term.
+
+    `corpora` holds (target language, pivot sentences, target sentences)
+    per sub-corpus; `tables` maps each language, the pivot "p" included, to
+    one matrix, updated in place. Per epoch, sub-corpus ci owns one
+    generator, default_rng([seed + epoch, ci]): its permutation first, then
+    its batches' noise, k draws per pair that skip the pair itself. Batches
+    take turns round-robin, sub-corpus order within a turn. Returns the
+    per-epoch hinge totals and their active terms' scales.
+    """
+    acc = {lang: np.zeros_like(m) for lang, m in tables.items()}
+    losses, scales = [], []
+    for epoch in range(config.epochs):
+        rngs, chunks = [], []
+        for ci, (_, src, _) in enumerate(corpora):
+            rngs.append(np.random.default_rng([config.seed + epoch, ci]))
+            order = rngs[-1].permutation(len(src))
+            chunks.append([order[i:i + config.batch] for i in range(0, len(src), config.batch)])
+        losses.append(0.0)
+        scales.append(0.0)
+        for turn in range(max(len(c) for c in chunks)):
+            for ci, (lang, src, tgt) in enumerate(corpora):
+                if turn >= len(chunks[ci]):
+                    continue
+                pairs = chunks[ci][turn]
+                noise = rngs[ci].integers(0, len(src) - 1, size=(len(pairs), config.k))
+                noise += noise >= pairs[:, None]
+                emb_p, emb_t = tables["p"], tables[lang]
+                grads = {"p": {}, lang: {}}
+                for pi, row in zip(pairs, noise):
+                    fa = ref.compose(emb_p, src[pi], "add")
+                    diff_pos = fa - ref.compose(emb_t, tgt[pi], "add")
+                    for ni in row:
+                        diff_neg = fa - ref.compose(emb_t, tgt[ni], "add")
+                        e_pos, e_neg = float(diff_pos @ diff_pos), float(diff_neg @ diff_neg)
+                        h, scale = config.margin + e_pos - e_neg, config.margin + e_pos + e_neg
+                        assume(abs(h) > _KINK * scale)
+                        if h <= 0.0:
+                            continue
+                        losses[-1] += h
+                        scales[-1] += scale
+                        for i in src[pi]:
+                            grads["p"][i] = grads["p"].get(i, 0.0) + 2.0 * diff_pos - 2.0 * diff_neg
+                        for i in tgt[pi]:
+                            grads[lang][i] = grads[lang].get(i, 0.0) - 2.0 * diff_pos
+                        for i in tgt[ni]:
+                            grads[lang][i] = grads[lang].get(i, 0.0) + 2.0 * diff_neg
+                for name, word_grads in grads.items():
+                    emb, a = tables[name], acc[name]
+                    for i, g in word_grads.items():
+                        g = g + config.lam * emb[i]
+                        a[i] += g * g
+                        emb[i] -= config.step * g / np.sqrt(a[i] + training.EPSILON)
+    return losses, scales
+
+
+@given(run=_joint_runs())
+@settings(max_examples=40, deadline=None)
+def test_joint_epochs_match_round_robin_replay(run):
+    """train_joint over 2-3 ADD sub-corpora that share the pivot follows _joint_replay.
+
+    Covers what is particular to joint training: the round-robin over
+    sub-corpora with unequal batch counts, one generator per (epoch,
+    sub-corpus) for its shuffle and then its noise, and the one pivot
+    table that every sub-corpus updates.
+    """
+    rng = np.random.default_rng(run["seed"])
+    langs = ["a", "b", "c"][: len(run["counts"])]
+    sizes = dict(zip(["p", "a", "b", "c"], run["vocab"]))
+
+    def sentences(lang, n):
+        return [rng.integers(0, sizes[lang], rng.integers(1, run["max_len"] + 1)).tolist()
+                for _ in range(n)]
+
+    corpora = [(lang, sentences("p", n), sentences(lang, n)) for lang, n in zip(langs, run["counts"])]
+    bundle = make_bundle({lang: sizes[lang] for lang in ["p", *langs]}, run["d"], run["seed"])
+    config = TrainConfig(mode="joint", **{key: run[key] for key in
+                         ("d", "margin", "k", "lam", "step", "batch", "epochs", "seed")})
+    tables = {lang: t.matrix.copy() for lang, t in bundle.tables.items()}
+    want_losses, scales = _joint_replay(tables, corpora, config)
+    report = train_joint([
+        ParallelCorpus("p", lang, [ParallelPair(Sentence(tuple(s)), Sentence(tuple(t)))
+                                   for s, t in zip(src, tgt)])
+        for lang, src, tgt in corpora
+    ], bundle, config)
+    for got, want, scale in zip(report.epoch_losses, want_losses, scales):
+        assert abs(got - want) <= _LOSS_TOL * scale
+    for lang, want in tables.items():
+        assert np.abs(bundle.table(lang).matrix - want).max() <= _TABLE_TOL
+
+
 def test_train_joint_validation_errors():
     corpus, bundle, config = _toy_setup()
     with pytest.raises(UserError, match="need at least one sub-corpus"):
@@ -620,7 +727,8 @@ def test_batches_reuse_freed_pages_across_runs():
     assert proc.returncode == 0, proc.stderr
     faults = [int(n) for n in proc.stdout.split()]
     assert len(faults) == 4
-    # unpinned, each run faults in about 7,000 pages (28 MB)
+    # unpinned (the pin made a no-op), runs 2-4 each faulted in 650-970 pages
+    # (2.7-4.0 MB of 4 KB pages), over three probes
     assert max(faults[1:]) < 200, faults
 
 
