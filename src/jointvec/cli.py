@@ -38,8 +38,9 @@ from .embeddings import (
 )
 from .errors import ContractError, UserError
 from .evaluation import LEVELS, check_classifier_settings, cldc_run, resolve_task, transfer_matrix
-from .objective import platform_facts
+from .native import platform_facts
 from .training import (
+    FIELD_TYPES,
     AdaGradState,
     TrainConfig,
     checkpoint,
@@ -106,9 +107,10 @@ def _help(flag: Flag) -> str:
 _TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 
 
-def _train_flag(name, field, help, type, tag, **kw) -> Flag:
-    """A setting that fills TrainConfig.`field` and shares its default."""
-    return Flag(name, help, type, _TRAIN_DEFAULTS[field], tag, field=field, **kw)
+def _train_flag(name, field, help, tag, type=None, **kw) -> Flag:
+    """A setting that fills TrainConfig.`field`, with its default and, unless given, its type."""
+    typ = type or FIELD_TYPES[field]
+    return Flag(name, help, typ, _TRAIN_DEFAULTS[field], tag, field=field, **kw)
 
 
 _MODEL = Flag("model", "checkpoint directory", metavar="DIR", required=True)
@@ -118,19 +120,19 @@ _CONFIG = Flag("config", "key=value file supplying defaults; explicit flags win"
 _TRAIN = (
     Flag("pair", "aligned corpus files for a language pair; repeat to train jointly, first "
          "code the pivot", metavar="L1:L2:FILE1:FILE2", repeat=True, required=True),
-    _train_flag("dim", "d", "embedding dimensionality d", int, REGIME),
-    _train_flag("margin", "margin", "hinge margin m (default: equal to --dim)", float, REGIME),
-    _train_flag("noise", "k", "noise samples k per pair", int, REGIME),
-    _train_flag("lambda", "lam", "L2 coefficient", float, REGIME),
-    _train_flag("step", "step", "base step size", float, REGIME),
-    _train_flag("batch", "batch", "minibatch size", int, REGIME),
-    _train_flag("epochs", "epochs", "passes over each corpus", int, TOOLING),
-    _train_flag("cvm", "kind", "composition model", str, REGIME,
+    _train_flag("dim", "d", "embedding dimensionality d", REGIME),
+    _train_flag("margin", "margin", "hinge margin m (default: equal to --dim)", REGIME),
+    _train_flag("noise", "k", "noise samples k per pair", REGIME),
+    _train_flag("lambda", "lam", "L2 coefficient", REGIME),
+    _train_flag("step", "step", "base step size", REGIME),
+    _train_flag("batch", "batch", "minibatch size", REGIME),
+    _train_flag("epochs", "epochs", "passes over each corpus", TOOLING),
+    _train_flag("cvm", "kind", "composition model", REGIME, str,
                 choices=tuple(k.value for k in CompositionKind)),
     _train_flag("doc_signal", "doc_signal",
                 "inputs are document files; train at document level plus sentence signal",
-                bool, REGIME),
-    _train_flag("seed", "seed", "master seed for all randomness", int, TOOLING),
+                REGIME),
+    _train_flag("seed", "seed", "master seed for all randomness", TOOLING),
     Flag("out", "output directory (checkpoint, manifest, loss log)", metavar="DIR", required=True),
 )
 
@@ -245,7 +247,7 @@ def _resolve(args) -> None:
 def _write_manifest(args) -> None:
     """Create --out and echo the run into it: its platform facts, then every set setting.
 
-    Settings come in table order; the facts (objective.platform_facts) are
+    Settings come in table order; the facts (native.platform_facts) are
     what the output's bits depend on beyond the settings and inputs.
     """
     try:

@@ -37,6 +37,7 @@ from .composition import CompositionKind, compose, compose_rows, segment_sums
 from .corpus import pack_documents, select_top_labels, writing
 from .embeddings import EmbeddingTable, ModelBundle, derive_seed
 from .errors import ContractError, UserError
+from .native import keep_freed_pages
 
 LEVELS = ("sentence-average", "doc-cvm")
 
@@ -62,7 +63,8 @@ def represent_documents(
     `compose` (doc-cvm) runs over their vectors. Every sum adds its
     rows in row order, as in training, so a document's vector does not
     depend on the others passed with it. Errors name the first faulty
-    document.
+    document. The first call pins the process's glibc malloc thresholds
+    (native.keep_freed_pages), as training's does.
     """
     if level not in LEVELS:
         raise UserError(f"unknown representation level {level!r}")
@@ -70,6 +72,7 @@ def represent_documents(
     if empty:
         raise UserError(f"document {empty[0]!r} has no representable sentence")
     packed = pack_documents([doc.sentences for doc in docs])
+    keep_freed_pages()
     doc_starts, sent_starts = packed.doc_starts, packed.sent_starts
     first_row = doc_starts if kind is CompositionKind.ADD else sent_starts[doc_starts]
     # a block starts at each document that holds a multiple of _ROWS_PER_CALL

@@ -26,11 +26,6 @@ optionally combined with the sentence-level loss over their aligned
 sentences.
 """
 
-import contextlib
-import ctypes
-import functools
-import glob
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +34,7 @@ from .composition import CompositionKind, backprop, compose_rows, segment_sums
 from .corpus import PackedSide, gather_ranges
 from .embeddings import ModelBundle
 from .errors import ContractError
+from .native import one_blas_thread
 
 
 @dataclass
@@ -119,81 +115,6 @@ class _Sentences:
         return {lang: (ids, g) for lang, ids, g in parts if len(ids)}
 
 
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS through ctypes, or None where it is not found.
-
-    Looked up once per process in the wheel's numpy.libs; the library is
-    the one numpy has already loaded.
-    """
-    libs = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "libscipy_openblas*")
-    try:
-        return ctypes.CDLL(sorted(glob.glob(libs))[0])
-    except (IndexError, OSError):
-        return None
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of numpy's bundled OpenBLAS thread count, or None where it is not found."""
-    try:  # None, where the library is not found, has no such attribute either
-        lib = _openblas()
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except AttributeError:
-        return None
-    get.argtypes, get.restype = (), ctypes.c_int
-    set_.argtypes, set_.restype = (ctypes.c_int,), None
-    return get, set_
-
-
-@functools.cache
-def platform_facts() -> tuple:
-    """(key, value) pairs of what training's bits depend on beyond its inputs.
-
-    numpy's version, the CPU dispatch targets numpy runs here (`none` if
-    every one is off) and the kernel OpenBLAS picked for this CPU
-    (`unknown` where the library is not found). Looked up once per process;
-    meta.txt and manifest.txt record them.
-    """
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
-    try:  # as in _openblas_threads
-        corename = _openblas().scipy_openblas_get_corename64_
-    except AttributeError:
-        core = "unknown"
-    else:
-        corename.argtypes, corename.restype = (), ctypes.c_char_p
-        core = corename().decode("ascii", "replace")
-    return (
-        ("numpy", np.__version__),
-        ("cpu_dispatch", ",".join(targets) or "none"),
-        ("openblas_core", core),
-    )
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore the caller's count.
-
-    The count is process-wide, so the block must not overlap BLAS calls of
-    other threads. Does nothing where the library is not found.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    threads = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(threads)
-
-
 def _hinge_matrix(reps, n_b, pos, neg, margin, breakdown):
     """The (B, k) hinge matrix of the first n_b representations against the rest.
 
@@ -211,7 +132,7 @@ def _hinge_matrix(reps, n_b, pos, neg, margin, breakdown):
     # q[c] = ||c||^2 - 2 a.c, so no (B, k, d) difference tensor is formed;
     # the products run on one BLAS thread, because a threaded BLAS splits
     # their sums, and so changes their last bits, by its thread count
-    with _one_blas_thread():
+    with one_blas_thread():
         q = np.einsum("ij,ij->i", cands, cands) - 2.0 * (anchors @ cands.T)
         h = (margin + q[rows, pos])[:, None] - q[col, neg]
         active = ~(h <= 0.0)  # h > 0, but NaN counts too

@@ -12,9 +12,7 @@ between batches.
 """
 
 import contextlib
-import ctypes
 import dataclasses
-import functools
 import math
 import os
 import time
@@ -35,15 +33,12 @@ from .corpus import (
 )
 from .embeddings import EmbeddingTable, ModelBundle, Vocabulary
 from .errors import ContractError, UserError
-from .objective import batch_loss_and_grads, platform_facts
+from .native import keep_freed_pages, platform_facts
+from .objective import batch_loss_and_grads
 
 CHECKPOINT_META = "meta.txt"
 EPSILON = 1e-6  # AdaGrad's denominator floor
 MODES = ("single", "joint")
-# glibc mallopt parameters, and the ceiling of glibc's own dynamic mmap
-# threshold on 64-bit hosts (DEFAULT_MMAP_THRESHOLD_MAX)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
 
 
 def tables_do_not_fit(d: int) -> UserError:
@@ -184,35 +179,6 @@ def _epoch_schedule(corpora: list, config: TrainConfig, epoch: int):
     return rngs, batches
 
 
-@functools.cache
-def _keep_freed_pages() -> None:
-    """Pin glibc's mmap and trim thresholds where its dynamic rule tops out.
-
-    Every minibatch allocates and frees float arrays of d columns, up to
-    megabytes each: AdaGrad's rows of every word it touches, the sums of
-    its sentences and words, and under BI its (tokens, d) inputs,
-    activations and gradients. glibc serves a large array either from
-    memory it kept or from fresh pages that fault on first touch, by
-    thresholds that it raises whenever the process frees a larger mapped
-    block. The same batches therefore ran up to 1.5x slower in one
-    process than in another, depending on what each had freed before.
-    With the thresholds fixed at 32 MB (mmap) and 64 MB (trim), the
-    values that rule reaches at its ceiling, freed pages serve the next
-    batch in every process. Once per process, and only under glibc; a
-    refused mallopt leaves glibc's own rule in place, which costs time,
-    not correctness.
-    """
-    try:
-        glibc = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):
-        return
-    if glibc and glibc.startswith("glibc"):
-        mallopt = ctypes.CDLL(None).mallopt
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
-
-
 def train_joint(
     corpora: list,
     tables: ModelBundle,
@@ -226,11 +192,12 @@ def train_joint(
     All sub-corpora must name the same source-side (pivot) language; its
     table is one shared object, so an update triggered by any sub-corpus is
     visible to every later batch. `on_epoch(epoch, report)` fires after each
-    completed epoch, e.g. for checkpointing. Every sub-corpus is packed and
+    completed epoch, e.g. for checkpointing. The model's kind and width
+    must be config's kind and d. Every sub-corpus is packed and
     checked before the first update (see corpus.pack_corpus). A batch whose
     loss or update is not finite raises UserError and writes nothing:
     tables and accumulators stay as the last good batch left them. The
-    first call pins the process's glibc malloc thresholds (see _keep_freed_pages).
+    first call pins the process's glibc malloc thresholds (native.keep_freed_pages).
     """
     if not corpora:
         raise UserError("need at least one sub-corpus")
@@ -239,6 +206,10 @@ def train_joint(
         raise UserError(f"sub-corpora must share one pivot language, got {sorted(pivots)}")
     if not 0 <= start_epoch <= config.epochs:
         raise UserError(f"start_epoch {start_epoch} outside [0, {config.epochs}]")
+    for name, want, got in (("kind", config.kind, tables.kind), ("d", config.d, tables.d)):
+        if want != got:  # else training and the model's readers would disagree
+            raise UserError(f"config has {name}={format_setting(want)}, "
+                            f"but the model has {name}={format_setting(got)}")
     for c in corpora:
         if config.doc_signal != isinstance(c, DocumentCorpus):
             raise UserError(
@@ -248,7 +219,7 @@ def train_joint(
     if state is None:
         state = AdaGradState(tables)
     packed = [pack_corpus(c) for c in corpora]
-    _keep_freed_pages()
+    keep_freed_pages()
 
     report = TrainReport()
     for epoch in range(start_epoch, config.epochs):
@@ -302,7 +273,7 @@ def format_setting(v) -> str:
 
 
 # TrainConfig field -> its type, with `X | None` read as X
-_FIELD_TYPES = {
+FIELD_TYPES = {
     f.name: (typing.get_args(f.type) or (f.type,))[0] for f in dataclasses.fields(TrainConfig)
 }
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -355,7 +326,7 @@ def checkpoint(
     accumulators, as .npy files without pickles; <lang>.vocab holds one
     token per line, row i of both arrays belonging to line i + 1. meta.txt
     is key=value with the config echo, epoch counter, and seed, plus the
-    platform facts the bits depend on (objective.platform_facts), which
+    platform facts the bits depend on (native.platform_facts), which
     load_model does not read. Writing is deterministic: same inputs, same
     bytes.
 
@@ -457,7 +428,7 @@ def load_model(path):
         if key not in meta:
             raise UserError(f"{meta_path}: checkpoint metadata missing {key!r}")
     try:
-        config = TrainConfig(**{n: parse_setting(_FIELD_TYPES[n], meta[_meta_key(n)]) for n in names})
+        config = TrainConfig(**{n: parse_setting(FIELD_TYPES[n], meta[_meta_key(n)]) for n in names})
         epoch = int(meta["epoch"])
     except (ValueError, UserError) as exc:
         raise UserError(f"{meta_path}: invalid checkpoint metadata: {exc}") from exc

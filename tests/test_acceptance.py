@@ -42,7 +42,8 @@ from jointvec.embeddings import (
     init_table,
 )
 from jointvec.evaluation import cldc_run, micro_f1, train_multiclass, transfer_matrix
-from jointvec.objective import energy, platform_facts
+from jointvec.native import platform_facts
+from jointvec.objective import energy
 from jointvec.training import (
     AdaGradState,
     TrainConfig,

@@ -16,7 +16,7 @@ from jointvec.cli import _TRAIN, load_config_file, main
 from jointvec.corpus import iter_document_token_sentences, iter_token_sentences
 from jointvec.embeddings import Vocabulary, export_table, import_table
 from jointvec.errors import UserError
-from jointvec.objective import platform_facts
+from jointvec.native import platform_facts
 from jointvec.training import load_model, resume
 
 from conftest import HOSTILE_CHECKPOINTS, damage_checkpoint

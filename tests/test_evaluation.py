@@ -1,4 +1,7 @@
+import ctypes
+import os
 import re
+import types
 from itertools import permutations
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_model as ref
+from jointvec import native
 from jointvec.composition import CompositionKind
 from jointvec.corpus import LabeledDocument, Sentence
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary, derive_seed
@@ -515,6 +519,27 @@ def _topic_docs(lang, n_per_class=4, labels_fn=None):
                 )
             )
     return docs
+
+
+def test_evaluation_alone_pins_the_malloc_thresholds(monkeypatch):
+    """A process that only evaluates composes documents with glibc's thresholds pinned, as
+    training does: M_MMAP_THRESHOLD (-3) at 32 MiB, then M_TRIM_THRESHOLD (-1) at 64 MiB."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    pinned = native.keep_freed_pages.cache_info().currsize
+    native.keep_freed_pages.cache_clear()  # as in a process that has not trained
+    try:
+        transfer_matrix(["a", "b"], {l: _topic_docs(l) for l in "ab"}, _topic_bundle("ab"))
+    finally:
+        if not pinned:  # so that the next call in this process pins for real
+            native.keep_freed_pages.cache_clear()
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
 
 
 def test_cldc_identity_run_is_perfect():

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_model as ref
-from jointvec import objective
+from jointvec import native, objective
 from jointvec.composition import CompositionKind, backprop
 from jointvec.corpus import (
     DocumentPair,
@@ -674,9 +674,9 @@ def test_batch_bytes_do_not_depend_on_blas_threads():
         "add", "la", "lb", "bi", "la", "lb"]
 
 
-@pytest.mark.skipif(objective._openblas_threads() is None, reason="numpy's OpenBLAS not found")
+@pytest.mark.skipif(native._openblas_threads() is None, reason="numpy's OpenBLAS not found")
 def test_blas_pin_restores_the_callers_thread_count():
-    get, set_ = objective._openblas_threads()
+    get, set_ = native._openblas_threads()
     before = get()
     rng = np.random.default_rng(0)
     sides = [pack_sentences([rand_sentence(rng, 10) for _ in range(6)]) for _ in "ab"]
@@ -689,7 +689,7 @@ def test_blas_pin_restores_the_callers_thread_count():
         assert breakdown.active_noise_count > 0
         assert get() == 2
         with pytest.raises(RuntimeError, match="inside the pin"):
-            with objective._one_blas_thread():
+            with native.one_blas_thread():
                 assert get() == 1
                 raise RuntimeError("inside the pin")
         assert get() == 2

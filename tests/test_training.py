@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import reference_model as ref
 
-from jointvec import synth, training
+from jointvec import native, synth, training
 from jointvec.composition import CompositionKind, compose
 from jointvec.corpus import (
     DocumentCorpus,
@@ -612,6 +612,28 @@ def test_train_joint_validation_errors():
         train_joint([corpus], bundle, doc_config)
 
 
+def _refused_before_any_update(corpus, bundle, config, message):
+    before = {lang: t.matrix.copy() for lang, t in bundle.tables.items()}
+    with pytest.raises(UserError, match=re.escape(message)):
+        train_joint([corpus], bundle, config)
+    for lang, matrix in before.items():
+        assert np.array_equal(bundle.table(lang).matrix, matrix)
+
+
+def test_train_joint_refuses_a_model_of_another_kind():
+    """Else a BI config trains an ADD model by BI, whose readers then compose it by ADD."""
+    corpus, bundle, config = _toy_setup()
+    bi = dataclasses.replace(config, kind=CompositionKind.BI)
+    _refused_before_any_update(corpus, bundle, bi, "config has kind=bi, but the model has kind=add")
+
+
+def test_train_joint_refuses_a_model_of_another_width():
+    """Else d=8 trains 4-wide tables and writes a checkpoint that load_model refuses."""
+    corpus, bundle, config = _toy_setup()
+    wide = dataclasses.replace(config, d=8)
+    _refused_before_any_update(corpus, bundle, wide, "config has d=8, but the model has d=4")
+
+
 def _doc_corpus(vocab_size=10, n_pairs=6, n_sents=2, seed=0):
     rng = np.random.default_rng(seed)
 
@@ -750,7 +772,7 @@ def test_malloc_thresholds_are_pinned_under_glibc_only(monkeypatch, libc):
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
     monkeypatch.setattr(os, "confstr", confstr)
-    training._keep_freed_pages.__wrapped__()
+    native.keep_freed_pages.__wrapped__()
     want = [(-3, 32 * 2**20), (-1, 64 * 2**20)] if libc == "glibc 2.36" else []
     assert calls == want
 
