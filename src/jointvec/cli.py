@@ -274,10 +274,10 @@ def _split_pair_flag(value: str) -> tuple:
     return tuple(parts)
 
 
-def _split_lang_file(flag: str, value: str) -> tuple:
+def _split_lang_file(flag: str, value: str, rest: str = "FILE") -> tuple:
     lang, sep, path = value.partition(":")
     if not sep or not lang or not path:
-        raise UserError(f"--{flag} takes LANG:FILE, got {value!r}")
+        raise UserError(f"--{flag} takes LANG:{rest}, got {value!r}")
     return lang, path
 
 
@@ -397,11 +397,13 @@ def cmd_query(args) -> int:
     if args.n < 1:
         rule = f"must be >= 1, got {args.n}"
         raise UserError(f"n {rule}", "n", rule)
-    lang, text = _split_lang_file("word", args.word)
+    lang, text = _split_lang_file("word", args.word, "TOKEN")
     tokens = tokenize(text)  # the corpus readers' case folding
     if len(tokens) != 1:
         raise UserError(f"--word takes LANG:TOKEN with one token, got {args.word!r}")
     bundle, _, _ = load_model(args.model)
+    if tokens[0] not in bundle.vocab(lang):
+        raise UserError(f"--word {args.word!r}: language {lang!r} has no token {tokens[0]!r}")
     neighbors = nearest_neighbors(bundle, (lang, tokens[0]), args.n, args.target, args.metric)
     lines = "".join(f"{nl}\t{nt}\t{score:.6f}\n" for nl, nt, score in neighbors)
     sys.stdout.write(lines)

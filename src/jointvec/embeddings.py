@@ -7,7 +7,7 @@ export -> import -> export is byte-identical.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,10 +60,17 @@ class Vocabulary:
 
 @dataclass
 class EmbeddingTable:
-    """Dense (V, d) float64 matrix for one language; rows align with vocab ids."""
+    """Dense (V, d) float64 matrix for one language; rows align with vocab ids.
+
+    A read-only matrix is taken never to change, so nearest_neighbors keeps
+    its row norms on the table after the first cosine query. make_writable
+    is the one way back to a writable matrix, and it drops them.
+    """
 
     language: str
     matrix: np.ndarray
+    # (matrix, its row norms), kept by nearest_neighbors while the matrix is read-only
+    _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -71,6 +78,11 @@ class EmbeddingTable:
             raise ContractError(f"embedding matrix must be 2-D, got shape {self.matrix.shape}")
         if not np.isfinite(self.matrix).all():
             raise ContractError("embedding matrix contains non-finite entries")
+
+    def make_writable(self) -> None:
+        """Let the matrix be updated in place; the row norms kept for queries are dropped."""
+        self._norms = None
+        self.matrix.flags.writeable = True
 
     @property
     def vocab_size(self) -> int:
@@ -194,6 +206,27 @@ def import_table(path, language: str = "") -> tuple[Vocabulary, EmbeddingTable]:
     return vocab, EmbeddingTable(language, matrix)
 
 
+def _row_sums(mat: np.ndarray, buf: np.ndarray, tiled: np.ndarray = None) -> np.ndarray:
+    """Each row's sum of squares, or with `tiled` of squared differences from its rows.
+
+    Rows go len(buf) at a time through the preallocated buffer, so no
+    (V, d) temporary is made. `tiled` holds the query row repeated to
+    buf's shape: subtracting same-shaped blocks is one inner loop per
+    block, where a broadcast row costs one per row.
+    """
+    sums = np.empty(len(mat))
+    for lo in range(0, len(mat), len(buf)):
+        x = mat[lo : lo + len(buf)]
+        part = buf[: len(x)]
+        if tiled is None:
+            np.multiply(x, x, out=part)
+        else:
+            np.subtract(x, tiled[: len(x)], out=part)
+            part *= part
+        np.add.reduce(part, axis=1, out=sums[lo : lo + len(x)])
+    return sums
+
+
 def nearest_neighbors(
     bundle: ModelBundle,
     query: tuple,
@@ -214,9 +247,11 @@ def nearest_neighbors(
     preallocated (block, d) buffer, so no (V, d) temporary is made; each
     row's sum is the same reduction over its own d values that
     `np.linalg.norm(x, axis=1)` forms, so the bits do not depend on the
-    block. Only the rows scoring at or above the table's n-th best score
-    reach the final sort, so every row tied with that cut competes on
-    (language, token).
+    block. A read-only table keeps its row norms from its first cosine
+    query, so later queries pay only the gemv; a writable table's are
+    formed again for every query, as it may have changed since. Only the
+    rows scoring at or above the table's n-th best score reach the final
+    sort, so every row tied with that cut competes on (language, token).
     """
     if metric not in ("cosine", "euclidean"):
         raise UserError(f"unknown metric {metric!r}")
@@ -227,26 +262,25 @@ def nearest_neighbors(
     tables = [bundle.table(lang) for lang in langs]
     if n <= 0:
         return []
-    block = _block_rows(len(vq))
-    buf = np.empty((block, len(vq)))
+    buf = np.empty((_block_rows(len(vq)), len(vq)))
+    if metric == "cosine":
+        norm_q = np.linalg.norm(vq)
+    else:
+        tiled = np.tile(vq, (len(buf), 1))
     candidates = []
     for lang, table in zip(langs, tables):
         mat = table.matrix
-        sums = np.empty(len(mat))
-        for lo in range(0, len(mat), block):
-            x = mat[lo : lo + block]
-            part = buf[: len(x)]
-            if metric == "cosine":
-                np.multiply(x, x, out=part)
-            else:
-                np.subtract(x, vq, out=part)
-                part *= part
-            np.add.reduce(part, axis=1, out=sums[lo : lo + len(x)])
         if metric == "cosine":
-            norms = np.sqrt(sums) * np.linalg.norm(vq)
+            if table._norms is not None and table._norms[0] is mat:
+                row_norms = table._norms[1]
+            else:
+                row_norms = np.sqrt(_row_sums(mat, buf))
+                if not mat.flags.writeable:
+                    table._norms = (mat, row_norms)
+            norms = row_norms * norm_q
             scores = np.divide(mat @ vq, norms, out=np.zeros(len(mat)), where=norms > 0)
         else:
-            scores = -np.sqrt(sums)
+            scores = -np.sqrt(_row_sums(mat, buf, tiled))
         rows = np.arange(len(scores))
         if lang == lang_q:
             rows = np.delete(rows, row_q)

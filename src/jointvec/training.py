@@ -198,6 +198,8 @@ def train_joint(
     loss or update is not finite raises UserError and writes nothing:
     tables and accumulators stay as the last good batch left them. The
     first call pins the process's glibc malloc thresholds (native.keep_freed_pages).
+    The model's tables are made writable (EmbeddingTable.make_writable)
+    after those checks, so a model from load_model or resume trains.
     """
     if not corpora:
         raise UserError("need at least one sub-corpus")
@@ -219,6 +221,8 @@ def train_joint(
     if state is None:
         state = AdaGradState(tables)
     packed = [pack_corpus(c) for c in corpora]
+    for table in tables.tables.values():  # a loaded model's tables are read-only
+        table.make_writable()
     keep_freed_pages()
 
     report = TrainReport()
@@ -380,11 +384,12 @@ def _reject_rows(path, vocab: Vocabulary, bad: np.ndarray, what: str) -> None:
 
 
 def _read_matrix(path, vocab_path, vocab: Vocabulary, reference=None) -> np.ndarray:
-    """The finite 2-D float64 array of the .npy file `path`, one row per token of `vocab`.
+    """The 2-D float64 array of the .npy file `path`, one row per token of `vocab`.
 
     `vocab` was read from `vocab_path`. `reference`, if given, is (path,
-    width) of an array whose width this one must share. Pickled data is
-    never loaded, and numpy's warnings about the file are not shown.
+    width) of an array whose width this one must share. Its entries are
+    not checked: each caller makes the one finiteness pass. Pickled data
+    is never loaded, and numpy's warnings about the file are not shown.
     """
     try:
         with open(path, "rb") as fh, warnings.catch_warnings():
@@ -403,15 +408,15 @@ def _read_matrix(path, vocab_path, vocab: Vocabulary, reference=None) -> np.ndar
         raise UserError(
             f"{path} has width {matrix.shape[1]}, but {reference[0]} has width {reference[1]}"
         )
-    if not np.isfinite(matrix).all():
-        _reject_rows(path, vocab, ~np.isfinite(matrix).all(axis=1), "non-finite values")
     return matrix
 
 
 def load_model(path):
     """Load a checkpoint directory's model, without its AdaGrad accumulators.
 
-    Returns (ModelBundle, TrainConfig, epoch). meta.txt is read first,
+    Returns (ModelBundle, TrainConfig, epoch). The tables' matrices are
+    read-only, so queries keep their row norms; train_joint makes them
+    writable when it takes the model. meta.txt is read first,
     then each language's .vocab and .npy. Every fault is a UserError
     naming the file, plus the row or token where one applies: a missing
     or unreadable file, a missing metadata key, an epoch outside [0,
@@ -444,7 +449,12 @@ def load_model(path):
         table_path = os.path.join(path, f"{lang}.npy")
         matrix = _read_matrix(table_path, vocab_path, vocabs[lang], reference)
         reference = reference or (table_path, matrix.shape[1])
-        tables[lang] = EmbeddingTable(lang, matrix)
+        matrix.flags.writeable = False
+        try:  # the table's own finiteness check is the one pass over its entries
+            tables[lang] = EmbeddingTable(lang, matrix)
+        except ContractError:
+            bad = ~np.isfinite(matrix).all(axis=1)
+            _reject_rows(table_path, vocabs[lang], bad, "non-finite values")
     if reference[1] != config.d:
         raise UserError(f"{meta_path}: d={config.d}, but {reference[0]} has width {reference[1]}")
     return ModelBundle(vocabs, tables, config.kind), config, epoch
@@ -465,6 +475,9 @@ def resume(path):
         acc_path = os.path.join(path, f"{lang}.adagrad.npy")
         reference = (os.path.join(path, f"{lang}.npy"), bundle.d)
         acc[lang] = _read_matrix(acc_path, os.path.join(path, f"{lang}.vocab"), vocab, reference)
+        if not np.isfinite(acc[lang]).all():
+            bad = ~np.isfinite(acc[lang]).all(axis=1)
+            _reject_rows(acc_path, vocab, bad, "non-finite values")
         if acc[lang].min(initial=0.0) < 0:
             negative = (acc[lang] < 0).any(axis=1)
             _reject_rows(acc_path, vocab, negative, "negative accumulator entries")

@@ -523,6 +523,16 @@ def test_query_unknown_word_fails(trained, la_token, capsys):
     for word in ("la: ", f"la:{la_token} {la_token}"):
         rc, stdout, err = run_cli(["query", "--model", trained, "--word", word], capsys)
         assert rc == 1 and "--word takes LANG:TOKEN with one token" in err and stdout == ""
+    for word in ("la:", f":{la_token}", la_token):
+        rc, stdout, err = run_cli(["query", "--model", trained, "--word", word], capsys)
+        assert rc == 1 and f"--word takes LANG:TOKEN, got {word!r}" in err and stdout == ""
+
+
+def test_query_word_missing_from_the_model_names_the_flag_and_language(trained, capsys):
+    rc, stdout, err = run_cli(["query", "--model", trained, "--word", "la:ZZZ"], capsys)
+    assert rc == 1 and stdout == ""
+    assert "--word 'la:ZZZ': language 'la' has no token 'zzz'" in err
+    assert "Traceback" not in err
 
 
 def test_query_word_is_case_folded_like_the_corpora(trained, la_token, capsys):

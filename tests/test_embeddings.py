@@ -312,16 +312,30 @@ def test_nearest_neighbors_bits_across_row_blocks(d):
                         assert nearest_neighbors(bundle, query, n, target, metric) == expected
 
 
+@pytest.mark.parametrize("read_only", [False, True])
 @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-def test_nearest_neighbors_forms_no_table_sized_temporary(metric):
+def test_nearest_neighbors_forms_no_table_sized_temporary(metric, read_only):
     bundle = make_bundle({"de": 20_000, "en": 20_000}, 128, seed=3)
-    tracemalloc.start()
-    try:
-        nearest_neighbors(bundle, ("en", "en7"), 10, "all", metric)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20  # each table is 20 MB
+    for table in bundle.tables.values():
+        table.matrix.flags.writeable = not read_only
+    for _ in range(2):  # a read-only table's first query keeps its norms, the second reads them
+        tracemalloc.start()
+        try:
+            nearest_neighbors(bundle, ("en", "en7"), 10, "all", metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20  # each table is 20 MB
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+def test_nearest_neighbors_rescores_a_writable_table_changed_between_queries(metric):
+    bundle = make_bundle({"de": 50, "en": 40}, 16, seed=9)
+    query = ("en", "en3")
+    for _ in range(2):
+        expected = _brute_force_neighbors(bundle, query, 8, "all", metric)
+        assert nearest_neighbors(bundle, query, 8, "all", metric) == expected
+        bundle.table("de").matrix[::2] *= 3.0  # cosine scores hold only if the norms follow
 
 
 def test_make_bundle_helper_shares_dimension():

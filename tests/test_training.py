@@ -34,6 +34,7 @@ from jointvec.embeddings import (
     derive_seed,
     export_table,
     init_table,
+    nearest_neighbors,
 )
 from jointvec.errors import ContractError, UserError
 from jointvec.objective import batch_loss_and_grads, energy
@@ -48,6 +49,7 @@ from jointvec.training import (
 )
 
 from conftest import HOSTILE_CHECKPOINTS, damage_checkpoint, make_bundle
+from test_embeddings import _brute_force_neighbors
 
 mp.mp.dps = 30
 
@@ -942,6 +944,37 @@ def test_resume_continue_matches_uninterrupted(tmp_path):
         assert np.array_equal(
             bundle2.table(lang).matrix, full_bundle.table(lang).matrix
         )
+
+
+def test_loaded_tables_are_read_only(tmp_path):
+    _, bundle, config = _toy_setup()
+    checkpoint(bundle, AdaGradState(bundle), tmp_path, config, epoch=0)
+    loaded, resumed = load_model(tmp_path)[0], resume(tmp_path)
+    for lang in ("la", "lb"):
+        for model in (loaded, resumed[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                model.table(lang).matrix[0] = 0.0
+        resumed[1].acc[lang][0] = 0.0  # the accumulators stay writable
+
+
+def test_queries_on_a_resumed_model_follow_its_training(tmp_path):
+    corpus, bundle, config = _toy_setup(n=12, d=6, margin=6.0)
+    state = AdaGradState(bundle)
+    train_joint([corpus], bundle, config, state)
+    checkpoint(bundle, state, tmp_path, config, epoch=2)
+    bundle2, state2, config2, epoch2 = resume(tmp_path)
+    query = ("la", bundle2.vocab("la").tokens[0])
+
+    def check(*_):
+        expected = _brute_force_neighbors(bundle2, query, 5)
+        assert nearest_neighbors(bundle2, query, 5) == expected
+
+    check()  # the read-only tables keep their norms
+    before = bundle2.table("lb").matrix.copy()
+    more = dataclasses.replace(config2, epochs=epoch2 + 2)
+    train_joint([corpus], bundle2, more, state2, start_epoch=epoch2, on_epoch=check)
+    assert not np.array_equal(bundle2.table("lb").matrix, before)
+    check()
 
 
 def test_resume_errors(tmp_path):
