@@ -281,6 +281,13 @@ def _split_lang_file(flag: str, value: str, rest: str = "FILE") -> tuple:
     return lang, path
 
 
+def _check_language(bundle, flag: str, value: str, lang: str) -> None:
+    """Refuse `lang`, read from `value` of --`flag`, unless the model has it."""
+    if lang not in bundle.languages:
+        raise UserError(f"--{flag} {value!r}: model has no language {lang!r}; "
+                        f"it has {', '.join(bundle.languages)}")
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -336,15 +343,18 @@ def cmd_train(args) -> int:
 def _eval(args, read_flags, evaluate) -> int:
     """Both eval subcommands; the classifier settings are checked before `read_flags()`.
 
-    `read_flags()` gives (language, document file) pairs, and `evaluate(groups,
-    bundle, **settings)` reports on (language, documents) groups. The auto level is
+    `read_flags()` gives (flag, language, document file) triples, and `evaluate(groups,
+    bundle, **settings)` reports on (language, documents) groups. Every language is
+    checked against the model before any document is read. The auto level is
     doc-cvm for multi-label tasks on a document-signal model, else sentence-average.
     """
     check_classifier_settings(args.epochs, args.seed, args.top_labels)
     files = read_flags()
     bundle, ckpt_config, _ = load_model(args.model)
+    for flag, lang, path in files:
+        _check_language(bundle, flag, f"{lang}:{path}", lang)
     groups = []
-    for lang, path in files:
+    for _, lang, path in files:
         docs = load_documents(path, bundle.vocab(lang))
         if not docs:
             raise UserError(f"{path}: no document has a token in the model's vocabulary")
@@ -365,7 +375,7 @@ def _eval(args, read_flags, evaluate) -> int:
 
 def cmd_eval_cldc(args) -> int:
     def read_flags():
-        return [_split_lang_file("train", args.train), _split_lang_file("test", args.test)]
+        return [(flag, *_split_lang_file(flag, getattr(args, flag))) for flag in ("train", "test")]
 
     def evaluate(groups, bundle, **settings):
         return cldc_run(*groups[0], *groups[1], bundle, **settings)
@@ -382,7 +392,7 @@ def cmd_eval_transfer(args) -> int:
         missing = [l for l in langs if l not in doc_paths]
         if missing:
             raise UserError(f"--docs missing for languages: {','.join(missing)}")
-        return [(l, doc_paths[l]) for l in langs]
+        return [("docs", l, doc_paths[l]) for l in langs]
 
     def evaluate(groups, bundle, **settings):
         return transfer_matrix([lang for lang, _ in groups], dict(groups), bundle, **settings)
@@ -402,6 +412,9 @@ def cmd_query(args) -> int:
     if len(tokens) != 1:
         raise UserError(f"--word takes LANG:TOKEN with one token, got {args.word!r}")
     bundle, _, _ = load_model(args.model)
+    _check_language(bundle, "word", args.word, lang)
+    if args.target != "all":
+        _check_language(bundle, "target", args.target, args.target)
     if tokens[0] not in bundle.vocab(lang):
         raise UserError(f"--word {args.word!r}: language {lang!r} has no token {tokens[0]!r}")
     neighbors = nearest_neighbors(bundle, (lang, tokens[0]), args.n, args.target, args.metric)
@@ -420,8 +433,8 @@ def cmd_export(args) -> int:
         raise UserError(f"--lang {repeated[0]!r} is listed more than once")
     bundle, _, _ = load_model(args.model)
     args.lang = args.lang or list(bundle.languages)
-    for lang in args.lang:
-        bundle.table(lang)  # unknown language fails before any file is written
+    for lang in args.lang:  # an unknown language fails before --out is made
+        _check_language(bundle, "lang", lang, lang)
     _write_manifest(args)
     for lang in args.lang:
         export_table(bundle.table(lang), bundle.vocab(lang), os.path.join(args.out, f"{lang}.emb"))

@@ -24,6 +24,14 @@ products round as per-example products do, and the replay's adds and
 updates are the per-example loop's, in its order, so the classifiers
 keep the bits of a loop that trains one classifier and scores one
 example at a time.
+
+A walk stops after its first epoch without an update. That epoch
+scored every row against weights it did not change, so every later
+epoch, in any order, would score the same rows against the same weights
+and update nothing either (the perceptron convergence argument). The
+replay takes each classifier's visit count from the epochs asked for,
+not from its walk, so it still adds a snapshot for every visit of
+them, and the bits stay those of a walk through all the epochs.
 """
 
 from collections import Counter
@@ -201,11 +209,21 @@ def _walk(xs, ys, w, epochs: int, seed: int) -> list:
     the row behind it. So numpy is called per block and per mistake, and
     the weights after each visit are those of a loop that scores one
     example at a time. The snapshot sum is left to `_averaged_perceptrons`.
+
+    The walk stops after the first epoch that logs no update. That epoch
+    scored every row against weights it left unchanged, so every later
+    epoch, whatever its order, scores the same rows against the same
+    weights and updates nothing either. Stopping skips only `permutation`
+    draws of the walk's own generator, and the replay takes its visit
+    count from `epochs`, not from the log, so the bits are those of a walk
+    through all `epochs`.
     """
     n = len(xs)
     log, size = [], _FIRST_BLOCK
     rng = np.random.default_rng(seed)
     for epoch in range(epochs):
+        if epoch and (not log or log[-1][0] < (epoch - 1) * n):
+            break  # the previous epoch was clean, so every later one is
         order = rng.permutation(n)
         rows, labels = xs[order], ys[order]
         p = 0

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from jointvec import synth
+from jointvec import cli, synth
 from jointvec.cli import _TRAIN, load_config_file, main
 from jointvec.corpus import iter_document_token_sentences, iter_token_sentences
 from jointvec.embeddings import Vocabulary, export_table, import_table
@@ -533,6 +533,31 @@ def test_query_word_missing_from_the_model_names_the_flag_and_language(trained, 
     assert rc == 1 and stdout == ""
     assert "--word 'la:ZZZ': language 'la' has no token 'zzz'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["word", "target", "lang", "train", "test", "docs"])
+def test_unknown_language_names_its_flag_before_any_work(fast_corpus, trained, la_token, tmp_path,
+                                                         flag, monkeypatch, capsys):
+    """A language the model lacks ends the run with exit 1, naming the flag that gave it and
+    the model's languages, before a document is read or a neighbor scored."""
+    la, lb = (f"{lang}:{fast_corpus / lang}.docs" for lang in ("la", "lb"))
+    zz = f"zz:{tmp_path / 'zz.docs'}"  # never read
+    argv, value = {
+        "word": (["query", "--word", "zz:la007"], "zz:la007"),
+        "target": (["query", "--word", f"la:{la_token}", "--target", "zz"], "zz"),
+        "lang": (["export", "--lang", "la", "--lang", "zz"], "zz"),
+        "train": (["eval", "cldc", "--train", zz, "--test", lb], zz),
+        "test": (["eval", "cldc", "--train", la, "--test", zz], zz),
+        "docs": (["eval", "transfer", "--langs", "la,zz", "--docs", la, "--docs", zz], zz),
+    }[flag]
+    work = []
+    monkeypatch.setattr(cli, "load_documents", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "nearest_neighbors", lambda *a: work.append(a))
+    out = tmp_path / "out"
+    rc, stdout, err = run_cli([*argv, "--model", trained, "--out", out], capsys)
+    assert rc == 1 and stdout == "" and work == []
+    assert f"--{flag} {value!r}: model has no language 'zz'; it has la, lb" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_query_word_is_case_folded_like_the_corpora(trained, la_token, capsys):

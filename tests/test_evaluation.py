@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_model as ref
-from jointvec import native
+from jointvec import evaluation, native
 from jointvec.composition import CompositionKind
 from jointvec.corpus import LabeledDocument, Sentence
 from jointvec.embeddings import EmbeddingTable, ModelBundle, Vocabulary, derive_seed
@@ -246,7 +246,7 @@ def _features(rng, n, d, kind):
 
 
 @given(n=st.integers(2, 40), d=st.integers(1, 12), n_classes=st.integers(2, 6),
-       epochs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), features=FEATURES,
+       epochs=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), features=FEATURES,
        separable=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_train_multiclass_matches_reference_perceptron(n, d, n_classes, epochs, seed, features,
@@ -316,7 +316,7 @@ def _one_vs_rest_loop(xs, ys, epochs, seed):
 
 
 @given(n=st.integers(1, 60), d=st.integers(1, 12), n_labels=st.integers(1, 4),
-       epochs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), features=FEATURES,
+       epochs=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), features=FEATURES,
        separable=st.booleans(), data_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_train_multilabel_matches_per_example_loop(n, d, n_labels, epochs, seed, features,
@@ -362,7 +362,7 @@ def _per_example_state(xs, ys, w, epochs, seed):
 
 
 @given(shapes=st.lists(st.tuples(st.integers(1, 30), st.integers(2, 6)), min_size=1, max_size=6),
-       one_vs_rest=st.booleans(), d=st.integers(1, 8), epochs=st.integers(1, 5),
+       one_vs_rest=st.booleans(), d=st.integers(1, 8), epochs=st.integers(1, 10),
        seed=st.integers(0, 2**32 - 1), features=FEATURES, data_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_shared_snapshot_sum_matches_per_classifier_loops(shapes, one_vs_rest, d, epochs, seed,
@@ -394,6 +394,50 @@ def test_shared_snapshot_sum_matches_per_classifier_loops(shapes, one_vs_rest, d
         assert np.array_equal(model.averaged, want)
         assert np.array_equal(model.weights, weights)
         assert model.updates == updates
+
+
+@pytest.mark.parametrize("one_vs_rest, data_seed", [(False, 0), (True, 1)])
+def test_walk_scores_nothing_after_a_clean_epoch(monkeypatch, one_vs_rest, data_seed):
+    """A walk makes no `_predict` call after its first epoch without an update,
+    and one that still updates in its last epoch scores through all of them.
+
+    The replay keeps the bits whether or not a walk stops, so only the
+    count of scoring calls shows the stop. A walk cut after its first
+    clean epoch must make the calls, and log the updates, of the full one.
+    """
+    calls = []
+    predict = evaluation._predict
+
+    def counted(w, xs):
+        calls.append(len(xs))
+        return predict(w, xs)
+
+    monkeypatch.setattr(evaluation, "_predict", counted)
+
+    def walk(ys, epochs):
+        calls.clear()
+        w = np.zeros(xs.shape[1]) if one_vs_rest else np.zeros((3, xs.shape[1]))
+        log = evaluation._walk(xs, ys, w, epochs, 1)
+        return log, len(calls)
+
+    n, d = 60, 6
+    rng = np.random.default_rng(data_seed)
+    xs = np.column_stack([rng.normal(size=(n, d)), np.ones(n)])
+    if one_vs_rest:
+        separable, noisy = xs @ rng.normal(size=d + 1) > 0.0, rng.random(n) < 0.5
+    else:
+        separable = np.argmax(xs @ rng.normal(size=(d + 1, 3)), axis=1)
+        noisy = rng.integers(0, 3, size=n)
+
+    log, scored = walk(separable, 10)
+    updating = {t // n for t, *_ in log}
+    clean = min(set(range(10)) - updating)
+    assert 1 < clean < 9 and updating == set(range(clean))
+    assert (log, scored) == walk(separable, clean + 1)
+
+    log, scored = walk(noisy, 10)
+    assert log[-1][0] >= 9 * n  # an update in the last epoch
+    assert scored > walk(noisy, 9)[1]
 
 
 def test_multilabel_models_are_label_independent():
