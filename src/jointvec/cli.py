@@ -155,9 +155,8 @@ _CLDC = (
 )
 _TRANSFER = (
     _MODEL,
-    Flag("langs", "comma-separated language codes", metavar="L1,L2,...", required=True),
-    Flag("docs", "documents per language; repeatable", metavar="LANG:FILE", repeat=True,
-         required=True),
+    Flag("docs", "documents of one language; give once per language, at least 2",
+         metavar="LANG:FILE", repeat=True, required=True),
     *_EVAL,
 )
 
@@ -281,6 +280,12 @@ def _split_lang_file(flag: str, value: str, rest: str = "FILE") -> tuple:
     return lang, path
 
 
+def _refuse_repeats(flag: str, langs: list) -> None:
+    repeated = [lang for lang in langs if langs.count(lang) > 1]
+    if repeated:
+        raise UserError(f"--{flag} {repeated[0]!r} is listed more than once")
+
+
 def _check_language(bundle, flag: str, value: str, lang: str) -> None:
     """Refuse `lang`, read from `value` of --`flag`, unless the model has it."""
     if lang not in bundle.languages:
@@ -385,14 +390,11 @@ def cmd_eval_cldc(args) -> int:
 
 def cmd_eval_transfer(args) -> int:
     def read_flags():
-        langs = [l for l in args.langs.split(",") if l]
-        if len(langs) < 2:
-            raise UserError(f"--langs needs at least 2 comma-separated codes, got {args.langs!r}")
-        doc_paths = dict(_split_lang_file("docs", d) for d in args.docs)
-        missing = [l for l in langs if l not in doc_paths]
-        if missing:
-            raise UserError(f"--docs missing for languages: {','.join(missing)}")
-        return [("docs", l, doc_paths[l]) for l in langs]
+        files = [("docs", *_split_lang_file("docs", d)) for d in args.docs]
+        _refuse_repeats("docs", [lang for _, lang, _ in files])
+        if len(files) < 2:
+            raise UserError(f"--docs needs at least 2 languages, got {len(files)}")
+        return files
 
     def evaluate(groups, bundle, **settings):
         return transfer_matrix([lang for lang, _ in groups], dict(groups), bundle, **settings)
@@ -428,9 +430,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_export(args) -> int:
-    repeated = [lang for lang in args.lang or () if args.lang.count(lang) > 1]
-    if repeated:
-        raise UserError(f"--lang {repeated[0]!r} is listed more than once")
+    _refuse_repeats("lang", args.lang or [])
     bundle, _, _ = load_model(args.model)
     args.lang = args.lang or list(bundle.languages)
     for lang in args.lang:  # an unknown language fails before --out is made

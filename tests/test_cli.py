@@ -195,7 +195,6 @@ def test_eval_transfer_rows(fast_corpus, trained, capsys):
         [
             "eval", "transfer",
             "--model", trained,
-            "--langs", "la,lb",
             "--docs", f"la:{fast_corpus / 'la.docs'}",
             "--docs", f"lb:{fast_corpus / 'lb.docs'}",
         ],
@@ -213,7 +212,7 @@ def test_eval_transfer_repeated_language_is_user_error(fast_corpus, trained, cap
         [
             "eval", "transfer",
             "--model", trained,
-            "--langs", "la,la",
+            "--docs", f"la:{fast_corpus / 'la.docs'}",
             "--docs", f"la:{fast_corpus / 'la.docs'}",
         ],
         capsys,
@@ -222,17 +221,17 @@ def test_eval_transfer_repeated_language_is_user_error(fast_corpus, trained, cap
     assert stdout == ""
 
 
-def test_eval_transfer_requires_docs_per_lang(fast_corpus, trained, capsys):
-    rc, _, err = run_cli(
+def test_eval_transfer_requires_two_languages(fast_corpus, trained, capsys):
+    rc, stdout, err = run_cli(
         [
             "eval", "transfer",
             "--model", trained,
-            "--langs", "la,lb",
             "--docs", f"la:{fast_corpus / 'la.docs'}",
         ],
         capsys,
     )
-    assert rc == 1 and "lb" in err
+    assert rc == 1 and "--docs" in err and "at least 2" in err
+    assert "Traceback" not in err and stdout == ""
 
 
 @pytest.mark.parametrize("content", ["", "d1\tla\tl\tnowhere in vocabulary\n"],
@@ -245,7 +244,7 @@ def test_eval_document_file_without_known_tokens_names_file(fast_corpus, trained
     lb_docs = fast_corpus / "lb.docs"
     argv = {
         "cldc": ["--train", f"la:{bad}", "--test", f"lb:{lb_docs}"],
-        "transfer": ["--langs", "la,lb", "--docs", f"la:{bad}", "--docs", f"lb:{lb_docs}"],
+        "transfer": ["--docs", f"la:{bad}", "--docs", f"lb:{lb_docs}"],
     }[command]
     rc, _, err = run_cli(["eval", command, "--model", trained, *argv], capsys)
     assert rc == 1 and str(bad) in err
@@ -288,8 +287,8 @@ def test_out_that_is_a_file_is_user_error_before_any_work(fast_corpus, trained, 
     argv = {
         "train": train_args(fast_corpus, out)[:-2],  # without its --out
         "eval cldc": ["eval", "cldc", "--model", trained, "--train", la_docs, "--test", lb_docs],
-        "eval transfer": ["eval", "transfer", "--model", trained, "--langs", "la,lb",
-                          "--docs", la_docs, "--docs", lb_docs],
+        "eval transfer": ["eval", "transfer", "--model", trained, "--docs", la_docs,
+                          "--docs", lb_docs],
         "query": ["query", "--model", trained, "--word", f"la:{la_token}"],
         "export": ["export", "--model", trained],
     }[command]
@@ -535,9 +534,10 @@ def test_query_word_missing_from_the_model_names_the_flag_and_language(trained, 
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["word", "target", "lang", "train", "test", "docs"])
+@pytest.mark.parametrize("case", ["word", "target", "lang", "train", "test", "docs",
+                                  "docs_beside_two"])
 def test_unknown_language_names_its_flag_before_any_work(fast_corpus, trained, la_token, tmp_path,
-                                                         flag, monkeypatch, capsys):
+                                                         case, monkeypatch, capsys):
     """A language the model lacks ends the run with exit 1, naming the flag that gave it and
     the model's languages, before a document is read or a neighbor scored."""
     la, lb = (f"{lang}:{fast_corpus / lang}.docs" for lang in ("la", "lb"))
@@ -548,8 +548,10 @@ def test_unknown_language_names_its_flag_before_any_work(fast_corpus, trained, l
         "lang": (["export", "--lang", "la", "--lang", "zz"], "zz"),
         "train": (["eval", "cldc", "--train", zz, "--test", lb], zz),
         "test": (["eval", "cldc", "--train", la, "--test", zz], zz),
-        "docs": (["eval", "transfer", "--langs", "la,zz", "--docs", la, "--docs", zz], zz),
-    }[flag]
+        "docs": (["eval", "transfer", "--docs", la, "--docs", zz], zz),
+        "docs_beside_two": (["eval", "transfer", "--docs", la, "--docs", lb, "--docs", zz], zz),
+    }[case]
+    flag = case.split("_")[0]
     work = []
     monkeypatch.setattr(cli, "load_documents", lambda *a: work.append(a))
     monkeypatch.setattr(cli, "nearest_neighbors", lambda *a: work.append(a))
@@ -664,8 +666,8 @@ def test_every_subcommand_replays_its_manifest(fast_corpus, trained, tmp_path, c
     token = resume(trained)[0].vocab("la").tokens[0]
     runs = [
         ["eval", "cldc", "--model", trained, "--train", la_docs, "--test", lb_docs],
-        ["eval", "transfer", "--model", trained, "--langs", "la,lb", "--docs", la_docs,
-         "--docs", lb_docs, "--task", "multi", "--top-labels", 2, "--epochs", 3],
+        ["eval", "transfer", "--model", trained, "--docs", la_docs, "--docs", lb_docs,
+         "--task", "multi", "--top-labels", 2, "--epochs", 3],
         ["query", "--model", trained, "--word", f"la:{token}", "--target", "lb",
          "--metric", "euclidean"],
         ["export", "--model", trained, "--lang", "lb", "--lang", "la"],
@@ -799,23 +801,24 @@ def test_library_warning_is_one_cli_line(fast_corpus, trained, capsys):
      (["--top-labels", 0], "--top-labels must be >= 1, got 0"),
      (["--seed", -1], "--seed must be >= 0, got -1"),
      (["--train", "la"], "--train takes LANG:FILE, got 'la'"),
-     (["--langs", "la"], "--langs needs at least 2 comma-separated codes, got 'la'")],
-    ids=["epochs", "top_labels", "seed", "train_without_colon", "one_language"],
+     (["--docs", "la:{data}/la.docs"], "--docs 'la' is listed more than once")],
+    ids=["epochs", "top_labels", "seed", "train_without_colon", "repeated_docs_language"],
 )
 def test_eval_bad_classifier_setting_is_user_error(fast_corpus, trained, tmp_path, extra,
                                                   setting, capsys):
     """The setting is refused before any file is read, so a missing model goes unnoticed.
 
-    So is a malformed --train or --langs, the flag of one subcommand only.
+    So is a malformed --train or a repeated --docs language, the flag of one subcommand only.
     """
+    extra = [str(arg).format(data=fast_corpus) for arg in extra]
     la, lb = f"la:{fast_corpus / 'la.docs'}", f"lb:{fast_corpus / 'lb.docs'}"
     commands = (
         ["cldc", "--train", la, "--test", lb],
-        ["transfer", "--langs", "la,lb", "--docs", la, "--docs", lb],
+        ["transfer", "--docs", la, "--docs", lb],
     )
     out = tmp_path / "eval"
     for command in commands:
-        if extra[0] in ("--train", "--langs") and extra[0] not in command:
+        if extra[0] in ("--train", "--docs") and extra[0] not in command:
             continue
         for model in (trained, tmp_path / "missing"):
             rc, stdout, err = run_cli(
@@ -834,7 +837,7 @@ def test_eval_top_labels_on_single_label_task_is_user_error(fast_corpus, trained
     """--top-labels is refused where the task is or resolves to single-label, kept on multi."""
     la, lb = f"la:{fast_corpus / 'la.docs'}", f"lb:{fast_corpus / 'lb.docs'}"
     command = {"cldc": ["--train", la, "--test", lb],
-               "transfer": ["--langs", "la,lb", "--docs", la, "--docs", lb]}[subcommand]
+               "transfer": ["--docs", la, "--docs", lb]}[subcommand]
     out = tmp_path / "eval"
     rc, stdout, err = run_cli(["eval", subcommand, *command, "--model", trained,
                                "--task", task, "--top-labels", 1, "--out", out], capsys)
