@@ -43,6 +43,7 @@ from .training import (
     FIELD_TYPES,
     AdaGradState,
     TrainConfig,
+    check_language_code,
     checkpoint,
     format_setting,
     load_model,
@@ -127,7 +128,7 @@ _TRAIN = (
     _train_flag("step", "step", "base step size", REGIME),
     _train_flag("batch", "batch", "minibatch size", REGIME),
     _train_flag("epochs", "epochs", "passes over each corpus", TOOLING),
-    _train_flag("cvm", "kind", "composition model", REGIME, str,
+    _train_flag("cvm", "kind", "composition model", REGIME,
                 choices=tuple(k.value for k in CompositionKind)),
     _train_flag("doc_signal", "doc_signal",
                 "inputs are document files; train at document level plus sentence signal",
@@ -270,6 +271,8 @@ def _split_pair_flag(value: str) -> tuple:
         raise UserError(
             f"--pair takes LANG1:LANG2:FILE1:FILE2 (paths without colons), got {value!r}"
         )
+    for lang in parts[:2]:
+        check_language_code(lang, f"--pair {value!r}")
     return tuple(parts)
 
 

@@ -33,16 +33,14 @@ class CompositionKind(Enum):
 class CompositionResult:
     output: np.ndarray  # (d,) for one sequence, (S, d) for S segments
     activations: np.ndarray | None  # BI: (n, d) tanh outputs, None for ADD
-    kind: CompositionKind
-    lengths: np.ndarray  # rows per segment; [n] for one sequence
-    starts: np.ndarray  # first row of each segment
+    lengths: np.ndarray  # rows per segment, in row order; [n] for one sequence
 
     def select(self, mask: np.ndarray) -> "CompositionResult":
         """The segments where `mask` holds, as if composed alone, activations included."""
         counts, t = self.lengths[mask], self.activations
         t = None if t is None else t.compress(mask.repeat(self.lengths), axis=0)
         out = self.output.compress(mask, axis=0)  # less fixed cost than out[mask]
-        return CompositionResult(out, t, self.kind, counts, counts.cumsum() - counts)
+        return CompositionResult(out, t, counts)
 
 
 def _as_matrix(inputs) -> np.ndarray:
@@ -71,13 +69,13 @@ def _block_rows(d: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(d, 1))
 
 
-def segment_sums(x: np.ndarray, lengths: np.ndarray, starts: np.ndarray, rows=None) -> np.ndarray:
+def segment_sums(x: np.ndarray, lengths: np.ndarray, rows=None) -> np.ndarray:
     """Each segment's rows added in row order, ((x0 + x1) + x2) + ..., as (S, d).
 
     Input row i is x[i], or with `rows` x[rows[i]], read from x by index,
-    so no (n, d) input is formed; segments cut the input rows by `lengths`
-    and `starts`. The bits are those of a Python loop over each segment's
-    rows, so a segment's sum does not depend on the segments beside it.
+    so no (n, d) input is formed; segments are runs of `lengths` rows in
+    turn. The bits are those of a Python loop over each segment's rows,
+    so a segment's sum does not depend on the segments beside it.
     `x.sum(axis=0)` does not keep that order: at d = 1 it sums pairwise.
 
     A loop over positions adds row j of every segment still running at
@@ -87,7 +85,7 @@ def segment_sums(x: np.ndarray, lengths: np.ndarray, starts: np.ndarray, rows=No
     rows copied into a fixed buffer whose first row carries the running sum.
     """
     order = lengths.argsort()  # shortest first: the segments running at j form a suffix
-    firsts = starts.take(order)
+    firsts = (lengths.cumsum() - lengths).take(order)
     by_length = lengths.take(order)
     ascending, n_seg = by_length.tolist(), len(by_length)
     # stop after `split` positions, where positions plus segments left is
@@ -134,16 +132,15 @@ def compose(inputs, kind: CompositionKind, lengths=None) -> CompositionResult:
     """
     x = _as_matrix(inputs)
     segments = np.array([len(x)]) if lengths is None else lengths
-    starts = segments.cumsum() - segments
     t = None
     if kind is CompositionKind.BI:
         t = np.empty_like(x)  # x[i-1] within each segment, then tanh(x[i-1] + x[i])
         t[1:] = x[:-1]
-        t[starts] = 0.0
+        t[segments.cumsum() - segments] = 0.0
         t += x
         x = np.tanh(t, out=t)
-    out = segment_sums(x, segments, starts)
-    return CompositionResult(out[0] if lengths is None else out, t, kind, segments, starts)
+    out = segment_sums(x, segments)
+    return CompositionResult(out[0] if lengths is None else out, t, segments)
 
 
 def compose_rows(parts, kind: CompositionKind) -> CompositionResult:
@@ -157,9 +154,9 @@ def compose_rows(parts, kind: CompositionKind) -> CompositionResult:
     """
     lengths = np.concatenate([n for _, _, n in parts])
     if kind is CompositionKind.ADD:
-        sums = [segment_sums(m, n, n.cumsum() - n, rows=ids) for m, ids, n in parts]
+        sums = [segment_sums(m, n, rows=ids) for m, ids, n in parts]
         out = sums[0] if len(parts) == 1 else np.concatenate(sums)
-        return CompositionResult(out, None, kind, lengths, lengths.cumsum() - lengths)
+        return CompositionResult(out, None, lengths)
     rows = [m.take(ids, axis=0) for m, ids, _ in parts]
     return compose(rows[0] if len(parts) == 1 else np.concatenate(rows), kind, lengths)
 
@@ -174,13 +171,13 @@ def backprop(grad_output: np.ndarray, result: CompositionResult) -> np.ndarray:
     """
     g = np.asarray(grad_output, dtype=np.float64).reshape(len(result.lengths), -1)
     g = g.repeat(result.lengths, axis=0)
-    if result.kind is CompositionKind.ADD:
-        return g
     t = result.activations
+    if t is None:  # ADD
+        return g
     buf = t * t
     g *= np.subtract(1.0, buf, out=buf)
     from_next = buf[:-1]
     from_next[...] = g[1:]
-    from_next[result.starts[1:] - 1] = 0.0  # a segment's last input feeds no further bigram
+    from_next[result.lengths.cumsum()[:-1] - 1] = 0.0  # no bigram follows a segment's last input
     g[:-1] += from_next
     return g

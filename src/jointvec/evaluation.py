@@ -93,7 +93,7 @@ def represent_documents(
         sents = compose_rows(((table.matrix, ids, np.diff(sent_starts[s : e + 1])),), kind).output
         n_sents = np.diff(doc_starts[a : b + 1])
         if level == "sentence-average":
-            vecs[a:b] = segment_sums(sents, n_sents, doc_starts[a:b] - s) / n_sents[:, None]
+            vecs[a:b] = segment_sums(sents, n_sents) / n_sents[:, None]
         else:
             vecs[a:b] = compose(sents, kind, n_sents).output
     bad = ~np.isfinite(vecs).all(axis=1)

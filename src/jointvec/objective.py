@@ -97,7 +97,7 @@ class _Sentences:
         np.not_equal(ids[1:], ids[:-1], out=new[1:])
         starts = np.flatnonzero(new)
         rows = ids.take(starts)
-        if self.result.kind is CompositionKind.ADD:  # a token's gradient is its sentence's
+        if self.result.activations is None:  # ADD: a token's gradient is its sentence's
             grads = self.grad
             order = np.flatnonzero(touched).repeat(lengths[touched]).take(order)
         else:
@@ -105,7 +105,7 @@ class _Sentences:
             self.result = None  # untouched sentences' activations go before backprop's temporaries
             grads = backprop(self.grad.compress(touched, axis=0), result)
             del result  # and touched ones before the sums'
-        summed = segment_sums(grads, np.diff(starts, append=len(ids)), starts, rows=order)
+        summed = segment_sums(grads, np.diff(starts, append=len(ids)), rows=order)
         summed += 0.0
         cut = np.searchsorted(rows, shift) if shift else len(rows)
         parts = (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SENTENCE_SEP
+from .corpus import SENTENCE_SEP, writing
 
 DEFAULT_LATENT_VOCAB = 200
 DEFAULT_TOPICS = 4
@@ -133,13 +133,13 @@ def make_topic_documents(
 
 def write_parallel_files(corpus: TwinCorpus, path_a, path_b) -> None:
     for path, sents in ((path_a, corpus.sents_a), (path_b, corpus.sents_b)):
-        with open(path, "w", encoding="utf-8") as fh:
+        with writing(path) as fh:
             for s in sents:
                 fh.write(" ".join(s) + "\n")
 
 
 def write_document_file(docs: list[SynthDocument], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         for d in docs:
             body = SENTENCE_SEP.join(" ".join(s) for s in d.sentences)
             fh.write(f"{d.doc_id}\t{d.lang}\t{d.label}\t{body}\n")

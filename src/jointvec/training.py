@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import time
 import typing
 import warnings
@@ -69,7 +70,8 @@ class TrainConfig:
         try:
             self.kind = CompositionKind(self.kind)
         except ValueError:
-            raise UserError(f"kind must be add or bi, got {self.kind!r}") from None
+            rule = f"must be add or bi, got {self.kind!r}"
+            raise UserError(f"kind {rule}", "kind", rule) from None
         names = {"k": "k (noise count)", "lam": "lambda"}  # where messages differ from fields
         checks = [
             ("d", self.d >= 1, f"must be >= 1, got {self.d}"),
@@ -276,9 +278,11 @@ def format_setting(v) -> str:
     return str(v)
 
 
-# TrainConfig field -> its type, with `X | None` read as X
+# TrainConfig field -> the type its text parses to: `X | None` reads as X,
+# and the kind stays text, which TrainConfig checks
 FIELD_TYPES = {
-    f.name: (typing.get_args(f.type) or (f.type,))[0] for f in dataclasses.fields(TrainConfig)
+    f.name: str if f.type is CompositionKind else (typing.get_args(f.type) or (f.type,))[0]
+    for f in dataclasses.fields(TrainConfig)
 }
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
@@ -317,6 +321,20 @@ def _meta_key(name: str) -> str:
     return "lambda" if name == "lam" else name
 
 
+_LANGUAGE_CODE = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def check_language_code(lang: str, where: str) -> None:
+    """Refuse `lang`, named at `where`, unless a checkpoint can store it.
+
+    A language code is one or more ASCII letters, digits, `-` or `_` (en,
+    pt-br, zh_Hant): a checkpoint's file names start with it, and meta.txt
+    lists the codes joined by commas.
+    """
+    if not _LANGUAGE_CODE.fullmatch(lang):
+        raise UserError(f"{where}: language code {lang!r} is not ASCII letters, digits, - or _")
+
+
 def checkpoint(
     tables: ModelBundle,
     state: AdaGradState,
@@ -343,6 +361,8 @@ def checkpoint(
     table comes from export_table (`jointvec export`).
     """
     meta_path = os.path.join(path, CHECKPOINT_META)
+    for lang in tables.languages:
+        check_language_code(lang, f"cannot write {path}")
     try:
         os.makedirs(path, exist_ok=True)
         with contextlib.suppress(FileNotFoundError):
@@ -418,30 +438,44 @@ def load_model(path):
     read-only, so queries keep their row norms; train_joint makes them
     writable when it takes the model. meta.txt is read first,
     then each language's .vocab and .npy. Every fault is a UserError
-    naming the file, plus the row or token where one applies: a missing
-    or unreadable file, a missing metadata key, an epoch outside [0,
-    epochs], a repeated token, an array that is not 2-D float64, whose row
+    naming the file, plus the line, key, row or token where one applies:
+    a missing or unreadable file, a missing metadata key, a metadata value
+    that does not parse or breaks TrainConfig's rule for it, a language
+    code that checkpoint would refuse, an epoch outside [0, epochs], a
+    repeated token, an array that is not 2-D float64, whose row
     count is not its vocabulary's size, whose width differs from another
     language's or from d, or that holds a non-finite value. Keys that no
     TrainConfig field reads are ignored, so a checkpoint that still names
     a since-removed setting loads.
     """
     meta_path = os.path.join(path, CHECKPOINT_META)
-    meta = {key: value for _, key, value in read_settings(meta_path)}
-    names = [f.name for f in dataclasses.fields(TrainConfig)]
-    for key in ["languages", "epoch"] + [_meta_key(n) for n in names]:
+    meta = {key: (lineno, value) for lineno, key, value in read_settings(meta_path)}
+    for key in ["languages", "epoch", *map(_meta_key, FIELD_TYPES)]:
         if key not in meta:
             raise UserError(f"{meta_path}: checkpoint metadata missing {key!r}")
+
+    def where(key: str) -> str:
+        return f"{meta_path}:{meta[key][0]}: invalid checkpoint metadata {key}"
+
+    values = {}
+    for name, typ in [*FIELD_TYPES.items(), ("epoch", int)]:
+        try:
+            values[name] = parse_setting(typ, meta[_meta_key(name)][1])
+        except ValueError as exc:
+            raise UserError(f"{where(_meta_key(name))}: {exc}") from None
+    epoch = values.pop("epoch")
     try:
-        config = TrainConfig(**{n: parse_setting(FIELD_TYPES[n], meta[_meta_key(n)]) for n in names})
-        epoch = int(meta["epoch"])
-    except (ValueError, UserError) as exc:
-        raise UserError(f"{meta_path}: invalid checkpoint metadata: {exc}") from exc
+        config = TrainConfig(**values)
+    except UserError as exc:
+        raise UserError(f"{where(_meta_key(exc.setting))}: {exc.rule}") from None
+    languages = meta["languages"][1].split(",")
+    for lang in languages:
+        check_language_code(lang, where("languages"))
     if not 0 <= epoch <= config.epochs:
         raise UserError(f"{meta_path}: epoch {epoch} outside [0, {config.epochs}]")
     vocabs, tables = {}, {}
     reference = None
-    for lang in meta["languages"].split(","):
+    for lang in languages:
         vocab_path = os.path.join(path, f"{lang}.vocab")
         if not os.path.exists(vocab_path):
             raise UserError(f"{meta_path} lists language {lang!r}, but {vocab_path} does not exist")

@@ -282,12 +282,20 @@ HOSTILE_CHECKPOINTS = {
     "accumulator_width": ("la.adagrad.npy", _wider, False, " has width"),
     "nan_row_2": ("la.npy", _set_row_2(np.nan), True, ": row 2 ("),
     "negative_accumulator": ("la.adagrad.npy", _set_row_2(-1.0), False, ": row 2 ("),
+    "nan_accumulator": ("la.adagrad.npy", _set_row_2(np.nan), False, ": row 2 ("),
     "duplicate_token": ("la.vocab", _duplicate_token, True, ":2: duplicate token"),
     "duplicate_token_apart": ("la.vocab", _duplicate_token_apart, True, ":4: duplicate token"),
     "missing_meta": ("meta.txt", lambda p: p.unlink(), True, ""),
     "missing_vocab": ("lb.vocab", lambda p: p.unlink(), True, ""),
     "meta_width": ("meta.txt", _set_meta("d", "5"), True, ": d=5, but "),
     "meta_epoch": ("meta.txt", _set_meta("epoch", "-3"), True, ": epoch -3 outside [0, "),
+    "meta_unparsable": ("meta.txt", _set_meta("d", "abc"), True, ":3: invalid checkpoint metadata d"),
+    "meta_range": ("meta.txt", _set_meta("d", "0"), True,
+                   ":3: invalid checkpoint metadata d: must be >= 1, got 0"),
+    "meta_kind": ("meta.txt", _set_meta("kind", "xyz"), True,
+                  ":8: invalid checkpoint metadata kind: must be add or bi, got 'xyz'"),
+    "meta_language": ("meta.txt", _set_meta("languages", "la,../lb"), True,
+                      ":10: invalid checkpoint metadata languages: language code '../lb'"),
 }
 
 

@@ -145,6 +145,20 @@ def test_train_bad_pair_spec(fast_corpus, tmp_path, capsys):
     assert rc == 1 and "--pair" in err
 
 
+@pytest.mark.parametrize("lang", ["a,b", " la", "../evil", "."])
+def test_train_refuses_a_language_code_a_checkpoint_cannot_store(fast_corpus, tmp_path, lang,
+                                                                    capsys):
+    """A comma, a space, a path or a dot in a code fails before any work, writing nothing."""
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    argv = ["train", "--pair", f"{lang}:lb:{fast_corpus / 'la.txt'}:{fast_corpus / 'lb.txt'}",
+            "--dim", 8, "--epochs", 1, "--out", sub / "md"]
+    rc, stdout, err = run_cli(argv, capsys)
+    assert rc == 1 and "--pair" in err and f"language code {lang!r}" in err
+    assert "Traceback" not in err and stdout == ""
+    assert os.listdir(sub) == []
+
+
 def test_train_requires_pair_and_out(capsys):
     rc, _, err = run_cli(["train", "--dim", 8], capsys)
     assert rc == 1
@@ -471,6 +485,16 @@ def test_query_non_finite_checkpoint_is_user_error(trained, la_token, tmp_path, 
     rc, _, err = run_cli(["query", "--model", model, "--word", f"la:{la_token}"], capsys)
     assert rc == 1
     assert f"{model / 'la.npy'}: row 2" in err
+
+
+def test_query_out_that_cannot_be_created_is_user_error(trained, la_token, tmp_path, capsys):
+    """An --out name too long for the file system passes the checks before work, then fails."""
+    out = tmp_path / ("x" * 300)
+    rc, _, err = run_cli(["query", "--model", trained, "--word", f"la:{la_token}", "--out", out],
+                         capsys)
+    assert rc == 1, err
+    assert f"cannot create {out}" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("case", list(HOSTILE_CHECKPOINTS))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointvec import synth
 from jointvec.corpus import (
     DocumentCorpus,
     DocumentPair,
@@ -42,6 +43,25 @@ def test_tokenize_lowercases_and_splits_on_whitespace_runs():
 def test_tokenize_idempotent_on_own_output(tokens):
     once = tokenize(" ".join(tokens))
     assert tokenize(" ".join(once)) == once
+
+
+def test_synth_writers_write_through_corpus_writing(tmp_path):
+    """The usual bytes under the final name; a missing directory is a UserError naming the path."""
+    twin = synth.make_twin_corpus("la", "lb", 3, seed=1)
+    docs = synth.make_topic_documents("la", 2, seed=1, sentences_per_doc=2)
+    synth.write_parallel_files(twin, tmp_path / "la.txt", tmp_path / "lb.txt")
+    synth.write_document_file(docs, tmp_path / "la.docs")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["la.docs", "la.txt", "lb.txt"]
+    lines = "".join(" ".join(s) + "\n" for s in twin.sents_b)
+    assert (tmp_path / "lb.txt").read_bytes() == lines.encode("utf-8")
+    body = " ||| ".join(" ".join(s) for s in docs[1].sentences)
+    line = f"{docs[1].doc_id}\t{docs[1].lang}\t{docs[1].label}\t{body}\n"
+    assert (tmp_path / "la.docs").read_text(encoding="utf-8").splitlines(True)[1] == line
+    missing = tmp_path / "missing"
+    with pytest.raises(UserError, match=re.escape(f"cannot write {missing / 'la.txt'}")):
+        synth.write_parallel_files(twin, missing / "la.txt", missing / "lb.txt")
+    with pytest.raises(UserError, match=re.escape(f"cannot write {missing / 'la.docs'}")):
+        synth.write_document_file(docs, missing / "la.docs")
 
 
 def test_sentence_requires_tokens():

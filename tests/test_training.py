@@ -1056,6 +1056,22 @@ def test_damaged_checkpoint_is_checkpoint_error_naming_file(tmp_path, case):
         assert np.array_equal(loaded.table("la").matrix, bundle.table("la").matrix)
 
 
+def test_checkpoint_refuses_a_language_code_it_cannot_store(tmp_path):
+    """meta.txt joins the codes with commas, so `a,b` would not load; nothing is created."""
+    bundle = make_bundle({"a,b": 3, "lb": 4}, d=4, seed=1)
+    with pytest.raises(UserError, match=re.escape("language code 'a,b'")):
+        checkpoint(bundle, AdaGradState(bundle), tmp_path / "ck", TrainConfig(d=4), epoch=0)
+    assert os.listdir(tmp_path) == []
+
+
+def test_checkpoint_under_a_file_is_user_error(tmp_path):
+    _, bundle, config = _toy_setup()
+    (tmp_path / "file").write_text("x", encoding="utf-8")
+    target = tmp_path / "file" / "ck"
+    with pytest.raises(UserError, match=re.escape(f"cannot write {target}: ")):
+        checkpoint(bundle, AdaGradState(bundle), target, config, epoch=0)
+
+
 def test_interrupted_checkpoint_is_refused(tmp_path, monkeypatch):
     """A write that dies after its first array leaves a directory resume() refuses.
 
