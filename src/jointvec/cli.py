@@ -4,15 +4,20 @@ Every run resolves its flags against built-in defaults and an optional
 key=value config file (flags win). --out must be absent and creatable, or
 an empty directory. Once the work has succeeded, the run creates it and
 echoes the resolved settings, with the platform facts the bits depend on,
-to a manifest there, so a failed run leaves no --out behind; re-running
-that manifest into a fresh --out reproduces all outputs byte for byte on
-the same platform. train runs jointly when given more than one --pair. Exit
-codes: 0 success, 1 user or configuration error, 2 internal error.
+to a manifest there. A run that fails, in its work or in a write, removes
+what it wrote, so it leaves --out as it found it, absent or empty.
+Re-running that manifest into a fresh --out reproduces all outputs byte
+for byte on the same platform. train runs jointly when given more than
+one --pair, each starting with the pivot's code. Exit codes: 0 success,
+1 user or configuration error, 2 internal error.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import os
+import shutil
 import sys
 import traceback
 import typing
@@ -217,7 +222,9 @@ def _resolve(args) -> None:
     --out must be absent or an empty directory, so no run replaces or sits
     beside another's files, and an absent one must be creatable, with a
     directory we may write in as its nearest existing parent; anything
-    else fails here, before any work. Nothing is created here.
+    else fails here, before any work. Nothing is created here, but
+    args.out_root records the outermost directory the run will create,
+    or None if --out exists.
     """
     cfg, lines = load_config_file(args.config, args.settings) if args.config else ({}, {})
     # the config-file line of each setting that no flag overrides
@@ -229,19 +236,62 @@ def _resolve(args) -> None:
             raise UserError(f"{flag.option} is required")
     if args.out == "":
         raise UserError("--out is empty; give a directory")
-    if args.out and os.path.exists(args.out):
+    args.out_root = None
+    if args.out and _exists(args.out):
         if not os.path.isdir(args.out):
             raise UserError(f"{args.out} exists and is not a directory")
         if os.listdir(args.out):
             raise UserError(f"{args.out} exists and is not empty")
     elif args.out:  # made once the work is done, inside its nearest existing parent
-        parent = os.path.dirname(os.path.abspath(args.out))
-        while not os.path.exists(parent):
-            parent = os.path.dirname(parent)
+        target = root = os.path.abspath(args.out)
+        while not os.path.exists(os.path.dirname(root)):
+            root = os.path.dirname(root)
+        parent = os.path.dirname(root)
         if not os.path.isdir(parent):
             raise UserError(f"{args.out} cannot be created: {parent} is not a directory")
         if not os.access(parent, os.W_OK | os.X_OK):
             raise UserError(f"--out {args.out} cannot be created: {parent} is not writable")
+        parts = os.path.relpath(target, parent).split(os.sep)
+        if max(len(os.fsencode(part)) for part in parts) > _name_max(parent):
+            raise _name_too_long(args.out)
+        args.out_root = root
+
+
+def _exists(out: str) -> bool:
+    """Whether the --out path `out` exists; a path too long to look up fails here."""
+    try:
+        os.stat(out)
+    except OSError as exc:
+        if exc.errno == errno.ENAMETOOLONG:
+            raise _name_too_long(out) from None
+        return False
+    except ValueError:  # an embedded NUL, as os.path.exists treats it
+        return False
+    return True
+
+
+def _name_max(directory: str) -> float:
+    """The longest file name, in bytes, that the file system of `directory` takes."""
+    with contextlib.suppress(OSError, ValueError):
+        limit = os.pathconf(directory, "PC_NAME_MAX")
+        if limit >= 0:
+            return limit
+    return float("inf")  # no limit known: creating the directory will tell
+
+
+def _name_too_long(out: str) -> UserError:
+    return UserError(f"--out {out} cannot be created: {os.strerror(errno.ENAMETOOLONG)}")
+
+
+def _discard_out(args) -> None:
+    """Remove what a failed run wrote: the directories `_resolve` found it would
+    create, or else the files in the empty --out it was given."""
+    if args.out_root is not None:
+        shutil.rmtree(args.out_root, ignore_errors=True)
+    elif args.out:  # every output is a file directly in --out
+        with contextlib.suppress(OSError):
+            for name in os.listdir(args.out):
+                os.remove(os.path.join(args.out, name))
 
 
 def _write_manifest(args) -> None:
@@ -301,6 +351,11 @@ def _check_language(bundle, flag: str, value: str, lang: str) -> None:
 
 def cmd_train(args) -> int:
     pairs = [_split_pair_flag(p) for p in args.pair]
+    pivot = pairs[0][0]
+    for value, (lang, *_) in zip(args.pair, pairs):
+        if lang != pivot:
+            raise UserError(f"--pair {value!r} starts with {lang!r}, but every --pair starts "
+                            f"with the pivot {pivot!r}, the first --pair's first code")
     fields = [f for f in _TRAIN if f.field]
     config = TrainConfig(mode="single" if len(pairs) == 1 else "joint",
                          **{f.field: getattr(args, f.name) for f in fields})
@@ -503,7 +558,11 @@ def main(argv=None) -> int:
             warnings.showwarning = _show_warning  # one line, without the library's source
             args = parser.parse_args(argv)
             _resolve(args)
-            return _run(args)
+            try:
+                return _run(args)
+            except BaseException:
+                _discard_out(args)
+                raise
     except UserError as exc:
         print(f"jointvec: error: {exc}", file=sys.stderr)
         return 1

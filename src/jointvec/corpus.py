@@ -15,8 +15,6 @@ are dropped for an empty counterpart included.
 
 import contextlib
 import os
-import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -228,22 +226,6 @@ def load_document_pairs(path_a, path_b, vocab_a, vocab_b) -> list[DocumentPair]:
             raise UserError(f"{path_a}:{n} and {path_b}:{n} differ in sentence count "
                             f"({len(a.sentences)} vs {len(b.sentences)})")
     return [DocumentPair(a, b) for _, a, b in kept]
-
-
-def select_top_labels(docs: list[LabeledDocument], n: int) -> set[str]:
-    """The n labels present in the most documents; ties favor the lexicographically smaller label."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    freq = Counter()
-    for doc in docs:
-        freq.update(doc.labels)
-    if len(freq) < n:
-        warnings.warn(
-            f"requested {n} labels but only {len(freq)} distinct labels occur",
-            stacklevel=2,
-        )
-    ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
-    return {label for label, _ in ranked[:n]}
 
 
 def sample_indices_excluding(n: int, exclude, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,6 +34,7 @@ not from its walk, so it still adds a snapshot for every visit of
 them, and the bits stay those of a walk through all the epochs.
 """
 
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
@@ -42,7 +43,7 @@ from operator import itemgetter
 import numpy as np
 
 from .composition import CompositionKind, compose, compose_rows, segment_sums
-from .corpus import pack_documents, select_top_labels, writing
+from .corpus import pack_documents, writing
 from .embeddings import EmbeddingTable, ModelBundle, derive_seed
 from .errors import ContractError, UserError
 from .native import keep_freed_pages
@@ -352,6 +353,23 @@ class EvalReport:
             fh.write(self.to_tsv())
 
 
+def _ranked_labels(labels) -> list:
+    """Distinct `labels`, most frequent first; ties favor the lexicographically smaller."""
+    freq = Counter(labels)
+    return sorted(freq, key=lambda lab: (-freq[lab], lab))
+
+
+def select_top_labels(docs: list, n: int) -> set[str]:
+    """The n labels present in the most documents; ties favor the lexicographically smaller."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    ranked = _ranked_labels(lab for doc in docs for lab in doc.labels)
+    if len(ranked) < n:
+        warnings.warn(f"requested {n} labels but only {len(ranked)} distinct labels occur",
+                      stacklevel=2)
+    return set(ranked[:n])
+
+
 def _single_labels(lang: str, docs) -> list:
     """Each document's label on a single-label task: the smallest of its labels."""
     for doc in docs:
@@ -491,14 +509,14 @@ def _classify(train, test, task, seed, top_labels) -> tuple:
         def score(models):
             predicted = _predict(models[0].averaged, test_x)
             correct = sum(labels[c] == y for c, y in zip(predicted, test_y))
-            majority = _majority_label(train_y)
+            majority = _ranked_labels(train_y)[0]
             base = sum(y == majority for y in test_y) / n_test
             return [row("accuracy", correct / n_test), row("majority_baseline", base)]
 
         return [_multiclass_problem(train_x, [label_id[y] for y in train_y], seed)], score
 
     # every label of the universe has a positive training document, and the
-    # majority label ranks first in select_top_labels's order, so it is in it
+    # majority label is the first of the ranking the universe is cut from
     if top_labels is not None:
         universe = select_top_labels(train_docs, top_labels)
     else:
@@ -510,7 +528,7 @@ def _classify(train, test, task, seed, top_labels) -> tuple:
         positive = {lab: _predict(m.averaged, test_x) for lab, m in zip(sorted(universe), models)}
         predictions = [{lab for lab, pos in positive.items() if pos[i]} for i in range(n_test)]
         gold = [doc.labels & universe for doc in test_docs]
-        majority = _majority_label(lab for doc in train_docs for lab in doc.labels)
+        majority = _ranked_labels(lab for doc in train_docs for lab in doc.labels)[0]
         return [
             row("micro_f1", micro_f1(predictions, gold)),
             row("macro_f1", macro_f1(predictions, gold, universe)),
@@ -519,8 +537,3 @@ def _classify(train, test, task, seed, top_labels) -> tuple:
 
     return _multilabel_problems(train_x, [d.labels for d in train_docs], universe, seed), score
 
-
-def _majority_label(labels) -> str:
-    """The most frequent entry of `labels`; ties favor the lexicographically smaller."""
-    freq = Counter(labels)
-    return min(freq, key=lambda lab: (-freq[lab], lab))

@@ -472,7 +472,7 @@ def load_model(path):
     for lang in languages:
         check_language_code(lang, where("languages"))
     if not 0 <= epoch <= config.epochs:
-        raise UserError(f"{meta_path}: epoch {epoch} outside [0, {config.epochs}]")
+        raise UserError(f"{where('epoch')}: {epoch} outside [0, {config.epochs}]")
     vocabs, tables = {}, {}
     reference = None
     for lang in languages:
@@ -490,7 +490,8 @@ def load_model(path):
             bad = ~np.isfinite(matrix).all(axis=1)
             _reject_rows(table_path, vocabs[lang], bad, "non-finite values")
     if reference[1] != config.d:
-        raise UserError(f"{meta_path}: d={config.d}, but {reference[0]} has width {reference[1]}")
+        raise UserError(f"{where(_meta_key('d'))}: {config.d}, but {reference[0]} "
+                        f"has width {reference[1]}")
     return ModelBundle(vocabs, tables, config.kind), config, epoch
 
 

@@ -287,8 +287,10 @@ HOSTILE_CHECKPOINTS = {
     "duplicate_token_apart": ("la.vocab", _duplicate_token_apart, True, ":4: duplicate token"),
     "missing_meta": ("meta.txt", lambda p: p.unlink(), True, ""),
     "missing_vocab": ("lb.vocab", lambda p: p.unlink(), True, ""),
-    "meta_width": ("meta.txt", _set_meta("d", "5"), True, ": d=5, but "),
-    "meta_epoch": ("meta.txt", _set_meta("epoch", "-3"), True, ": epoch -3 outside [0, "),
+    "meta_width": ("meta.txt", _set_meta("d", "5"), True,
+                   ":3: invalid checkpoint metadata d: 5, but "),
+    "meta_epoch": ("meta.txt", _set_meta("epoch", "-3"), True,
+                   ":5: invalid checkpoint metadata epoch: -3 outside [0, "),
     "meta_unparsable": ("meta.txt", _set_meta("d", "abc"), True, ":3: invalid checkpoint metadata d"),
     "meta_range": ("meta.txt", _set_meta("d", "0"), True,
                    ":3: invalid checkpoint metadata d: must be >= 1, got 0"),

@@ -159,6 +159,18 @@ def test_train_refuses_a_language_code_a_checkpoint_cannot_store(fast_corpus, tm
     assert os.listdir(sub) == []
 
 
+def test_train_refuses_a_second_pivot_before_reading_a_file(tmp_path, capsys):
+    """Every --pair must start with the first --pair's code; a mismatch fails before any read."""
+    out = tmp_path / "run"
+    argv = ["train", "--pair", "la:lb:missing_a:missing_b", "--pair", "lb:la:x:y",
+            "--dim", 8, "--epochs", 1, "--out", out]
+    rc, stdout, err = run_cli(argv, capsys)
+    assert rc == 1, err
+    assert "--pair 'lb:la:x:y'" in err and "pivot 'la'" in err
+    assert "cannot read" not in err and "Traceback" not in err and stdout == ""
+    assert not out.exists()
+
+
 def test_train_requires_pair_and_out(capsys):
     rc, _, err = run_cli(["train", "--dim", 8], capsys)
     assert rc == 1
@@ -384,9 +396,28 @@ def test_full_disk_is_user_error_naming_the_file(fast_corpus, trained, la_token,
     assert f"cannot write {target}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}" in err
     assert "Traceback" not in err
     assert not target.exists() and not list(out.glob("*.tmp"))
+    assert not out.exists()
     if name in (*CHECKPOINT_FILES, "meta.txt", "manifest.txt") and command == "train":
         with pytest.raises(UserError, match=re.escape(str(out / "meta.txt"))):
             resume(out)
+
+
+def test_interrupted_write_removes_what_the_run_made(trained, tmp_path, monkeypatch):
+    """An interrupt after the first export file removes the directories the run created,
+    and empties an --out that was an empty directory without removing it."""
+    export = cli.export_table
+
+    def interrupted(*args):
+        export(*args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "export_table", interrupted)
+    given = tmp_path / "given"
+    given.mkdir()
+    for out in (tmp_path / "made" / "deeper" / "ex", given):
+        with pytest.raises(KeyboardInterrupt):
+            main(["export", "--model", str(trained), "--out", str(out)])
+    assert os.listdir(tmp_path) == ["given"] and os.listdir(given) == []
 
 
 def _vocab_tokens(path):
@@ -488,12 +519,13 @@ def test_query_non_finite_checkpoint_is_user_error(trained, la_token, tmp_path, 
 
 
 def test_query_out_that_cannot_be_created_is_user_error(trained, la_token, tmp_path, capsys):
-    """An --out name too long for the file system passes the checks before work, then fails."""
-    out = tmp_path / ("x" * 300)
-    rc, _, err = run_cli(["query", "--model", trained, "--word", f"la:{la_token}", "--out", out],
-                         capsys)
+    """An --out name too long for the file system fails before any work, naming --out."""
+    out = tmp_path / "sub" / ("x" * 300)
+    rc, stdout, err = run_cli(["query", "--model", trained, "--word", f"la:{la_token}",
+                               "--out", out], capsys)
     assert rc == 1, err
-    assert f"cannot create {out}" in err and "Traceback" not in err
+    assert f"--out {out} cannot be created: " in err and "Traceback" not in err
+    assert stdout == ""
     assert os.listdir(tmp_path) == []
 
 

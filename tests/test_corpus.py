@@ -19,7 +19,6 @@ from jointvec.corpus import (
     load_parallel,
     pack_corpus,
     sample_indices_excluding,
-    select_top_labels,
     tokenize,
 )
 from jointvec.embeddings import Vocabulary
@@ -187,28 +186,6 @@ def test_load_document_pairs_blank_line_is_document_without_sentences(tmp_path):
     # each blank line drops its pair; the dropped b2 still assigns its ids
     assert [(p.source.doc_id, p.target.doc_id) for p in pairs] == [("a1", "b1"), ("a3", "b3")]
     assert va.tokens == ["cat", "dog"] and vb.tokens == ["katze", "maus", "hund"]
-
-
-def _docs_with_labels(label_lists):
-    return [
-        LabeledDocument(f"d{i}", "en", set(labs), [Sentence((0,))])
-        for i, labs in enumerate(label_lists)
-    ]
-
-
-def test_select_top_labels_frequency_then_lexicographic():
-    docs = _docs_with_labels([["a"], ["a", "b"], ["a", "c"], ["b"]])
-    assert select_top_labels(docs, 2) == {"a", "b"}
-    tied = _docs_with_labels([["a", "b"], ["a", "b"]])
-    assert select_top_labels(tied, 1) == {"a"}
-
-
-def test_select_top_labels_underfull_warns():
-    docs = _docs_with_labels([["a"]])
-    with pytest.warns(UserWarning):
-        assert select_top_labels(docs, 15) == {"a"}
-    with pytest.raises(ValueError):
-        select_top_labels(docs, 0)
 
 
 def test_sample_indices_excluding_bounds_and_exclusion():

@@ -27,6 +27,7 @@ from jointvec.evaluation import (
     micro_f1,
     represent_documents,
     resolve_task,
+    select_top_labels,
     train_multiclass,
     train_multilabel,
     transfer_matrix,
@@ -622,6 +623,34 @@ def test_cldc_multilabel_rows_and_top_labels():
     assert report.rows[0].value > 0.5
     # the baseline predicts {"common"}: all 16 of its gold labels, none of t0's 4
     assert report.rows[2].value == pytest.approx(2 * 1.0 * 0.8 / 1.8)
+    # "a" and "b" tie at 8 documents each; the universe and the baseline both take "a"
+    tied = _topic_docs("x", labels_fn=lambda c: [{"a", "b"}, {"a"}, {"b"}, {"c"}][c])
+    report = cldc_run("x", tied, "x", tied, bundle, seed=0, top_labels=1)
+    gold = [doc.labels & {"a"} for doc in tied]
+    assert report.rows[2].metric == "majority_baseline"
+    assert report.rows[2].value == micro_f1([{"a"}] * len(tied), gold) == pytest.approx(2 / 3)
+
+
+def _docs_with_labels(label_lists):
+    return [
+        LabeledDocument(f"d{i}", "en", set(labs), [Sentence((0,))])
+        for i, labs in enumerate(label_lists)
+    ]
+
+
+def test_select_top_labels_frequency_then_lexicographic():
+    docs = _docs_with_labels([["a"], ["a", "b"], ["a", "c"], ["b"]])
+    assert select_top_labels(docs, 2) == {"a", "b"}
+    tied = _docs_with_labels([["a", "b"], ["a", "b"]])
+    assert select_top_labels(tied, 1) == {"a"}
+
+
+def test_select_top_labels_underfull_warns():
+    docs = _docs_with_labels([["a"]])
+    with pytest.warns(UserWarning):
+        assert select_top_labels(docs, 15) == {"a"}
+    with pytest.raises(ValueError):
+        select_top_labels(docs, 0)
 
 
 def test_cldc_auto_task_detection():
