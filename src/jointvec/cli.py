@@ -2,10 +2,11 @@
 
 Every run resolves its flags against built-in defaults and an optional
 key=value config file (flags win). --out must be absent and creatable, or
-an empty directory. Once the work has succeeded, the run creates it and
-echoes the resolved settings, with the platform facts the bits depend on,
-to a manifest there. A run that fails, in its work or in a write, removes
-what it wrote, so it leaves --out as it found it, absent or empty.
+an empty directory; an absent one is created before any work. Once the
+work has succeeded, the run echoes the resolved settings, with the
+platform facts the bits depend on, to a manifest there. A run that fails,
+in its work or in a write, removes what it wrote, so it leaves --out as
+it found it, absent or empty.
 Re-running that manifest into a fresh --out reproduces all outputs byte
 for byte on the same platform. train runs jointly when given more than
 one --pair, each starting with the pivot's code. Exit codes: 0 success,
@@ -15,7 +16,6 @@ one --pair, each starting with the pivot's code. Exit codes: 0 success,
 import argparse
 import contextlib
 import dataclasses
-import errno
 import os
 import shutil
 import sys
@@ -222,9 +222,9 @@ def _resolve(args) -> None:
     --out must be absent or an empty directory, so no run replaces or sits
     beside another's files, and an absent one must be creatable, with a
     directory we may write in as its nearest existing parent; anything
-    else fails here, before any work. Nothing is created here, but
-    args.out_root records the outermost directory the run will create,
-    or None if --out exists.
+    else fails here, before any work. An absent --out is created here,
+    and args.out_root records the outermost directory that made, or None
+    if --out existed.
     """
     cfg, lines = load_config_file(args.config, args.settings) if args.config else ({}, {})
     # the config-file line of each setting that no flag overrides
@@ -237,13 +237,13 @@ def _resolve(args) -> None:
     if args.out == "":
         raise UserError("--out is empty; give a directory")
     args.out_root = None
-    if args.out and _exists(args.out):
+    if args.out and os.path.exists(args.out):
         if not os.path.isdir(args.out):
             raise UserError(f"{args.out} exists and is not a directory")
         if os.listdir(args.out):
             raise UserError(f"{args.out} exists and is not empty")
-    elif args.out:  # made once the work is done, inside its nearest existing parent
-        target = root = os.path.abspath(args.out)
+    elif args.out:  # made here, inside its nearest existing parent
+        root = os.path.abspath(args.out)
         while not os.path.exists(os.path.dirname(root)):
             root = os.path.dirname(root)
         parent = os.path.dirname(root)
@@ -251,59 +251,48 @@ def _resolve(args) -> None:
             raise UserError(f"{args.out} cannot be created: {parent} is not a directory")
         if not os.access(parent, os.W_OK | os.X_OK):
             raise UserError(f"--out {args.out} cannot be created: {parent} is not writable")
-        parts = os.path.relpath(target, parent).split(os.sep)
-        if max(len(os.fsencode(part)) for part in parts) > _name_max(parent):
-            raise _name_too_long(args.out)
+        try:
+            os.makedirs(args.out)
+        except OSError as exc:  # such as a name too long for the file system
+            _remove_parents(args.out, root)
+            raise UserError(f"--out {args.out} cannot be created: {exc.strerror}") from None
         args.out_root = root
 
 
-def _exists(out: str) -> bool:
-    """Whether the --out path `out` exists; a path too long to look up fails here."""
-    try:
-        os.stat(out)
-    except OSError as exc:
-        if exc.errno == errno.ENAMETOOLONG:
-            raise _name_too_long(out) from None
-        return False
-    except ValueError:  # an embedded NUL, as os.path.exists treats it
-        return False
-    return True
-
-
-def _name_max(directory: str) -> float:
-    """The longest file name, in bytes, that the file system of `directory` takes."""
-    with contextlib.suppress(OSError, ValueError):
-        limit = os.pathconf(directory, "PC_NAME_MAX")
-        if limit >= 0:
-            return limit
-    return float("inf")  # no limit known: creating the directory will tell
-
-
-def _name_too_long(out: str) -> UserError:
-    return UserError(f"--out {out} cannot be created: {os.strerror(errno.ENAMETOOLONG)}")
-
-
 def _discard_out(args) -> None:
-    """Remove what a failed run wrote: the directories `_resolve` found it would
-    create, or else the files in the empty --out it was given."""
+    """Remove what a failed run wrote: --out and each parent `_resolve` made for it
+    that nothing else has since been put in, or else the files in the empty --out
+    it was given."""
     if args.out_root is not None:
-        shutil.rmtree(args.out_root, ignore_errors=True)
+        shutil.rmtree(args.out, ignore_errors=True)
+        _remove_parents(args.out, args.out_root)
     elif args.out:  # every output is a file directly in --out
+        names = []
         with contextlib.suppress(OSError):
-            for name in os.listdir(args.out):
+            names = os.listdir(args.out)
+        for name in names:
+            with contextlib.suppress(OSError):
                 os.remove(os.path.join(args.out, name))
 
 
+def _remove_parents(out: str, root: str) -> None:
+    """Remove the parents of `out` up to `root`, the outermost one `_resolve` made,
+    stopping at the first that is not empty."""
+    path = os.path.abspath(out)
+    while path != root:
+        path = os.path.dirname(path)
+        try:
+            os.rmdir(path)
+        except OSError:  # something else has been put there
+            return
+
+
 def _write_manifest(args) -> None:
-    """Create --out and echo the run into it: its platform facts, then every set setting.
+    """Echo the run into --out: its platform facts, then every set setting.
 
     Settings come in table order; the facts (native.platform_facts) are
     what the output's bits depend on beyond the settings and inputs.
     """
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise UserError(f"cannot create {args.out}: {exc}") from exc
     with writing(os.path.join(args.out, MANIFEST_NAME)) as fh:
         fh.write(f"subcommand={args.command}\n")
         fh.write("".join(f"{key}={value}\n" for key, value in platform_facts()))
@@ -491,7 +480,7 @@ def cmd_export(args) -> int:
     _refuse_repeats("lang", args.lang or [])
     bundle, _, _ = load_model(args.model)
     args.lang = args.lang or list(bundle.languages)
-    for lang in args.lang:  # an unknown language fails before --out is made
+    for lang in args.lang:  # an unknown language fails before anything is written
         _check_language(bundle, "lang", lang, lang)
     _write_manifest(args)
     for lang in args.lang:

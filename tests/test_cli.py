@@ -420,6 +420,25 @@ def test_interrupted_write_removes_what_the_run_made(trained, tmp_path, monkeypa
     assert os.listdir(tmp_path) == ["given"] and os.listdir(given) == []
 
 
+def test_failed_run_keeps_what_others_put_beside_its_out(trained, tmp_path, monkeypatch):
+    """A failed run removes its own --out and the new parents left empty, but not a file
+    another run or the user put under a parent it made."""
+    export = cli.export_table
+    runs = tmp_path / "runs"
+    sibling = runs / "other" / "finished.txt"
+
+    def failing(*args):
+        export(*args)
+        sibling.parent.mkdir()
+        sibling.write_text("kept\n", encoding="utf-8")
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(cli, "export_table", failing)
+    assert main(["export", "--model", str(trained), "--out", str(runs / "deeper" / "ex")]) == 2
+    assert os.listdir(tmp_path) == ["runs"] and os.listdir(runs) == ["other"]
+    assert sibling.read_text(encoding="utf-8") == "kept\n"
+
+
 def _vocab_tokens(path):
     """The tokens of a checkpoint's .vocab file, in row order."""
     return path.read_text(encoding="utf-8").splitlines()
