@@ -1,12 +1,13 @@
 """Command-line entry point for reproducible training, evaluation, and queries.
 
 Every run resolves its flags against built-in defaults and an optional
-key=value config file (flags win). --out must be absent and creatable, or
-an empty directory; an absent one is created before any work. Once the
+key=value config file (flags win). --out must be absent or an empty
+directory. An absent one is made by os.makedirs before any work, and one
+that cannot be made ends the run there, naming the OS reason. Once the
 work has succeeded, the run echoes the resolved settings, with the
-platform facts the bits depend on, to a manifest there. A run that fails,
-in its work or in a write, removes what it wrote, so it leaves --out as
-it found it, absent or empty.
+platform facts the bits depend on, to a manifest there. A run that fails
+or is interrupted removes its files and the directories it made, so it
+leaves --out as it found it, absent or empty.
 Re-running that manifest into a fresh --out reproduces all outputs byte
 for byte on the same platform. train runs jointly when given more than
 one --pair, each starting with the pivot's code. Exit codes: 0 success,
@@ -17,7 +18,6 @@ import argparse
 import contextlib
 import dataclasses
 import os
-import shutil
 import sys
 import traceback
 import typing
@@ -220,11 +220,10 @@ def _resolve(args) -> None:
     """Fill unset settings from the config file, then from built-in defaults.
 
     --out must be absent or an empty directory, so no run replaces or sits
-    beside another's files, and an absent one must be creatable, with a
-    directory we may write in as its nearest existing parent; anything
-    else fails here, before any work. An absent --out is created here,
-    and args.out_root records the outermost directory that made, or None
-    if --out existed.
+    beside another's files; anything else fails here, before any work. An
+    absent --out is made here by os.makedirs, and one it cannot make fails
+    naming the OS reason. args.made lists the directories that call is to
+    make, deepest first; it stays None if there is no --out or it is refused.
     """
     cfg, lines = load_config_file(args.config, args.settings) if args.config else ({}, {})
     # the config-file line of each setting that no flag overrides
@@ -234,57 +233,42 @@ def _resolve(args) -> None:
             setattr(args, flag.name, cfg.get(flag.name, flag.default))
         if flag.required and getattr(args, flag.name) is None:
             raise UserError(f"{flag.option} is required")
-    if args.out == "":
+    if args.out is None:
+        return
+    if not args.out:
         raise UserError("--out is empty; give a directory")
-    args.out_root = None
-    if args.out and os.path.exists(args.out):
+    if os.path.exists(args.out):
         if not os.path.isdir(args.out):
             raise UserError(f"{args.out} exists and is not a directory")
         if os.listdir(args.out):
             raise UserError(f"{args.out} exists and is not empty")
-    elif args.out:  # made here, inside its nearest existing parent
-        root = os.path.abspath(args.out)
-        while not os.path.exists(os.path.dirname(root)):
-            root = os.path.dirname(root)
-        parent = os.path.dirname(root)
-        if not os.path.isdir(parent):
-            raise UserError(f"{args.out} cannot be created: {parent} is not a directory")
-        if not os.access(parent, os.W_OK | os.X_OK):
-            raise UserError(f"--out {args.out} cannot be created: {parent} is not writable")
+    args.made = []  # from here on, a failure removes the run's files and these directories
+    path = os.path.join(os.getcwd(), args.out).rstrip(os.sep)  # not abspath: a/../b makes a
+    while not os.path.exists(path):
+        args.made.append(path)
+        path = os.path.dirname(path)
+    if args.made:
         try:
             os.makedirs(args.out)
-        except OSError as exc:  # such as a name too long for the file system
-            _remove_parents(args.out, root)
+        except OSError as exc:  # a regular file in the path, no permission, a name too long
             raise UserError(f"--out {args.out} cannot be created: {exc.strerror}") from None
-        args.out_root = root
 
 
 def _discard_out(args) -> None:
-    """Remove what a failed run wrote: --out and each parent `_resolve` made for it
-    that nothing else has since been put in, or else the files in the empty --out
-    it was given."""
-    if args.out_root is not None:
-        shutil.rmtree(args.out, ignore_errors=True)
-        _remove_parents(args.out, args.out_root)
-    elif args.out:  # every output is a file directly in --out
-        names = []
+    """Remove what a failed or interrupted run wrote: each file in --out (every output
+    is one), then each directory in args.made. rmdir removes only an empty directory,
+    so one that something else was put in stays, and with it each of its parents."""
+    if args.made is None:
+        return
+    names = []
+    with contextlib.suppress(OSError):
+        names = os.listdir(args.out)
+    for name in names:
         with contextlib.suppress(OSError):
-            names = os.listdir(args.out)
-        for name in names:
-            with contextlib.suppress(OSError):
-                os.remove(os.path.join(args.out, name))
-
-
-def _remove_parents(out: str, root: str) -> None:
-    """Remove the parents of `out` up to `root`, the outermost one `_resolve` made,
-    stopping at the first that is not empty."""
-    path = os.path.abspath(out)
-    while path != root:
-        path = os.path.dirname(path)
-        try:
+            os.remove(os.path.join(args.out, name))
+    for path in args.made:  # on one that makedirs never made, rmdir fails harmlessly
+        with contextlib.suppress(OSError):
             os.rmdir(path)
-        except OSError:  # something else has been put there
-            return
 
 
 def _write_manifest(args) -> None:
@@ -503,7 +487,7 @@ def _add_command(subparsers, command: str, settings: tuple, func, **parser_kw) -
             if flag.repeat:
                 kw["action"] = "append"
         parser.add_argument(flag.option, dest=flag.name, help=_help(flag), **kw)
-    parser.set_defaults(func=func, command=command, settings=settings)
+    parser.set_defaults(func=func, command=command, settings=settings, made=None)
 
 
 def build_parser() -> _Parser:
@@ -546,14 +530,17 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # one line, without the library's source
             args = parser.parse_args(argv)
-            _resolve(args)
             try:
+                _resolve(args)
                 return _run(args)
             except BaseException:
                 _discard_out(args)
                 raise
     except UserError as exc:
         print(f"jointvec: error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("jointvec: error: interrupted", file=sys.stderr)
         return 1
     except ContractError as exc:
         print(f"jointvec: internal error: {exc}", file=sys.stderr)

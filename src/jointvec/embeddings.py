@@ -161,6 +161,12 @@ def export_table(table: EmbeddingTable, vocab: Vocabulary, path) -> None:
             fh.write(f"{vocab.token(idx)} {row}\n")
 
 
+def _reject_rows(path, vocab: Vocabulary, bad: np.ndarray, what: str) -> None:
+    """Fail naming the first row flagged in `bad`; rows count from 1, as .vocab lines do."""
+    row = int(bad.argmax())
+    raise UserError(f"{path}: row {row + 1} ({vocab.token(row)!r}) has {what}")
+
+
 def import_table(path, language: str = "") -> tuple[Vocabulary, EmbeddingTable]:
     """Parse the text format back into a (Vocabulary, EmbeddingTable) pair."""
     lines = read_lines(path)
@@ -198,11 +204,9 @@ def import_table(path, language: str = "") -> tuple[Vocabulary, EmbeddingTable]:
             matrix[row_no] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise UserError(f"{path}: row {row_no + 1}: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise UserError(
-            f"{path}: row {bad[0] + 1} ({vocab.token(bad[0])!r}) has non-finite values"
-        )
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        _reject_rows(path, vocab, bad, "non-finite values")
     return vocab, EmbeddingTable(language, matrix)
 
 

@@ -32,7 +32,7 @@ from .corpus import (
     sample_indices_excluding,
     writing,
 )
-from .embeddings import EmbeddingTable, ModelBundle, Vocabulary
+from .embeddings import EmbeddingTable, ModelBundle, Vocabulary, _reject_rows
 from .errors import ContractError, UserError
 from .native import keep_freed_pages, platform_facts
 from .objective import batch_loss_and_grads
@@ -395,12 +395,6 @@ def _read_vocab(path) -> Vocabulary:
                 raise UserError(f"{path}:{lineno}: duplicate token {token!r}")
             seen.add(token)
     return vocab
-
-
-def _reject_rows(path, vocab: Vocabulary, bad: np.ndarray, what: str) -> None:
-    """Fail naming the first row flagged in `bad`; rows count from 1, as .vocab lines do."""
-    row = int(bad.argmax())
-    raise UserError(f"{path}: row {row + 1} ({vocab.token(row)!r}) has {what}")
 
 
 def _read_matrix(path, vocab_path, vocab: Vocabulary, reference=None) -> np.ndarray:

@@ -2,13 +2,16 @@ import errno
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
+import time
 from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jointvec import cli, synth
@@ -324,7 +327,7 @@ def test_out_that_is_a_file_is_user_error_before_any_work(fast_corpus, trained, 
     assert out.read_text(encoding="utf-8") == "old"
     under = out / "sub"  # cannot be created, so no run may end by trying
     rc, stdout, err = run_cli([*argv, "--out", under], capsys)
-    assert rc == 1 and f"{under} cannot be created: {out} is not a directory" in err
+    assert rc == 1 and f"--out {under} cannot be created: Not a directory" in err
     assert "Traceback" not in err and stdout == ""
     assert out.read_text(encoding="utf-8") == "old"
     used = tmp_path / "used"  # say, a training run's directory
@@ -415,9 +418,69 @@ def test_interrupted_write_removes_what_the_run_made(trained, tmp_path, monkeypa
     given = tmp_path / "given"
     given.mkdir()
     for out in (tmp_path / "made" / "deeper" / "ex", given):
-        with pytest.raises(KeyboardInterrupt):
-            main(["export", "--model", str(trained), "--out", str(out)])
+        assert main(["export", "--model", str(trained), "--out", str(out)]) == 1
     assert os.listdir(tmp_path) == ["given"] and os.listdir(given) == []
+
+
+LONG_NAME = "x" * 300  # longer than a file name may be on common file systems
+
+
+def _tree(root) -> list:
+    return [(path, sorted(dirs), sorted(files)) for path, dirs, files in sorted(os.walk(root))]
+
+
+@given(st.lists(st.sampled_from(["new", "deep", LONG_NAME, "file", "empty", "full"]),
+                min_size=1, max_size=4))
+@example(["new", LONG_NAME, "leaf"])
+@example(["new", "..", "file", "leaf"])  # makedirs makes new before it fails
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_out_either_succeeds_or_leaves_the_tree_as_it_was(trained, tmp_path, capsys, parts):
+    """Each --out is made and filled, or refused naming it, with no directory left behind.
+
+    Each example runs in a fresh directory holding a regular file `file`,
+    an empty directory `empty` and a directory `full` with a file `file` in it.
+    """
+    root = tempfile.mkdtemp(dir=tmp_path)
+    with open(os.path.join(root, "file"), "w", encoding="utf-8") as fh:
+        fh.write("old\n")
+    os.mkdir(os.path.join(root, "empty"))
+    os.mkdir(os.path.join(root, "full"))
+    with open(os.path.join(root, "full", "file"), "w", encoding="utf-8") as fh:
+        fh.write("old\n")
+    before = _tree(root)
+    out = os.path.join(root, *parts)
+    rc, _, err = run_cli(["export", "--model", trained, "--out", out], capsys)
+    assert "Traceback" not in err
+    if rc == 0:
+        assert sorted(os.listdir(out)) == ["la.emb", "lb.emb", "manifest.txt"]
+    else:
+        assert rc == 1 and out in err
+        assert _tree(root) == before
+
+
+def test_sigint_ends_in_exit_1_without_traceback(fast_corpus, tmp_path):
+    """Ctrl-C during training ends in exit 1 with a one-line error and removes --out."""
+    out = tmp_path / "run"
+    argv = [str(a) for a in train_args(fast_corpus, out)]
+    argv[argv.index("--epochs") + 1] = "1000000"
+    proc = subprocess.Popen(  # a parent that is not interactive may ignore SIGINT
+        [sys.executable, "-m", "jointvec.cli", *argv], stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not out.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert out.exists(), "the run never made its --out"
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1, err
+    assert "jointvec: error: interrupted" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_failed_run_keeps_what_others_put_beside_its_out(trained, tmp_path, monkeypatch):
@@ -793,26 +856,26 @@ def test_train_divergence_is_user_error_and_writes_no_checkpoint(fast_corpus, tm
 
 def test_out_under_unwritable_parent_is_user_error_before_training(fast_corpus, tmp_path,
                                                                   monkeypatch, capsys):
-    """An absent --out whose nearest existing parent may not be written ends before any work.
+    """An absent --out that the OS refuses to make in its parent ends before any work.
 
-    Root may write anywhere, so os.access is faked to refuse writing in
-    one directory.
+    Root may write anywhere, so os.mkdir is faked to refuse making a
+    directory in one directory.
     """
     locked = tmp_path / "locked"
     locked.mkdir()
-    real_access = os.access
+    real_mkdir = os.mkdir
 
-    def access(path, mode, *args, **kwargs):
-        if os.path.abspath(path) == str(locked) and mode & os.W_OK:
-            return False
-        return real_access(path, mode, *args, **kwargs)
+    def mkdir(path, *args, **kwargs):
+        if os.path.dirname(os.path.abspath(path)) == str(locked):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_mkdir(path, *args, **kwargs)
 
-    monkeypatch.setattr(os, "access", access)
+    monkeypatch.setattr(os, "mkdir", mkdir)
     trained = []
     monkeypatch.setattr("jointvec.cli.train_joint", lambda *args: trained.append(args))
     for out in (locked / "run", locked / "a" / "b"):
         rc, stdout, err = run_cli(train_args(fast_corpus, out), capsys)
-        assert rc == 1 and f"--out {out} cannot be created: {locked} is not writable" in err
+        assert rc == 1 and f"--out {out} cannot be created: Permission denied" in err
         assert "Traceback" not in err and stdout == ""
         assert not trained and not os.listdir(locked)
 

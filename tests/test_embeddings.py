@@ -120,6 +120,15 @@ def test_import_rejects_malformed_files(tmp_path, content):
         import_table(path)
 
 
+def test_import_names_the_first_non_finite_row(tmp_path):
+    """Rows count from 1, as in a checkpoint's .vocab faults; an inf row after it is not named."""
+    path = tmp_path / "x.emb"
+    path.write_text("3 2\na 0.0 1.0\nb nan 0.0\nc inf 0.0\n", encoding="utf-8")
+    with pytest.raises(UserError) as exc:
+        import_table(path)
+    assert str(exc.value) == f"{path}: row 2 ('b') has non-finite values"
+
+
 def test_model_bundle_validation():
     vocab = Vocabulary(["w0"])
     t2 = EmbeddingTable("a", np.zeros((1, 2)))
