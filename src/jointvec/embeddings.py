@@ -63,14 +63,17 @@ class EmbeddingTable:
     """Dense (V, d) float64 matrix for one language; rows align with vocab ids.
 
     A read-only matrix is taken never to change, so nearest_neighbors keeps
-    its row norms on the table after the first cosine query. make_writable
+    its rows' sums of squares on the table after its first query, of either
+    metric. Cosine takes their square roots as the row norms; a Euclidean
+    query filters every row by them and one gemv, then rescores only the
+    rows the filter cannot rule out (see nearest_neighbors). make_writable
     is the one way back to a writable matrix, and it drops them.
     """
 
     language: str
     matrix: np.ndarray
-    # (matrix, its row norms), kept by nearest_neighbors while the matrix is read-only
-    _norms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (matrix, its rows' sums of squares), kept by nearest_neighbors while matrix is read-only
+    _sums: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -80,8 +83,8 @@ class EmbeddingTable:
             raise ContractError("embedding matrix contains non-finite entries")
 
     def make_writable(self) -> None:
-        """Let the matrix be updated in place; the row norms kept for queries are dropped."""
-        self._norms = None
+        """Let the matrix be updated in place; the row sums kept for queries are dropped."""
+        self._sums = None
         self.matrix.flags.writeable = True
 
     @property
@@ -210,17 +213,20 @@ def import_table(path, language: str = "") -> tuple[Vocabulary, EmbeddingTable]:
     return vocab, EmbeddingTable(language, matrix)
 
 
-def _row_sums(mat: np.ndarray, buf: np.ndarray, tiled: np.ndarray = None) -> np.ndarray:
+def _row_sums(
+    mat: np.ndarray, buf: np.ndarray, tiled: np.ndarray = None, rows: np.ndarray = None
+) -> np.ndarray:
     """Each row's sum of squares, or with `tiled` of squared differences from its rows.
 
     Rows go len(buf) at a time through the preallocated buffer, so no
-    (V, d) temporary is made. `tiled` holds the query row repeated to
-    buf's shape: subtracting same-shaped blocks is one inner loop per
-    block, where a broadcast row costs one per row.
+    (V, d) temporary is made; with `rows`, only those rows are summed, in
+    that order, each block of them gathered on its own. `tiled` holds the
+    query row repeated to buf's shape: subtracting same-shaped blocks is
+    one inner loop per block, where a broadcast row costs one per row.
     """
-    sums = np.empty(len(mat))
-    for lo in range(0, len(mat), len(buf)):
-        x = mat[lo : lo + len(buf)]
+    sums = np.empty(len(mat) if rows is None else len(rows))
+    for lo in range(0, len(sums), len(buf)):
+        x = mat[lo : lo + len(buf)] if rows is None else mat[rows[lo : lo + len(buf)]]
         part = buf[: len(x)]
         if tiled is None:
             np.multiply(x, x, out=part)
@@ -229,6 +235,10 @@ def _row_sums(mat: np.ndarray, buf: np.ndarray, tiled: np.ndarray = None) -> np.
             part *= part
         np.add.reduce(part, axis=1, out=sums[lo : lo + len(x)])
     return sums
+
+
+_U = np.finfo(np.float64).eps / 2  # float64's unit roundoff, 2**-53
+_SAFE = np.finfo(np.float64).max / 16  # below it, no sum the Euclidean filter uses overflows
 
 
 def nearest_neighbors(
@@ -243,19 +253,41 @@ def nearest_neighbors(
     Scores are cosine similarity (a zero vector anywhere scores 0) or, with
     metric="euclidean", negated Euclidean distance, so higher is always
     better. The query token itself is excluded; exact score ties order by
-    (language, token).
+    (language, token), and a NaN cosine score (where a product overflows)
+    ranks below every other.
 
-    Each target table is scored with one gemv, `mat @ vq`, over all its
-    rows. Its per-row sums of squares (cosine) or of squared differences
-    (Euclidean) are formed max(1, 16,384 // d) rows at a time in one
-    preallocated (block, d) buffer, so no (V, d) temporary is made; each
-    row's sum is the same reduction over its own d values that
-    `np.linalg.norm(x, axis=1)` forms, so the bits do not depend on the
-    block. A read-only table keeps its row norms from its first cosine
-    query, so later queries pay only the gemv; a writable table's are
-    formed again for every query, as it may have changed since. Only the
-    rows scoring at or above the table's n-th best score reach the final
-    sort, so every row tied with that cut competes on (language, token).
+    Each table's rows' sums of squares are formed max(1, 16,384 // d) rows
+    at a time in one preallocated (block, d) buffer, so no (V, d) temporary
+    is made; each row's sum is the same reduction over its own d values
+    that `np.linalg.norm(x, axis=1)` forms, so the bits do not depend on
+    the block. A read-only table keeps them from its first query; a
+    writable table's are formed again for every query, as it may have
+    changed since. Cosine divides one gemv, `mat @ vq`, by their square
+    roots times the query's norm.
+
+    A Euclidean score is -sqrt(T), T a row's sum of squared differences
+    from the query, formed in the same blocks. Only the rows that may reach
+    the top n are scored so, and all of them when the table has no more
+    rows than n. The filter estimates each T from the kept sums s, the
+    query's sum s_q and the same gemv g as E = (s + s_q) - 2g, and bounds
+    |E - T| by e = 8 (d + 4) u (s + s_q + 2**-1021), u = 2**-53: s, g and T
+    err by at most γ_d, γ_d and γ_(d+2) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., §3.1) times sums of squares no larger
+    than 2 (s + s_q), since 2|m||q| <= |m|² + |q|²; each addition adds u
+    times as much, and each product at most one subnormal step; 8 (d + 4)
+    is twice their total. So U, the n-th smallest E + e, is at least the
+    n-th smallest T, and a row the cut keeps has T at most that T times
+    1 + 4u + 8u², for sqrt may round sums that close to one score. A row is
+    dropped only where E - e > U (1 + 16u), whose slack also covers the
+    rounding of E - e, E + e and the product; a row whose bound is NaN, or
+    whose s + s_q reaches float64's maximum / 16 (where a sum could
+    overflow), is kept. The kept rows' T are formed block by block from
+    their gathered rows, so they carry the bits of a full scan, and the
+    cut, the sort and the tie order follow from them alone: no returned
+    bit depends on how the gemv rounded.
+
+    Only the rows scoring at or above the table's n-th best score reach the
+    final sort, so every row tied with that cut competes on (language, token).
     """
     if metric not in ("cosine", "euclidean"):
         raise UserError(f"unknown metric {metric!r}")
@@ -271,31 +303,49 @@ def nearest_neighbors(
         norm_q = np.linalg.norm(vq)
     else:
         tiled = np.tile(vq, (len(buf), 1))
+        slack = 8 * (len(vq) + 4) * _U
     candidates = []
     for lang, table in zip(langs, tables):
         mat = table.matrix
-        if metric == "cosine":
-            if table._norms is not None and table._norms[0] is mat:
-                row_norms = table._norms[1]
-            else:
-                row_norms = np.sqrt(_row_sums(mat, buf))
-                if not mat.flags.writeable:
-                    table._norms = (mat, row_norms)
-            norms = row_norms * norm_q
-            scores = np.divide(mat @ vq, norms, out=np.zeros(len(mat)), where=norms > 0)
+        if table._sums is not None and table._sums[0] is mat:
+            sums = table._sums[1]
         else:
-            scores = -np.sqrt(_row_sums(mat, buf, tiled))
-        rows = np.arange(len(scores))
+            with np.errstate(over="ignore"):  # an overflowing sum is inf; both metrics take it
+                sums = _row_sums(mat, buf)
+            if not mat.flags.writeable:
+                table._sums = (mat, sums)
+        rows = np.arange(len(mat))
         if lang == lang_q:
             rows = np.delete(rows, row_q)
-            scores = scores[rows]
+        if metric == "cosine":
+            norms = np.sqrt(sums) * norm_q
+            scores = np.divide(mat @ vq, norms, out=np.zeros(len(mat)), where=norms > 0)
+            if lang == lang_q:
+                scores = scores[rows]
+        else:
+            if len(rows) > n:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total = sums + vq @ vq
+                    est = total - 2 * (mat @ vq)
+                    err = (total + 2.0**-1021) * slack
+                    low, high = est - err, est + err
+                unsure = ~(total < _SAFE)
+                low[unsure], high[unsure] = -np.inf, np.inf
+                if lang == lang_q:
+                    low, high = low[rows], high[rows]
+                high.partition(n - 1)
+                rows = rows[~(low > high[n - 1] * (1 + 16 * _U))]
+            scores = -np.sqrt(_row_sums(mat, buf, tiled, rows))
         if len(scores) > n:
-            cut = np.partition(scores, len(scores) - n)[len(scores) - n]
-            keep = np.flatnonzero(scores >= cut)
-            rows, scores = rows[keep], scores[keep]
+            worst = -scores  # np.partition puts NaN last: a NaN score ranks below every other
+            worst.partition(n - 1)
+            cut = -worst[n - 1]
+            if cut == cut:  # else fewer than n rows have a score, and every row stays
+                keep = np.flatnonzero(scores >= cut)
+                rows, scores = rows[keep], scores[keep]
         vocab = bundle.vocab(lang)
         candidates.extend(
             (lang, vocab.token(r), s) for r, s in zip(rows.tolist(), scores.tolist())
         )
-    candidates.sort(key=lambda c: (-c[2], c[0], c[1]))
+    candidates.sort(key=lambda c: (-c[2] if c[2] == c[2] else math.inf, c[0], c[1]))
     return candidates[:n]

@@ -429,7 +429,7 @@ def load_model(path):
     """Load a checkpoint directory's model, without its AdaGrad accumulators.
 
     Returns (ModelBundle, TrainConfig, epoch). The tables' matrices are
-    read-only, so queries keep their row norms; train_joint makes them
+    read-only, so queries keep their row sums; train_joint makes them
     writable when it takes the model. meta.txt is read first,
     then each language's .vocab and .npy. Every fault is a UserError
     naming the file, plus the line, key, row or token where one applies:
